@@ -1,10 +1,14 @@
 """Command-line interface: build graphs, run solvers, emit reports.
 
-Every command writes exactly one JSON manifest recording the resolved
-parameters, the seed, the tool version, and the wall time; re-running a
-deterministic command with ``--config manifest.json`` reproduces its
-outputs byte for byte. Exit codes: 0 success, 2 usage error, 3 data error,
-4 numerical failure. Hitting the iteration cap is not a failure; it is
+Each command declares its parameters once, in a table that generates its
+flags and checks its ``--config`` values: a config value must pass the same
+converter and choices as the flag, and a config key that names no parameter
+is a usage error. Flags win over config values, which win over defaults.
+Every command writes one JSON manifest with the resolved parameters, the
+seed, the tool version and the wall time of the whole command; re-running a
+deterministic command with ``--config manifest.json`` reproduces its outputs
+byte for byte. Exit codes: 0 success, 2 usage error, 3 data error, 4
+numerical failure. Hitting the iteration cap is not a failure; it is
 reported in the run report with converged=false.
 """
 
@@ -25,19 +29,25 @@ from . import solvers, spectral, synth
 from .errors import (DataError, DegenerateGraphError, GraphLowRankError,
                      NumericalError, ParameterError)
 
+_REQUIRED = object()  # default of a parameter that has none
 
-def _write_manifest(path, command, inputs, params, seed, wall_time_s):
-    manifest = {
-        "command": command,
-        "inputs": inputs,
-        "params": params,
-        "seed": seed,
-        "version": __version__,
-        "wall_time_s": wall_time_s,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+# parameters naming input files, recorded under "inputs" in the manifest
+_INPUT_FILES = ("matrix", "row_graph", "col_graph", "ystar", "noisy", "graph")
+
+
+def _int(value):
+    """An integer from a flag string or a JSON number with no fraction."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _sigma(value):
+    return value if value == "auto" else float(value)
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
 
 
 def _load_config(path):
@@ -56,53 +66,69 @@ def _load_config(path):
     return params
 
 
-def _resolve(args, config, defaults):
-    """Merge flag values, config-file values, and defaults; flags win."""
-    resolved = {}
-    for name, default in defaults.items():
-        flag = getattr(args, name, None)
-        if flag is not None:
-            resolved[name] = flag
-        elif name in config:
-            resolved[name] = config[name]
-        else:
-            resolved[name] = default
-    return resolved
+def _resolve(table, flags, config):
+    """Typed parameters from flags, then config values, then defaults.
+
+    A value given either way passes through the parameter's converter and
+    choices; a null config value counts as not given.
+    """
+    unknown = sorted(set(config) - {row[0] for row in table})
+    if unknown:
+        raise ParameterError(f"unknown config key(s): {', '.join(unknown)}")
+    params = {}
+    for name, convert, default, choices, _ in table:
+        value = flags[name] if flags[name] is not None else config.get(name)
+        if value is None:
+            if default is _REQUIRED:
+                raise ParameterError(f"missing required parameter {_flag(name)}")
+            params[name] = default
+            continue
+        try:
+            # JSON booleans, lists and objects fit no parameter, even where
+            # the converter would accept them
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                raise ValueError
+            value = convert(value)
+        except ValueError:
+            raise ParameterError(f"{_flag(name)}: invalid value {value!r}") from None
+        if choices is not None and value not in choices:
+            raise ParameterError(f"{_flag(name)}: {value!r} is not one of "
+                                 f"{', '.join(choices)}")
+        params[name] = value
+    return params
 
 
-def _require(params, *names):
-    for name in names:
-        if params[name] is None:
-            raise ParameterError(f"missing required parameter --{name.replace('_', '-')}")
+def _write_manifest(command, params, wall_time_s):
+    """Write ``<out_dir>/manifest.json`` or ``<out>.manifest.json``."""
+    if "out_dir" in params:
+        path = Path(params["out_dir"]) / "manifest.json"
+    else:
+        out = Path(params["out"])
+        path = out.with_name(out.name + ".manifest.json")
+    manifest = {
+        "command": command,
+        "inputs": {name: params[name] for name in _INPUT_FILES if name in params},
+        "params": params,
+        "seed": params.get("seed"),
+        "version": __version__,
+        "wall_time_s": wall_time_s,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def _cmd_graph_build(args):
-    started = time.perf_counter()
-    config = _load_config(args.config)
-    params = _resolve(args, config, {
-        "matrix": None, "orientation": "rows", "axis": "columns", "k": None,
-        "weighting": "gaussian", "sigma": "auto", "metric": "euclidean",
-        "out": None,
-    })
-    _require(params, "matrix", "k", "out")
-    sigma = params["sigma"]
-    if sigma != "auto":
-        sigma = float(sigma)
+def _cmd_graph_build(params):
     data = graphmod.DataMatrix.from_csv(params["matrix"], params["orientation"])
-    g = graphmod.knn_graph(data, axis=params["axis"], k=int(params["k"]),
-                           weighting=params["weighting"], sigma=sigma,
+    g = graphmod.knn_graph(data, axis=params["axis"], k=params["k"],
+                           weighting=params["weighting"], sigma=params["sigma"],
                            metric=params["metric"])
-    out = Path(params["out"])
-    graphmod.save_edge_list(g, out)
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "graph build",
-                    {"matrix": str(params["matrix"])}, params, None,
-                    time.perf_counter() - started)
-    print(f"wrote {out} ({g.num_vertices} vertices, {g.num_edges} edges)")
-    return 0
+    graphmod.save_edge_list(g, params["out"])
+    print(f"wrote {params['out']} ({g.num_vertices} vertices, {g.num_edges} edges)")
 
 
 def _load_laplacians(params):
@@ -112,20 +138,9 @@ def _load_laplacians(params):
     return graphmod.laplacian(row_graph, kind), graphmod.laplacian(col_graph, kind)
 
 
-def _cmd_solve(args):
+def _cmd_solve(params):
     started = time.perf_counter()
-    config = _load_config(args.config)
-    params = _resolve(args, config, {
-        "matrix": None, "orientation": "rows", "row_graph": None,
-        "col_graph": None, "algo": "frpcag", "loss": "l1",
-        "gamma_r": 0.0, "gamma_c": 0.0, "laplacian": "normalized",
-        "max_iters": 1000, "tol": 1e-6, "filter_b": None,
-        "filtered_side": "column_graph", "filter_application": "exact",
-        "chebyshev_order": 50, "out_dir": None,
-    })
-    _require(params, "matrix", "row_graph", "col_graph", "out_dir")
-    data = graphmod.DataMatrix.from_csv(params["matrix"], params["orientation"])
-    Y = data.values
+    Y = graphmod.DataMatrix.from_csv(params["matrix"], params["orientation"]).values
     Lr, Lc = _load_laplacians(params)
     p, n = Y.shape
     if Lr.shape != (p, p) or Lc.shape != (n, n):
@@ -135,34 +150,30 @@ def _cmd_solve(args):
 
     algo = params["algo"]
     if algo == "tikhonov":
-        X = solvers.tikhonov_closed_form(Y, Lr, Lc, float(params["gamma_r"]),
-                                         float(params["gamma_c"]))
+        X = solvers.tikhonov_closed_form(Y, Lr, Lc, params["gamma_r"],
+                                         params["gamma_c"])
         result = solvers.SolverResult(X=X, iterations=1, objective_trace=[],
                                       converged=True, stop_reason="closed_form",
                                       change_trace=[])
-    elif algo in ("frpcag", "gfrpcag"):
+    else:
         filter_spec = None
         if algo == "gfrpcag":
             if params["filter_b"] is None:
                 raise ParameterError("gfrpcag requires --filter-b")
-            filter_spec = spectral.FilterSpec(family="prox_fb",
-                                              b=float(params["filter_b"]))
+            filter_spec = spectral.FilterSpec(family="prox_fb", b=params["filter_b"])
         solver_config = solvers.SolverConfig(
-            gamma_r=float(params["gamma_r"]), gamma_c=float(params["gamma_c"]),
-            loss=params["loss"], max_iters=int(params["max_iters"]),
-            tol=float(params["tol"]), filter_spec=filter_spec,
+            gamma_r=params["gamma_r"], gamma_c=params["gamma_c"],
+            loss=params["loss"], max_iters=params["max_iters"],
+            tol=params["tol"], filter_spec=filter_spec,
             filtered_side=params["filtered_side"],
             filter_application=params["filter_application"],
-            chebyshev_order=int(params["chebyshev_order"]))
+            chebyshev_order=params["chebyshev_order"])
         if algo == "frpcag":
             result = solvers.solve_frpcag(Y, Lr, Lc, solver_config)
+        elif params["filtered_side"] == "column_graph":
+            result = solvers.solve_gfrpcag(Y, Lr, Lc, solver_config)
         else:
-            if params["filtered_side"] == "column_graph":
-                result = solvers.solve_gfrpcag(Y, Lr, Lc, solver_config)
-            else:
-                result = solvers.solve_gfrpcag(Y, Lc, Lr, solver_config)
-    else:
-        raise ParameterError(f"unknown algo {algo!r}")
+            result = solvers.solve_gfrpcag(Y, Lc, Lr, solver_config)
 
     out_dir = Path(params["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -171,29 +182,13 @@ def _cmd_solve(args):
     solvers.save_trace_csv(result, out_dir / "trace.csv")
     solvers.write_report(out_dir / "report.txt", result,
                          {k: v for k, v in params.items() if v is not None}, wall)
-    _write_manifest(out_dir / "manifest.json", "solve",
-                    {"matrix": str(params["matrix"]),
-                     "row_graph": str(params["row_graph"]),
-                     "col_graph": str(params["col_graph"])},
-                    params, None, wall)
     print(f"wrote {out_dir}/X.csv ({result.iterations} iterations, "
           f"converged={str(result.converged).lower()})")
-    return 0
 
 
-def _cmd_diagnose(args):
-    started = time.perf_counter()
-    config = _load_config(args.config)
-    params = _resolve(args, config, {
-        "matrix": None, "orientation": "rows", "row_graph": None,
-        "col_graph": None, "k": None, "laplacian": "normalized",
-        "ystar": None, "noisy": None, "gamma": 1.0, "loss": "l1",
-        "k_r": None, "k_c": None, "out_dir": None,
-    })
-    _require(params, "matrix", "row_graph", "col_graph", "k", "out_dir")
-    k = int(params["k"])
-    data = graphmod.DataMatrix.from_csv(params["matrix"], params["orientation"])
-    X = data.values
+def _cmd_diagnose(params):
+    k = params["k"]
+    X = graphmod.DataMatrix.from_csv(params["matrix"], params["orientation"]).values
     Lr, Lc = _load_laplacians(params)
     if Lr.shape[0] != X.shape[0] or Lc.shape[0] != X.shape[1]:
         raise DataError(f"matrix is {X.shape} but graphs have "
@@ -220,13 +215,12 @@ def _cmd_diagnose(args):
                                               params["orientation"]).values
         Y = graphmod.DataMatrix.from_csv(params["noisy"],
                                          params["orientation"]).values
-        k_r = int(params["k_r"]) if params["k_r"] is not None else k
-        k_c = int(params["k_c"]) if params["k_c"] is not None else k
-        loss_name = params["loss"]
+        k_r = params["k_r"] if params["k_r"] is not None else k
+        k_c = params["k_c"] if params["k_c"] is not None else k
         bound = diag.recovery_bound_check(
             Y_star, Y - Y_star, X, row_basis, col_basis, k_r, k_c,
-            float(params["gamma"]),
-            lambda R: solvers.loss_value(R, np.zeros_like(R), loss_name))
+            params["gamma"],
+            lambda R: solvers.loss_value(R, np.zeros_like(R), params["loss"]))
 
     report = diag.build_diagnostics_report(X, row_basis, col_basis, k,
                                            bound=bound)
@@ -240,56 +234,34 @@ def _cmd_diagnose(args):
     def shown(value):
         return graphmod.format_float(value) if value is not None else "undefined"
 
-    lines = ["diagnostics report", "=================="]
-    lines.append(f"k: {k}")
-    lines.append(f"spectral_gap_col: {shown(report.spectral_gaps[0])}")
-    lines.append(f"spectral_gap_row: {shown(report.spectral_gaps[1])}")
-    lines.append(f"alignment_order_rows: "
-                 f"{graphmod.format_float(row_report.alignment_order)}")
-    lines.append(f"rank_k_alignment_rows: "
-                 f"{graphmod.format_float(row_report.rank_k_alignment)}")
-    lines.append(f"alignment_order_columns: "
-                 f"{graphmod.format_float(col_report.alignment_order)}")
-    lines.append(f"rank_k_alignment_columns: "
-                 f"{graphmod.format_float(col_report.rank_k_alignment)}")
+    lines = ["diagnostics report", "==================", f"k: {k}",
+             f"spectral_gap_col: {shown(report.spectral_gaps[0])}",
+             f"spectral_gap_row: {shown(report.spectral_gaps[1])}",
+             f"alignment_order_rows: {shown(row_report.alignment_order)}",
+             f"rank_k_alignment_rows: {shown(row_report.rank_k_alignment)}",
+             f"alignment_order_columns: {shown(col_report.alignment_order)}",
+             f"rank_k_alignment_columns: {shown(col_report.rank_k_alignment)}"]
     if report.bound_lhs is not None:
-        lines.append(f"bound_lhs: {graphmod.format_float(report.bound_lhs)}")
-        lines.append(f"bound_rhs: {graphmod.format_float(report.bound_rhs)}")
+        lines.append(f"bound_lhs: {shown(report.bound_lhs)}")
+        lines.append(f"bound_rhs: {shown(report.bound_rhs)}")
         lines.append(f"bound_holds: {str(report.bound_holds).lower()}")
     with open(out_dir / "diagnostics.txt", "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-    _write_manifest(out_dir / "manifest.json", "diagnose",
-                    {"matrix": str(params["matrix"])}, params, None,
-                    time.perf_counter() - started)
     print(f"wrote {out_dir}/diagnostics.txt")
-    return 0
 
 
-def _cmd_synth_lowrank(args):
-    started = time.perf_counter()
-    config = _load_config(args.config)
-    params = _resolve(args, config, {
-        "p": None, "n": None, "k_r": None, "k_c": None, "seed": 0,
-        "k_neighbors": 10, "laplacian": "normalized", "noise": "none",
-        "sigma": 0.1, "fraction": 0.1, "amplitude": 1.0, "out_dir": None,
-    })
-    _require(params, "p", "n", "k_r", "k_c", "out_dir")
-    seed = int(params["seed"])
-    instance = synth.make_lrmg(int(params["p"]), int(params["n"]),
-                               int(params["k_r"]), int(params["k_c"]), seed,
-                               k_neighbors=int(params["k_neighbors"]),
+def _cmd_synth_lowrank(params):
+    seed = params["seed"]
+    instance = synth.make_lrmg(params["p"], params["n"], params["k_r"],
+                               params["k_c"], seed,
+                               k_neighbors=params["k_neighbors"],
                                laplacian_kind=params["laplacian"])
-    noise = params["noise"]
-    if noise == "none":
+    if params["noise"] == "none":
         Y = instance.Y_star.copy()
-    elif noise in synth.NOISE_MODELS:
-        Y = synth.add_noise(instance.Y_star, noise, seed + 1,
-                            sigma=float(params["sigma"]),
-                            fraction=float(params["fraction"]),
-                            amplitude=float(params["amplitude"]))
     else:
-        raise ParameterError(f"unknown noise model {noise!r}")
+        Y = synth.add_noise(instance.Y_star, params["noise"], seed + 1,
+                            sigma=params["sigma"], fraction=params["fraction"],
+                            amplitude=params["amplitude"])
 
     out_dir = Path(params["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -297,64 +269,121 @@ def _cmd_synth_lowrank(args):
     graphmod.save_matrix_csv(out_dir / "y.csv", Y)
     graphmod.save_edge_list(instance.row_graph, out_dir / "row_graph.txt")
     graphmod.save_edge_list(instance.col_graph, out_dir / "col_graph.txt")
-    _write_manifest(out_dir / "manifest.json", "synth lowrank", {}, params, seed,
-                    time.perf_counter() - started)
     print(f"wrote {out_dir}/ystar.csv, y.csv, row_graph.txt, col_graph.txt")
-    return 0
 
 
-def _cmd_synth_manifold(args):
-    started = time.perf_counter()
-    config = _load_config(args.config)
-    params = _resolve(args, config, {
-        "kind": None, "n": None, "noise_sigma": 0.0, "noise_dims": "ambient",
-        "seed": 0, "out": None,
-    })
-    _require(params, "kind", "n", "out")
-    seed = int(params["seed"])
-    data = synth.make_manifold(params["kind"], int(params["n"]),
-                               noise_sigma=float(params["noise_sigma"]),
-                               noise_dims=params["noise_dims"], seed=seed)
-    out = Path(params["out"])
-    data.to_csv(out)
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"),
-                    "synth manifold", {}, params, seed,
-                    time.perf_counter() - started)
-    print(f"wrote {out} ({data.num_features} x {data.num_samples})")
-    return 0
+def _cmd_synth_manifold(params):
+    data = synth.make_manifold(params["kind"], params["n"],
+                               noise_sigma=params["noise_sigma"],
+                               noise_dims=params["noise_dims"], seed=params["seed"])
+    data.to_csv(params["out"])
+    print(f"wrote {params['out']} ({data.num_features} x {data.num_samples})")
 
 
-def _cmd_spectra(args):
-    started = time.perf_counter()
-    config = _load_config(args.config)
-    params = _resolve(args, config, {
-        "graph": None, "laplacian": "normalized", "count": None,
-        "filter_b": None, "filter_gamma": 1.0, "x_max": 2.0, "out": None,
-    })
-    _require(params, "out")
-    out = Path(params["out"])
+def _cmd_spectra(params):
+    out = params["out"]
     if params["graph"] is not None:
         g = graphmod.load_edge_list(params["graph"])
         L = graphmod.laplacian(g, params["laplacian"])
-        count = int(params["count"]) if params["count"] is not None else None
-        basis = spectral.eigendecompose(L, count)
+        basis = spectral.eigendecompose(L, params["count"])
         spectral.save_spectrum_csv(out, basis.eigenvalues)
     elif params["filter_b"] is not None:
-        spectral.save_filter_curve_csv(out, float(params["filter_b"]),
-                                       float(params["filter_gamma"]),
-                                       x_max=float(params["x_max"]))
+        spectral.save_filter_curve_csv(out, params["filter_b"],
+                                       params["filter_gamma"],
+                                       x_max=params["x_max"])
     else:
         raise ParameterError("spectra needs either --graph or --filter-b")
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "spectra",
-                    {"graph": params["graph"]}, params, None,
-                    time.perf_counter() - started)
     print(f"wrote {out}")
-    return 0
 
 
-# ---------------------------------------------------------------------------
-# argument parsing
-# ---------------------------------------------------------------------------
+# parameter tables, one row per flag: (name, converter, default or _REQUIRED,
+# choices, help)
+
+_ORIENTATION = ("orientation", str, "rows", ("rows", "columns"), None)
+_GRAPHS = (("row_graph", str, _REQUIRED, None, None),
+           ("col_graph", str, _REQUIRED, None, None))
+_LAPLACIAN = ("laplacian", str, "normalized", graphmod.LAPLACIAN_KINDS, None)
+_LOSS = ("loss", str, "l1", solvers.LOSSES, None)
+_OUT_DIR = ("out_dir", str, _REQUIRED, None, None)
+
+_COMMANDS = {
+    "graph build": ("build a KNN graph from a matrix", _cmd_graph_build, (
+        ("matrix", str, _REQUIRED, None, "input matrix CSV"),
+        _ORIENTATION,
+        ("axis", str, "columns", ("rows", "columns"),
+         "which vectors become vertices (default columns)"),
+        ("k", _int, _REQUIRED, None, "number of nearest neighbors"),
+        ("weighting", str, "gaussian", graphmod.WEIGHTINGS, None),
+        ("sigma", _sigma, "auto", None, "gaussian width, or 'auto'"),
+        ("metric", str, "euclidean", ("euclidean", "cityblock"), None),
+        ("out", str, _REQUIRED, None, "output edge-list file"),
+    )),
+    "solve": ("run a recovery solver", _cmd_solve, (
+        ("matrix", str, _REQUIRED, None, None),
+        _ORIENTATION,
+        *_GRAPHS,
+        ("algo", str, "frpcag", ("frpcag", "gfrpcag", "tikhonov"), None),
+        _LOSS,
+        ("gamma_r", float, 0.0, None, None),
+        ("gamma_c", float, 0.0, None, None),
+        _LAPLACIAN,
+        ("max_iters", _int, 1000, None, None),
+        ("tol", float, 1e-6, None, None),
+        ("filter_b", float, None, None, None),
+        ("filtered_side", str, "column_graph", solvers.FILTERED_SIDES, None),
+        ("filter_application", str, "exact", ("exact", "chebyshev"), None),
+        ("chebyshev_order", _int, 50, None, None),
+        _OUT_DIR,
+    )),
+    "diagnose": ("alignment and bound diagnostics", _cmd_diagnose, (
+        ("matrix", str, _REQUIRED, None, None),
+        _ORIENTATION,
+        *_GRAPHS,
+        ("k", _int, _REQUIRED, None, None),
+        _LAPLACIAN,
+        ("ystar", str, None, None, "clean matrix CSV for the bound check"),
+        ("noisy", str, None, None, "noisy matrix CSV for the bound check"),
+        ("gamma", float, 1.0, None, None),
+        _LOSS,
+        ("k_r", _int, None, None, None),
+        ("k_c", _int, None, None, None),
+        _OUT_DIR,
+    )),
+    "synth lowrank": ("band-limited matrix plus graphs", _cmd_synth_lowrank, (
+        ("p", _int, _REQUIRED, None, None),
+        ("n", _int, _REQUIRED, None, None),
+        ("k_r", _int, _REQUIRED, None, None),
+        ("k_c", _int, _REQUIRED, None, None),
+        ("seed", _int, 0, None, None),
+        ("k_neighbors", _int, 10, None, None),
+        _LAPLACIAN,
+        ("noise", str, "none", ("none", *synth.NOISE_MODELS), None),
+        ("sigma", float, 0.1, None, None),
+        ("fraction", float, 0.1, None, None),
+        ("amplitude", float, 1.0, None, None),
+        _OUT_DIR,
+    )),
+    "synth manifold": ("parametric manifold samples", _cmd_synth_manifold, (
+        ("kind", str, _REQUIRED, synth.MANIFOLD_KINDS, None),
+        ("n", _int, _REQUIRED, None, None),
+        ("noise_sigma", float, 0.0, None, None),
+        ("noise_dims", str, "ambient", ("ambient", "extra_dim"), None),
+        ("seed", _int, 0, None, None),
+        ("out", str, _REQUIRED, None, None),
+    )),
+    "spectra": ("export eigenvalues or filter curves", _cmd_spectra, (
+        ("graph", str, None, None, "edge-list file to decompose"),
+        _LAPLACIAN,
+        ("count", _int, None, None, None),
+        ("filter_b", float, None, None, None),
+        ("filter_gamma", float, 1.0, None, None),
+        ("x_max", float, 2.0, None, None),
+        ("out", str, _REQUIRED, None, None),
+    )),
+}
+
+_GROUP_HELP = {"graph": "graph construction", "synth": "synthetic data generators"}
+
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -362,112 +391,32 @@ def _build_parser():
         description="Low-rank matrix denoising via dual-graph regularization")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    graph = sub.add_parser("graph", help="graph construction")
-    graph_sub = graph.add_subparsers(dest="graph_command", required=True)
-    build = graph_sub.add_parser("build", help="build a KNN graph from a matrix")
-    build.add_argument("--matrix", help="input matrix CSV")
-    build.add_argument("--orientation", choices=["rows", "columns"])
-    build.add_argument("--axis", choices=["rows", "columns"],
-                       help="which vectors become vertices (default columns)")
-    build.add_argument("--k", type=int, help="number of nearest neighbors")
-    build.add_argument("--weighting", choices=list(graphmod.WEIGHTINGS))
-    build.add_argument("--sigma", help="gaussian width, or 'auto'")
-    build.add_argument("--metric", choices=["euclidean", "cityblock"])
-    build.add_argument("--out", help="output edge-list file")
-    build.add_argument("--config", help="JSON parameter file (flags win)")
-    build.set_defaults(func=_cmd_graph_build)
-
-    solve = sub.add_parser("solve", help="run a recovery solver")
-    solve.add_argument("--matrix")
-    solve.add_argument("--orientation", choices=["rows", "columns"])
-    solve.add_argument("--row-graph", dest="row_graph")
-    solve.add_argument("--col-graph", dest="col_graph")
-    solve.add_argument("--algo", choices=["frpcag", "gfrpcag", "tikhonov"])
-    solve.add_argument("--loss", choices=list(solvers.LOSSES))
-    solve.add_argument("--gamma-r", dest="gamma_r", type=float)
-    solve.add_argument("--gamma-c", dest="gamma_c", type=float)
-    solve.add_argument("--laplacian", choices=list(graphmod.LAPLACIAN_KINDS))
-    solve.add_argument("--max-iters", dest="max_iters", type=int)
-    solve.add_argument("--tol", type=float)
-    solve.add_argument("--filter-b", dest="filter_b", type=float)
-    solve.add_argument("--filtered-side", dest="filtered_side",
-                       choices=list(solvers.FILTERED_SIDES))
-    solve.add_argument("--filter-application", dest="filter_application",
-                       choices=["exact", "chebyshev"])
-    solve.add_argument("--chebyshev-order", dest="chebyshev_order", type=int)
-    solve.add_argument("--out-dir", dest="out_dir")
-    solve.add_argument("--config")
-    solve.set_defaults(func=_cmd_solve)
-
-    diagnose = sub.add_parser("diagnose", help="alignment and bound diagnostics")
-    diagnose.add_argument("--matrix")
-    diagnose.add_argument("--orientation", choices=["rows", "columns"])
-    diagnose.add_argument("--row-graph", dest="row_graph")
-    diagnose.add_argument("--col-graph", dest="col_graph")
-    diagnose.add_argument("--k", type=int)
-    diagnose.add_argument("--laplacian", choices=list(graphmod.LAPLACIAN_KINDS))
-    diagnose.add_argument("--ystar", help="clean matrix CSV for the bound check")
-    diagnose.add_argument("--noisy", help="noisy matrix CSV for the bound check")
-    diagnose.add_argument("--gamma", type=float)
-    diagnose.add_argument("--loss", choices=list(solvers.LOSSES))
-    diagnose.add_argument("--k-r", dest="k_r", type=int)
-    diagnose.add_argument("--k-c", dest="k_c", type=int)
-    diagnose.add_argument("--out-dir", dest="out_dir")
-    diagnose.add_argument("--config")
-    diagnose.set_defaults(func=_cmd_diagnose)
-
-    synth_parser = sub.add_parser("synth", help="synthetic data generators")
-    synth_sub = synth_parser.add_subparsers(dest="synth_command", required=True)
-    lowrank = synth_sub.add_parser("lowrank",
-                                   help="band-limited matrix plus graphs")
-    lowrank.add_argument("--p", type=int)
-    lowrank.add_argument("--n", type=int)
-    lowrank.add_argument("--k-r", dest="k_r", type=int)
-    lowrank.add_argument("--k-c", dest="k_c", type=int)
-    lowrank.add_argument("--seed", type=int)
-    lowrank.add_argument("--k-neighbors", dest="k_neighbors", type=int)
-    lowrank.add_argument("--laplacian", choices=list(graphmod.LAPLACIAN_KINDS))
-    lowrank.add_argument("--noise",
-                         choices=["none"] + list(synth.NOISE_MODELS))
-    lowrank.add_argument("--sigma", type=float)
-    lowrank.add_argument("--fraction", type=float)
-    lowrank.add_argument("--amplitude", type=float)
-    lowrank.add_argument("--out-dir", dest="out_dir")
-    lowrank.add_argument("--config")
-    lowrank.set_defaults(func=_cmd_synth_lowrank)
-
-    manifold = synth_sub.add_parser("manifold", help="parametric manifold samples")
-    manifold.add_argument("--kind", choices=list(synth.MANIFOLD_KINDS))
-    manifold.add_argument("--n", type=int)
-    manifold.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    manifold.add_argument("--noise-dims", dest="noise_dims",
-                          choices=["ambient", "extra_dim"])
-    manifold.add_argument("--seed", type=int)
-    manifold.add_argument("--out")
-    manifold.add_argument("--config")
-    manifold.set_defaults(func=_cmd_synth_manifold)
-
-    spectra = sub.add_parser("spectra",
-                             help="export eigenvalues or filter curves")
-    spectra.add_argument("--graph", help="edge-list file to decompose")
-    spectra.add_argument("--laplacian", choices=list(graphmod.LAPLACIAN_KINDS))
-    spectra.add_argument("--count", type=int)
-    spectra.add_argument("--filter-b", dest="filter_b", type=float)
-    spectra.add_argument("--filter-gamma", dest="filter_gamma", type=float)
-    spectra.add_argument("--x-max", dest="x_max", type=float)
-    spectra.add_argument("--out")
-    spectra.add_argument("--config")
-    spectra.set_defaults(func=_cmd_spectra)
-
+    groups = {}
+    for command, (help_text, handler, table) in _COMMANDS.items():
+        *group, name = command.split()
+        parent = sub
+        if group:
+            if group[0] not in groups:
+                group_parser = sub.add_parser(group[0], help=_GROUP_HELP[group[0]])
+                groups[group[0]] = group_parser.add_subparsers(
+                    dest=f"{group[0]}_command", required=True)
+            parent = groups[group[0]]
+        cmd = parent.add_parser(name, help=help_text)
+        for param, _, _, choices, param_help in table:
+            cmd.add_argument(_flag(param), choices=choices, help=param_help)
+        cmd.add_argument("--config", help="JSON parameter file (flags win)")
+        cmd.set_defaults(spec=(command, handler, table))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    started = time.perf_counter()
+    args = _build_parser().parse_args(argv)
+    command, handler, table = args.spec
     try:
-        return args.func(args)
+        params = _resolve(table, vars(args), _load_config(args.config))
+        handler(params)
+        _write_manifest(command, params, time.perf_counter() - started)
     except ParameterError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -480,6 +429,7 @@ def main(argv=None) -> int:
     except GraphLowRankError as exc:  # fallback for new error kinds
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    return 0
 
 
 if __name__ == "__main__":

@@ -136,6 +136,38 @@ class TestSolve:
         assert (out_dir / "X.csv").exists()
 
 
+BUILD = ["graph", "build", "--matrix", "y.csv", "--out", "g.txt"]
+SOLVE = ["solve", "--matrix", "y.csv", "--row-graph", "rows.txt",
+         "--col-graph", "cols.txt", "--out-dir", "run"]
+SPECTRA = ["spectra", "--out", "s.csv", "--graph"]
+
+
+@pytest.mark.parametrize("argv, config, code", [
+    pytest.param([*BUILD, "--k", "3", "--sigma", "abc"], None, 2,
+                 id="flag-sigma-abc"),
+    pytest.param(BUILD, {"k": "three"}, 2, id="config-k-three"),
+    pytest.param(BUILD, {"k": 2.7}, 2, id="config-k-not-integral"),
+    pytest.param(SOLVE, {"gamma_r": "lots"}, 2, id="config-gamma-lots"),
+    pytest.param([*BUILD, "--k", "3"], {"neighbours": 3}, 2,
+                 id="config-unknown-key"),
+    pytest.param(SOLVE, {"laplacian": "weird"}, 2, id="config-bad-choice"),
+    pytest.param([*SPECTRA, "negative.txt"], None, 3, id="negative-vertex"),
+    pytest.param([*SPECTRA, "duplicate.txt"], None, 3, id="duplicate-edge"),
+    pytest.param(["graph", "build", "--matrix", "missing.csv", "--k", "3",
+                  "--out", "g.txt"], None, 3, id="missing-matrix"),
+])
+def test_bad_input_exit_code(tmp_path, monkeypatch, solve_setup, argv,
+                             config, code):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "negative.txt").write_text("#vertices 3\n-1\t1\t1.0\n")
+    (tmp_path / "duplicate.txt").write_text(
+        "#vertices 3\n0\t1\t1.0\n0\t1\t1.0\n")
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", "config.json"]
+    assert run(argv) == code
+
+
 class TestSynthCommands:
     def test_lowrank_outputs_and_determinism(self, tmp_path):
         args = ["synth", "lowrank", "--p", 20, "--n", 24, "--k-r", 3,

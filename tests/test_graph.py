@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 import scipy.sparse.csgraph as csgraph
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphlowrank import (DataError, DataMatrix, DegenerateGraphError,
@@ -168,6 +168,24 @@ class TestLaplacian:
             L = laplacian(g, kind)
             top = np.linalg.eigvalsh(L.dense()).max()
             assert L.spectral_norm_bound >= top - 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 30),
+           extra_edges=st.floats(0.0, 1.0), unit_weights=st.booleans())
+    @example(seed=0, n=200, extra_edges=0.0, unit_weights=True)  # path graph
+    def test_unnormalized_norm_bound_is_certified(self, seed, n, extra_edges,
+                                                  unit_weights):
+        # FISTA's step 1/beta needs beta >= the true lambda_max; on a long
+        # path an iterative estimate undershoots it
+        rng = np.random.default_rng(seed)
+        W = np.diag(np.ones(n - 1), 1)
+        W += np.triu(rng.random((n, n)) < extra_edges, 2)
+        if not unit_weights:
+            W *= rng.uniform(0.01, 10.0, (n, n))
+        L = laplacian(SparseGraph.from_weight_matrix(W + W.T), "unnormalized")
+        top = np.linalg.eigvalsh(L.dense())[-1]
+        # slack for eigvalsh rounding, where the bound is tight
+        assert top <= L.spectral_norm_bound * (1 + 1e-12)
 
     def test_unknown_kind_rejected(self, rng):
         with pytest.raises(ParameterError):
