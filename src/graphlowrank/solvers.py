@@ -34,6 +34,11 @@ FILTERED_SIDES = ("row_graph", "column_graph")
 # guard against division by zero in the relative-change stopping rule
 STOP_DELTA = 1e-12
 
+# Row blocks of the FISTA passes hold about this many bytes per operand,
+# so that a block's sparse products and iterate rows stay in L2 cache
+# while they are combined.
+BLOCK_BYTES = 512 * 1024
+
 
 @dataclass
 class SolverConfig:
@@ -85,6 +90,12 @@ class SolverResult:
     change_trace: list = field(default_factory=list)
 
 
+def _row_blocks(p: int, n: int) -> list:
+    """Row slices of a p x n float64 array, about BLOCK_BYTES each."""
+    rows = max(1, BLOCK_BYTES // (8 * max(n, 1)))
+    return [slice(start, min(start + rows, p)) for start in range(0, p, rows)]
+
+
 # ---------------------------------------------------------------------------
 # losses and proximal operators
 # ---------------------------------------------------------------------------
@@ -93,7 +104,7 @@ def loss_value(X: np.ndarray, Y: np.ndarray, loss: str) -> float:
     """phi(X - Y) for the supported losses."""
     R = X - Y
     if loss == "l1":
-        return float(np.abs(R).sum())
+        return float(np.abs(R, out=R).sum())
     if loss == "l2":
         return float(np.sum(R * R))
     if loss == "l21":
@@ -116,7 +127,14 @@ def prox_loss(X: np.ndarray, Y: np.ndarray, lam: float, loss: str) -> np.ndarray
         raise DataError(f"shape mismatch {X.shape} vs {Y.shape}")
     R = X - Y
     if loss == "l1":
-        return Y + np.sign(R) * np.maximum(np.abs(R) - lam, 0.0)
+        # Y + (R - clip(R, -lam, lam)), in row blocks so that the clipped
+        # copy stays block-sized
+        R2, Y2 = np.atleast_2d(R, Y)
+        for rows in _row_blocks(*R2.shape):
+            block = R2[rows]
+            block -= np.clip(block, -lam, lam)
+            block += Y2[rows]
+        return R
     if loss == "l2":
         return (X + 2.0 * lam * Y) / (1.0 + 2.0 * lam)
     if loss == "l21":
@@ -129,20 +147,41 @@ def prox_loss(X: np.ndarray, Y: np.ndarray, lam: float, loss: str) -> np.ndarray
 
 
 def frpcag_gradient(X: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
-                    gamma_r: float, gamma_c: float) -> np.ndarray:
-    """Gradient of the two smoothness terms: 2 (gamma_c X Lc + gamma_r Lr X)."""
+                    gamma_r: float, gamma_c: float,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of the two smoothness terms: 2 (gamma_c X Lc + gamma_r Lr X).
+
+    X is walked in row blocks of about BLOCK_BYTES: block b of the result
+    needs X[b] Lc and Lr[b] X, which are scaled and summed into it while
+    they are still in cache. Each output row accumulates its sparse sums in
+    the same order whatever the block width. The result is written into
+    ``out`` when given (a float64 array of X's shape that does not overlap
+    X) and returned.
+    """
     X = np.asarray(X, dtype=np.float64)
     p, n = X.shape
     if Lr.shape != (p, p):
         raise DataError(f"row Laplacian is {Lr.shape}, expected {(p, p)}")
     if Lc.shape != (n, n):
         raise DataError(f"column Laplacian is {Lc.shape}, expected {(n, n)}")
-    grad = np.zeros_like(X)
-    if gamma_c != 0.0:
-        grad += 2.0 * gamma_c * (Lc.matrix.T @ X.T).T
-    if gamma_r != 0.0:
-        grad += 2.0 * gamma_r * (Lr.matrix @ X)
-    return grad
+    if out is None:
+        out = np.empty_like(X)
+    elif (out.shape != X.shape or out.dtype != np.float64
+          or np.may_share_memory(out, X)):
+        raise DataError("out must be a float64 array of X's shape that does "
+                        "not overlap X")
+    LcT = Lc.matrix.T
+    for rows in _row_blocks(p, n):
+        block = out[rows]
+        if gamma_c != 0.0:
+            np.multiply(2.0 * gamma_c, (LcT @ X[rows].T).T, out=block)
+        else:
+            block.fill(0.0)
+        if gamma_r != 0.0:
+            row_part = Lr.matrix[rows] @ X
+            row_part *= 2.0 * gamma_r
+            block += row_part
+    return out
 
 
 def lipschitz_bound(Lr: LaplacianMatrix, Lc: LaplacianMatrix,
@@ -152,29 +191,62 @@ def lipschitz_bound(Lr: LaplacianMatrix, Lc: LaplacianMatrix,
     return 2.0 * gamma_c * Lc.spectral_norm_bound + 2.0 * gamma_r * Lr.spectral_norm_bound
 
 
-def _objective(X, Y, Lr, Lc, gamma_r, gamma_c, loss):
-    val = loss_value(X, Y, loss)
-    if gamma_c != 0.0:
-        val += gamma_c * float(np.sum(X * (Lc.matrix.T @ X.T).T))
-    if gamma_r != 0.0:
-        val += gamma_r * float(np.sum(X * (Lr.matrix @ X)))
-    return val
-
-
 # ---------------------------------------------------------------------------
 # FISTA
 # ---------------------------------------------------------------------------
+
+def _extrapolate(X, X_prev, G, G_prev, S, m, step):
+    """The post-prox pass of one FISTA iteration, in row blocks.
+
+    Overwrites X_prev with the extrapolated point S_next = X + m (X - X_prev)
+    and G_prev with the next prox input Z = S_next - step * grad f(S_next),
+    where the gradient comes from G = grad f(X) and G_prev = grad f(X_prev)
+    by linearity: grad f(S_next) = G + m (G - G_prev). Returns
+    ||S_next - S||_F^2, ||S||_F^2 and <X, G>.
+    """
+    diff = ref = inner = 0.0
+    for rows in _row_blocks(*X.shape):
+        x, g, s, z = X[rows], G[rows], X_prev[rows], G_prev[rows]
+        np.subtract(x, s, out=s)
+        s *= m
+        s += x
+        np.subtract(g, z, out=z)
+        z *= m
+        z += g
+        z *= step
+        np.subtract(s, z, out=z)
+        step_rows = s - S[rows]
+        diff += _dot(step_rows, step_rows)
+        ref += _dot(S[rows], S[rows])
+        inner += _dot(x, g)
+    return diff, ref, inner
+
+
+def _dot(a, b):
+    # einsum sums in one thread without a temporary array, so the result
+    # does not depend on the BLAS thread count
+    return float(np.einsum("ij,ij->", a, b))
+
 
 def solve_frpcag(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
                  config: SolverConfig) -> SolverResult:
     """FISTA on the dual-graph objective with step 1/beta.
 
     Starts from S_1 = X_0 = Y with momentum t_1 = 1 and stops once
-    ||S_{j+1} - S_j||_F^2 < tol * ||S_j||_F^2 or max_iters is reached.
+    ||S_{j+1} - S_j||_F^2 <= tol * ||S_j||_F^2 or max_iters is reached.
     A zero Lipschitz bound (no effective regularization) reduces the
     problem to the bare loss, whose minimizer is Y itself.
+
+    The graph products are computed once per iteration, at the new iterate
+    X_j, and serve three uses. The extrapolation S_{j+1} = X_j
+    + m (X_j - X_{j-1}) is linear, so grad f(S_{j+1}) = grad f(X_j)
+    + m (grad f(X_j) - grad f(X_{j-1})) needs no product of its own; only
+    the first step takes the gradient at Y. Because grad f(X) =
+    2 (gamma_c X Lc + gamma_r Lr X), the smooth energy gamma_c tr(X Lc X^T)
+    + gamma_r tr(X^T Lr X) equals <X, grad f(X)> / 2, which gives the
+    objective trace without further products.
     """
-    Y = np.asarray(Y, dtype=np.float64)
+    Y = np.ascontiguousarray(Y, dtype=np.float64)
     if not np.isfinite(Y).all():
         raise DataError("input matrix contains NaN or Inf entries")
     if config.filter_spec is not None:
@@ -189,29 +261,30 @@ def solve_frpcag(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
                             change_trace=[0.0])
 
     step = 1.0 / beta
-    S = Y.copy()
-    X_prev = Y.copy()
-    X = Y.copy()
+    # S_1 = X_0 = Y; G_prev = grad f(X_0) and Z is the first prox input.
+    # The loop keeps four p x n buffers besides Y and the prox output: the
+    # post-prox pass turns X_prev into S_next and G_prev into the next Z,
+    # and the gradient of each iterate is written over the spent Z.
+    S, X_prev = Y, Y.copy()
+    G_prev = frpcag_gradient(Y, Lr, Lc, gamma_r, gamma_c)
+    Z = Y - step * G_prev
     t = 1.0
     trace, changes = [], []
     converged = False
     iterations = 0
     for _ in range(config.max_iters):
         iterations += 1
-        grad = frpcag_gradient(S, Lr, Lc, gamma_r, gamma_c)
-        X = prox_loss(S - step * grad, Y, step, config.loss)
+        X = prox_loss(Z, Y, step, config.loss)
+        G = frpcag_gradient(X, Lr, Lc, gamma_r, gamma_c, out=Z)
         t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        S_next = X + ((t - 1.0) / t_next) * (X - X_prev)
-        trace.append(_objective(X, Y, Lr, Lc, gamma_r, gamma_c, config.loss))
-        diff = float(np.sum((S_next - S) ** 2))
-        ref = float(np.sum(S * S))
+        diff, ref, inner = _extrapolate(X, X_prev, G, G_prev, S,
+                                        (t - 1.0) / t_next, step)
+        S, Z, X_prev, G_prev, t = X_prev, G_prev, X, G, t_next
+        trace.append(loss_value(X, Y, config.loss) + 0.5 * inner)
         changes.append(diff / (ref + STOP_DELTA))
-        if diff < config.tol * ref:
+        if diff <= config.tol * ref:
             converged = True
             break
-        X_prev = X
-        S = S_next
-        t = t_next
     return SolverResult(X=X, iterations=iterations, objective_trace=trace,
                         converged=converged,
                         stop_reason="tolerance" if converged else "max_iters",
@@ -262,11 +335,13 @@ class _FilteredProx:
         self.side = side
         self.application = application
         self.order = order
-        self.basis: EigenBasis | None = None
-        self._penalty_basis: EigenBasis | None = None
-        if application == "exact":
-            self.basis = eigendecompose(L)
-            self._penalty_basis = self.basis
+        basis = eigendecompose(L)
+        self.basis: EigenBasis | None = basis if application == "exact" else None
+        self._eigenvectors = basis.eigenvectors
+        curve = eval_filter(FilterSpec(family="step_gb", b=self.b),
+                            basis.eigenvalues)
+        self._finite = np.isfinite(curve)
+        self._finite_curve = curve[self._finite]
 
     def __call__(self, Z: np.ndarray, scale: float) -> np.ndarray:
         spec = FilterSpec(family="prox_fb", b=self.b, gamma=scale * self.gamma)
@@ -281,20 +356,15 @@ class _FilteredProx:
         constraint driven to zero by the prox; they are excluded from the
         reported value so the trace stays informative.
         """
-        if self._penalty_basis is None:
-            self._penalty_basis = eigendecompose(self.L)
-        basis = self._penalty_basis
-        curve = eval_filter(FilterSpec(family="step_gb", b=self.b),
-                            basis.eigenvalues)
-        finite = np.isfinite(curve)
-        coeffs = X @ basis.eigenvectors if self.side == "right" \
-            else basis.eigenvectors.T @ X
+        coeffs = X @ self._eigenvectors if self.side == "right" \
+            else self._eigenvectors.T @ X
         sq = coeffs ** 2
         if self.side == "right":
             energy = sq.sum(axis=0)
         else:
             energy = sq.sum(axis=1)
-        return self.gamma * float(np.sum(curve[finite] * energy[finite]))
+        return self.gamma * float(np.sum(self._finite_curve
+                                         * energy[self._finite]))
 
 
 def solve_gfrpcag(Y: np.ndarray, L_tikhonov: LaplacianMatrix,
@@ -335,19 +405,12 @@ def solve_gfrpcag(Y: np.ndarray, L_tikhonov: LaplacianMatrix,
                                   filtered_axis, config.filter_application,
                                   config.chebyshev_order)
 
-    def smooth_gradient(X):
-        if gamma_tik == 0.0:
-            return np.zeros_like(X)
+    def smooth_product(X):
+        # the smooth term's gradient is 2 gamma_tik times this product and
+        # its energy gamma_tik <X, product>
         if tik_axis == "left":
-            return 2.0 * gamma_tik * (L_tikhonov.matrix @ X)
-        return 2.0 * gamma_tik * (L_tikhonov.matrix.T @ X.T).T
-
-    def smooth_energy(X):
-        if gamma_tik == 0.0:
-            return 0.0
-        if tik_axis == "left":
-            return gamma_tik * float(np.sum(X * (L_tikhonov.matrix @ X)))
-        return gamma_tik * float(np.sum(X * (L_tikhonov.matrix.T @ X.T).T))
+            return L_tikhonov.matrix @ X
+        return (L_tikhonov.matrix.T @ X.T).T
 
     beta = 2.0 * gamma_tik * L_tikhonov.spectral_norm_bound
     if beta > 0.0:
@@ -358,17 +421,25 @@ def solve_gfrpcag(Y: np.ndarray, L_tikhonov: LaplacianMatrix,
 
     X = Y.copy()
     V = Y.copy()
+    # one product per iterate: the energy of X_next and the gradient step
+    # of the next iteration share it
+    product = smooth_product(X) if gamma_tik != 0.0 else 0.0
     trace, changes = [], []
     converged = False
     iterations = 0
     for _ in range(config.max_iters):
         iterations += 1
-        P = prox_loss(X - tau1 * (smooth_gradient(X) + V), Y, tau1, config.loss)
+        P = prox_loss(X - tau1 * (2.0 * gamma_tik * product + V), Y, tau1,
+                      config.loss)
         T = V + tau2 * (2.0 * P - X)
         Q = T - tau2 * prox_filtered(T / tau2, 1.0 / tau2)
         X_next = X + tau3 * (P - X)
         V_next = V + tau3 * (Q - V)
-        trace.append(loss_value(X_next, Y, config.loss) + smooth_energy(X_next)
+        energy = 0.0
+        if gamma_tik != 0.0:
+            product = smooth_product(X_next)
+            energy = gamma_tik * float(np.sum(X_next * product))
+        trace.append(loss_value(X_next, Y, config.loss) + energy
                      + prox_filtered.penalty(X_next))
         dx = float(np.sum((X_next - X) ** 2)) / (float(np.sum(X * X)) + STOP_DELTA)
         dv = float(np.sum((V_next - V) ** 2)) / (float(np.sum(V * V)) + STOP_DELTA)

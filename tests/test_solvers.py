@@ -8,6 +8,7 @@ from graphlowrank import (DataError, DataMatrix, FilterSpec, ParameterError,
                           frpcag_gradient, knn_graph, laplacian,
                           lipschitz_bound, loss_value, prox_loss, solve_frpcag,
                           solve_gfrpcag, tikhonov_closed_form)
+from graphlowrank import solvers
 from graphlowrank.solvers import save_solution_csv, save_trace_csv, write_report
 from graphlowrank.spectral import apply_filter_exact
 
@@ -17,6 +18,56 @@ from conftest import build_laplacians
 def smoothness_objective(X, Lr, Lc, gamma_r, gamma_c):
     return (gamma_c * np.sum(X * ((Lc.dense() @ X.T).T))
             + gamma_r * np.sum(X * (Lr.dense() @ X)))
+
+
+def random_laplacian(rng, size):
+    """Normalized Laplacian of a random weighted graph (edgeless for size 1)."""
+    W = np.triu(rng.uniform(0.1, 1.0, (size, size))
+                * (rng.random((size, size)) < 0.4), k=1)
+    return laplacian(SparseGraph.from_weight_matrix(W + W.T), "normalized")
+
+
+def use_row_blocks(monkeypatch, n, rows):
+    """Make the FISTA passes use blocks of ``rows`` rows for width n."""
+    monkeypatch.setattr(solvers, "BLOCK_BYTES", 8 * n * rows)
+
+
+def reference_frpcag(Y, Lr, Lc, config):
+    """The plain FISTA loop: the gradient at the extrapolated point and the
+    objective each take their own full sparse products."""
+    gamma_r, gamma_c = config.gamma_r, config.gamma_c
+
+    def gradient(X):
+        grad = np.zeros_like(X)
+        if gamma_c != 0.0:
+            grad += 2.0 * gamma_c * (Lc.matrix.T @ X.T).T
+        if gamma_r != 0.0:
+            grad += 2.0 * gamma_r * (Lr.matrix @ X)
+        return grad
+
+    def objective(X):
+        val = loss_value(X, Y, config.loss)
+        if gamma_c != 0.0:
+            val += gamma_c * float(np.sum(X * (Lc.matrix.T @ X.T).T))
+        if gamma_r != 0.0:
+            val += gamma_r * float(np.sum(X * (Lr.matrix @ X)))
+        return val
+
+    step = 1.0 / lipschitz_bound(Lr, Lc, gamma_r, gamma_c)
+    S, X_prev, t = Y.copy(), Y.copy(), 1.0
+    trace, changes = [], []
+    for iterations in range(1, config.max_iters + 1):
+        X = prox_loss(S - step * gradient(S), Y, step, config.loss)
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        S_next = X + ((t - 1.0) / t_next) * (X - X_prev)
+        trace.append(objective(X))
+        diff = float(np.sum((S_next - S) ** 2))
+        ref = float(np.sum(S * S))
+        changes.append(diff / (ref + solvers.STOP_DELTA))
+        if diff <= config.tol * ref:
+            break
+        X_prev, S, t = X, S_next, t_next
+    return X, iterations, trace, changes
 
 
 class TestGradient:
@@ -55,6 +106,43 @@ class TestGradient:
         Lr, Lc = build_laplacians(Y, 2, 3)
         with pytest.raises(DataError):
             frpcag_gradient(Y.T, Lr, Lc, 1.0, 1.0)
+
+    @pytest.mark.parametrize("p, n, block_rows", [
+        (1, 9, None), (9, 1, None), (10, 7, 3), (10, 7, 1)])
+    def test_matches_dense_formula(self, rng, monkeypatch, p, n, block_rows):
+        if block_rows is not None:
+            use_row_blocks(monkeypatch, n, block_rows)
+        Lr, Lc = random_laplacian(rng, p), random_laplacian(rng, n)
+        X = rng.standard_normal((p, n))
+        expected = 2.0 * (0.7 * X @ Lc.dense() + 1.3 * Lr.dense() @ X)
+        grad = frpcag_gradient(X, Lr, Lc, 1.3, 0.7)
+        assert np.allclose(grad, expected, rtol=1e-12, atol=1e-12)
+
+    def test_row_blocks_do_not_change_the_result(self, rng, monkeypatch):
+        # each output row accumulates its sparse sums in the same order
+        # whatever the block width, so blocking is bit-exact
+        p, n = 10, 7
+        Lr, Lc = random_laplacian(rng, p), random_laplacian(rng, n)
+        X = rng.standard_normal((p, n))
+        whole = frpcag_gradient(X, Lr, Lc, 1.3, 0.7)
+        use_row_blocks(monkeypatch, n, 3)
+        assert len(solvers._row_blocks(p, n)) == 4
+        assert np.array_equal(frpcag_gradient(X, Lr, Lc, 1.3, 0.7), whole)
+
+    def test_out_buffer_is_written_and_returned(self, rng):
+        Y = rng.standard_normal((6, 8))
+        Lr, Lc = build_laplacians(Y, 2, 3)
+        buf = np.full_like(Y, np.nan)
+        assert frpcag_gradient(Y, Lr, Lc, 0.4, 0.9, out=buf) is buf
+        assert np.array_equal(buf, frpcag_gradient(Y, Lr, Lc, 0.4, 0.9))
+        assert np.array_equal(frpcag_gradient(Y, Lr, Lc, 0.0, 0.0, out=buf),
+                              np.zeros_like(Y))
+
+    def test_out_buffer_overlapping_x_rejected(self, rng):
+        Y = rng.standard_normal((6, 8))
+        Lr, Lc = build_laplacians(Y, 2, 3)
+        with pytest.raises(DataError):
+            frpcag_gradient(Y, Lr, Lc, 1.0, 1.0, out=Y)
 
 
 class TestLipschitzBound:
@@ -132,6 +220,18 @@ class TestProxLoss:
         for _ in range(100):
             probe = out + rng.standard_normal((5, 7)) * rng.uniform(1e-4, 1.0)
             assert base <= prox_objective(probe) + 1e-12
+
+    @pytest.mark.parametrize("block_rows", [None, 2])
+    def test_l1_clip_form_equals_soft_threshold(self, rng, monkeypatch,
+                                                block_rows):
+        X = rng.standard_normal((7, 9))
+        Y = rng.standard_normal((7, 9))
+        X[0, :3] = Y[0, :3] + np.array([0.6, -0.6, 0.0])  # |R| = lam and 0
+        if block_rows is not None:
+            use_row_blocks(monkeypatch, 9, block_rows)
+        R = X - Y
+        expected = Y + np.sign(R) * np.maximum(np.abs(R) - 0.6, 0.0)
+        assert np.array_equal(prox_loss(X, Y, 0.6, "l1"), expected)
 
     def test_negative_step_rejected(self, rng):
         X = rng.standard_normal((3, 3))
@@ -249,6 +349,62 @@ class TestSolveFrpcag:
         config = SolverConfig(filter_spec=FilterSpec("prox_fb", b=1.0))
         with pytest.raises(ParameterError):
             solve_frpcag(Y, Lr, Lc, config)
+
+    def test_zero_input_converges(self, rng):
+        # ||S_2 - S_1||^2 = ||S_1||^2 = 0 meets the tolerance
+        Lr, Lc = build_laplacians(rng.standard_normal((12, 15)), 3, 3)
+        result = solve_frpcag(np.zeros((12, 15)), Lr, Lc,
+                              SolverConfig(gamma_r=1.0, gamma_c=1.0,
+                                           max_iters=500))
+        assert result.iterations == 1
+        assert result.converged and result.stop_reason == "tolerance"
+        assert np.array_equal(result.X, np.zeros((12, 15)))
+
+    @pytest.mark.parametrize("loss", ["l1", "l2", "l21"])
+    def test_final_objective_matches_recomputed(self, rng, loss):
+        Y = rng.standard_normal((12, 14))
+        Lr, Lc = build_laplacians(Y, 3, 3)
+        config = SolverConfig(gamma_r=0.6, gamma_c=1.1, loss=loss,
+                              max_iters=2000, tol=1e-10)
+        result = solve_frpcag(Y, Lr, Lc, config)
+        assert result.converged
+        recomputed = (loss_value(result.X, Y, loss)
+                      + smoothness_objective(result.X, Lr, Lc, 0.6, 1.1))
+        assert result.objective_trace[-1] == pytest.approx(recomputed,
+                                                           rel=1e-12)
+
+
+class TestFistaMatchesReference:
+    """The product-reusing loop against the plain one it replaces."""
+
+    @pytest.mark.parametrize("block_rows", [None, 3])
+    @pytest.mark.parametrize("gamma_r, gamma_c", [(0.7, 1.3), (0.0, 1.3),
+                                                  (0.7, 0.0)])
+    @pytest.mark.parametrize("loss", ["l1", "l2", "l21"])
+    def test_same_iterates_and_traces(self, rng, monkeypatch, loss, gamma_r,
+                                      gamma_c, block_rows):
+        p, n = 20, 26
+        Y = rng.standard_normal((p, n))
+        Lr, Lc = build_laplacians(Y, 4, 4)
+        if block_rows is None:
+            assert len(solvers._row_blocks(p, n)) == 1
+        else:
+            use_row_blocks(monkeypatch, n, block_rows)
+            assert len(solvers._row_blocks(p, n)) == 7  # the last has 2 rows
+        config = SolverConfig(gamma_r=gamma_r, gamma_c=gamma_c, loss=loss,
+                              max_iters=500, tol=1e-8)
+        result = solve_frpcag(Y, Lr, Lc, config)
+        X, iterations, trace, changes = reference_frpcag(Y, Lr, Lc, config)
+        assert result.converged
+        assert result.iterations == iterations
+        assert np.linalg.norm(result.X - X) <= 1e-12 * np.linalg.norm(X)
+        np.testing.assert_allclose(result.objective_trace, trace, rtol=1e-12,
+                                   atol=0)
+        # a relative change is the squared norm of S_{j+1} - S_j over that
+        # of S_j: rounding at the scale of S_j moves it relative to its
+        # square root, so its square roots are compared to 1e-12
+        np.testing.assert_allclose(np.sqrt(result.change_trace),
+                                   np.sqrt(changes), rtol=0, atol=1e-12)
 
 
 class TestTikhonovClosedForm:
