@@ -142,11 +142,6 @@ def _cmd_solve(params):
     started = time.perf_counter()
     Y = graphmod.DataMatrix.from_csv(params["matrix"], params["orientation"]).values
     Lr, Lc = _load_laplacians(params)
-    p, n = Y.shape
-    if Lr.shape != (p, p) or Lc.shape != (n, n):
-        raise DataError(
-            f"matrix is p={p} x n={n} but row graph has {Lr.shape[0]} vertices "
-            f"and column graph has {Lc.shape[0]}")
 
     algo = params["algo"]
     if algo == "tikhonov":
@@ -168,12 +163,8 @@ def _cmd_solve(params):
             filtered_side=params["filtered_side"],
             filter_application=params["filter_application"],
             chebyshev_order=params["chebyshev_order"])
-        if algo == "frpcag":
-            result = solvers.solve_frpcag(Y, Lr, Lc, solver_config)
-        elif params["filtered_side"] == "column_graph":
-            result = solvers.solve_gfrpcag(Y, Lr, Lc, solver_config)
-        else:
-            result = solvers.solve_gfrpcag(Y, Lc, Lr, solver_config)
+        solve = solvers.solve_frpcag if algo == "frpcag" else solvers.solve_gfrpcag
+        result = solve(Y, Lr, Lc, solver_config)
 
     out_dir = Path(params["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)

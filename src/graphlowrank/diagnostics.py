@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError, ParameterError
 from .graph import format_float
-from .spectral import EigenBasis
+from .spectral import EigenBasis, _column_signs
 
 # eigenvalues below this threshold count as zero when validating gaps
 ZERO_EIGENVALUE_TOL = 1e-12
@@ -193,12 +193,9 @@ def subspace_coherence(X: np.ndarray, row_basis: EigenBasis,
     if not np.any(X):
         raise DataError("coherence of the zero matrix is undefined")
     U, sigma, Vt = np.linalg.svd(X, full_matrices=False)
-    for col in range(U.shape[1]):
-        v = U[:, col]
-        idx = np.argmax(np.abs(v) > 1e-12 * max(np.abs(v).max(), 1e-300))
-        if v[idx] < 0:
-            U[:, col] = -v
-            Vt[col, :] = -Vt[col, :]
+    signs = _column_signs(U)
+    U *= signs
+    Vt *= signs[:, None]
     weighted_vq = sigma[:, None] * (Vt @ col_basis.eigenvectors)
     weighted_up = sigma[:, None] * (U.T @ row_basis.eigenvectors)
     return weighted_vq, weighted_up, sigma

@@ -201,15 +201,21 @@ def laplacian(g: SparseGraph, kind: str = "normalized") -> LaplacianMatrix:
         coo = g.weights.tocoo()
         bound = float(np.max(d[coo.row] + d[coo.col], initial=0.0))
     else:
-        inv_sqrt = np.zeros_like(d)
-        positive = d > 0
-        inv_sqrt[positive] = 1.0 / np.sqrt(d[positive])
+        inv_sqrt = _inv_sqrt_degrees(d)
         scaling = sparse.diags(inv_sqrt)
-        mat = sparse.diags(positive.astype(np.float64)) - scaling @ g.weights @ scaling
+        mat = sparse.diags((d > 0).astype(np.float64)) - scaling @ g.weights @ scaling
         bound = 2.0
     mat = mat.tocsr()
     mat.eliminate_zeros()
     return LaplacianMatrix(kind=kind, matrix=mat, spectral_norm_bound=bound)
+
+
+def _inv_sqrt_degrees(d: np.ndarray) -> np.ndarray:
+    """1/sqrt(d) for positive degrees and 0 for isolated vertices."""
+    inv_sqrt = np.zeros_like(d)
+    positive = d > 0
+    inv_sqrt[positive] = 1.0 / np.sqrt(d[positive])
+    return inv_sqrt
 
 
 def graph_gradient(g: SparseGraph, s: np.ndarray) -> np.ndarray:
@@ -227,8 +233,7 @@ def graph_gradient(g: SparseGraph, s: np.ndarray) -> np.ndarray:
     isolated = d == 0
     if isolated.any() and np.abs(s[isolated]).max(initial=0.0) > 0:
         raise DegenerateGraphError("signal is nonzero on a degree-0 vertex")
-    inv_sqrt = np.zeros_like(d)
-    inv_sqrt[~isolated] = 1.0 / np.sqrt(d[~isolated])
+    inv_sqrt = _inv_sqrt_degrees(d)
     ei, ej, ew = g.edge_arrays()
     return np.sqrt(ew) * (s[ej] * inv_sqrt[ej] - s[ei] * inv_sqrt[ei])
 
@@ -239,10 +244,7 @@ def graph_divergence(g: SparseGraph, c: np.ndarray) -> np.ndarray:
     ei, ej, ew = g.edge_arrays()
     if c.shape != ei.shape:
         raise DataError(f"edge signal must have {ei.size} entries, got {c.shape}")
-    d = g.degrees()
-    inv_sqrt = np.zeros_like(d)
-    positive = d > 0
-    inv_sqrt[positive] = 1.0 / np.sqrt(d[positive])
+    inv_sqrt = _inv_sqrt_degrees(g.degrees())
     weighted = np.sqrt(ew) * c
     out = np.zeros(g.num_vertices)
     np.add.at(out, ej, weighted * inv_sqrt[ej])

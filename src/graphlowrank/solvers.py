@@ -44,11 +44,13 @@ BLOCK_BYTES = 512 * 1024
 class SolverConfig:
     """Hyperparameters shared by both solvers.
 
-    gamma_r weighs the row-graph penalty (Lr is p x p), gamma_c the
-    column-graph penalty (Lc is n x n). For the filtered solver,
-    ``filter_spec`` describes the step-like filter and ``filtered_side``
-    names the graph it acts on; the other graph keeps its plain smoothness
-    term. ``filter_application`` selects exact eigenbasis filtering or a
+    Both solvers take (Y, Lr, Lc, config). gamma_r weighs the row-graph
+    penalty (Lr is p x p), gamma_c the column-graph penalty (Lc is n x n).
+    For the filtered solver, ``filter_spec`` describes the step-like filter
+    and ``filtered_side`` names the graph it acts on: Lr for "row_graph",
+    Lc for "column_graph". That side's gamma weighs the filtered penalty;
+    the other graph keeps its plain smoothness term.
+    ``filter_application`` selects exact eigenbasis filtering or a
     Chebyshev polynomial approximation of the given order.
     """
 
@@ -228,6 +230,41 @@ def _dot(a, b):
     return float(np.einsum("ij,ij->", a, b))
 
 
+def _checked_input(Y: np.ndarray, Lr: LaplacianMatrix,
+                   Lc: LaplacianMatrix) -> np.ndarray:
+    """Y as a C-ordered float64 array, once it is finite and Lr is p x p
+    and Lc is n x n."""
+    Y = np.ascontiguousarray(Y, dtype=np.float64)
+    if not np.isfinite(Y).all():
+        raise DataError("input matrix contains NaN or Inf entries")
+    p, n = Y.shape
+    if Lr.shape != (p, p):
+        raise DataError(f"row Laplacian is {Lr.shape}, expected {(p, p)}")
+    if Lc.shape != (n, n):
+        raise DataError(f"column Laplacian is {Lc.shape}, expected {(n, n)}")
+    return Y
+
+
+def _run(steps, max_iters: int) -> SolverResult:
+    """Drive a solver's iterations and collect its traces.
+
+    ``steps`` yields (X, objective, change, converged) once per iteration.
+    A yielded X stays valid only until the next step is taken, because
+    FISTA writes later iterates into the same buffers, so the loop stops
+    without advancing ``steps`` once it converges or reaches max_iters.
+    """
+    trace, changes = [], []
+    for X, objective, change, converged in steps:
+        trace.append(objective)
+        changes.append(change)
+        if converged or len(trace) == max_iters:
+            break
+    return SolverResult(X=X, iterations=len(trace), objective_trace=trace,
+                        converged=converged,
+                        stop_reason="tolerance" if converged else "max_iters",
+                        change_trace=changes)
+
+
 def solve_frpcag(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
                  config: SolverConfig) -> SolverResult:
     """FISTA on the dual-graph objective with step 1/beta.
@@ -246,21 +283,22 @@ def solve_frpcag(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
     + gamma_r tr(X^T Lr X) equals <X, grad f(X)> / 2, which gives the
     objective trace without further products.
     """
-    Y = np.ascontiguousarray(Y, dtype=np.float64)
-    if not np.isfinite(Y).all():
-        raise DataError("input matrix contains NaN or Inf entries")
+    Y = _checked_input(Y, Lr, Lc)
     if config.filter_spec is not None:
         raise ParameterError("filter_spec is only used by solve_gfrpcag")
-    gamma_r, gamma_c = config.gamma_r, config.gamma_c
-    beta = lipschitz_bound(Lr, Lc, gamma_r, gamma_c)
+    beta = lipschitz_bound(Lr, Lc, config.gamma_r, config.gamma_c)
     if beta == 0.0:
         X = prox_loss(Y, Y, 1.0, config.loss)
         return SolverResult(X=X, iterations=1,
                             objective_trace=[loss_value(X, Y, config.loss)],
                             converged=True, stop_reason="degenerate",
                             change_trace=[0.0])
+    return _run(_fista_steps(Y, Lr, Lc, config, 1.0 / beta), config.max_iters)
 
-    step = 1.0 / beta
+
+def _fista_steps(Y, Lr, Lc, config, step):
+    """The iterations of solve_frpcag, in the form ``_run`` takes."""
+    gamma_r, gamma_c = config.gamma_r, config.gamma_c
     # S_1 = X_0 = Y; G_prev = grad f(X_0) and Z is the first prox input.
     # The loop keeps four p x n buffers besides Y and the prox output: the
     # post-prox pass turns X_prev into S_next and G_prev into the next Z,
@@ -269,26 +307,15 @@ def solve_frpcag(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
     G_prev = frpcag_gradient(Y, Lr, Lc, gamma_r, gamma_c)
     Z = Y - step * G_prev
     t = 1.0
-    trace, changes = [], []
-    converged = False
-    iterations = 0
-    for _ in range(config.max_iters):
-        iterations += 1
+    while True:
         X = prox_loss(Z, Y, step, config.loss)
         G = frpcag_gradient(X, Lr, Lc, gamma_r, gamma_c, out=Z)
         t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
         diff, ref, inner = _extrapolate(X, X_prev, G, G_prev, S,
                                         (t - 1.0) / t_next, step)
         S, Z, X_prev, G_prev, t = X_prev, G_prev, X, G, t_next
-        trace.append(loss_value(X, Y, config.loss) + 0.5 * inner)
-        changes.append(diff / (ref + STOP_DELTA))
-        if diff <= config.tol * ref:
-            converged = True
-            break
-    return SolverResult(X=X, iterations=iterations, objective_trace=trace,
-                        converged=converged,
-                        stop_reason="tolerance" if converged else "max_iters",
-                        change_trace=changes)
+        yield (X, loss_value(X, Y, config.loss) + 0.5 * inner,
+               diff / (ref + STOP_DELTA), diff <= config.tol * ref)
 
 
 def tikhonov_closed_form(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
@@ -299,11 +326,8 @@ def tikhonov_closed_form(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix
     eigenbases it divides each coefficient by
     (1 + gamma_r lambda_ri) * (1 + gamma_c lambda_cj).
     """
-    Y = np.asarray(Y, dtype=np.float64)
+    Y = _checked_input(Y, Lr, Lc)
     p, n = Y.shape
-    if Lr.shape != (p, p) or Lc.shape != (n, n):
-        raise DataError(f"Laplacian shapes {Lr.shape}, {Lc.shape} do not match "
-                        f"matrix {Y.shape}")
     X = Y
     if gamma_r != 0.0:
         A = np.eye(p) + gamma_r * Lr.dense()
@@ -367,52 +391,39 @@ class _FilteredProx:
                                          * energy[self._finite]))
 
 
-def solve_gfrpcag(Y: np.ndarray, L_tikhonov: LaplacianMatrix,
-                  L_filtered: LaplacianMatrix, config: SolverConfig) -> SolverResult:
+def solve_gfrpcag(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
+                  config: SolverConfig) -> SolverResult:
     """Forward-backward primal-dual iteration with one filtered graph.
 
-    The graph named by ``filtered_side`` carries the step-filter penalty,
-    applied through its spectral prox; the other graph keeps the plain
-    smoothness term, handled by gradient steps. Time steps are
-    tau_1 = 1/beta, tau_2 = beta/2, tau_3 = 0.99, with tau_1 = 1 and
-    tau_2 = 1/2 when the smooth term vanishes.
+    Takes the same arguments as ``solve_frpcag``. The graph named by
+    ``config.filtered_side`` carries the step-filter penalty, applied
+    through its spectral prox; the other graph keeps its plain smoothness
+    term, whose gradient is ``frpcag_gradient`` with the filtered side's
+    gamma set to 0. Time steps are tau_1 = 1/beta, tau_2 = beta/2,
+    tau_3 = 0.99, with beta the ``lipschitz_bound`` of that smooth term,
+    and tau_1 = 1, tau_2 = 1/2 when it vanishes. Stops once the relative
+    changes of both the primal and the dual iterate fall below tol.
     """
-    Y = np.asarray(Y, dtype=np.float64)
-    if not np.isfinite(Y).all():
-        raise DataError("input matrix contains NaN or Inf entries")
+    Y = _checked_input(Y, Lr, Lc)
     if config.filter_spec is None:
         raise ParameterError("solve_gfrpcag requires config.filter_spec")
     if config.filter_spec.family != "prox_fb":
         raise ParameterError("the filtered penalty must use the prox_fb family")
-    p, n = Y.shape
+    return _run(_primal_dual_steps(Y, Lr, Lc, config), config.max_iters)
 
+
+def _primal_dual_steps(Y, Lr, Lc, config):
+    """The iterations of solve_gfrpcag, in the form ``_run`` takes."""
     if config.filtered_side == "column_graph":
-        gamma_filtered, gamma_tik = config.gamma_c, config.gamma_r
-        filtered_axis, tik_axis = "right", "left"
-        expect_filtered, expect_tik = (n, n), (p, p)
+        L, gamma, axis = Lc, config.gamma_c, "right"
+        gamma_r, gamma_c = config.gamma_r, 0.0
     else:
-        gamma_filtered, gamma_tik = config.gamma_r, config.gamma_c
-        filtered_axis, tik_axis = "left", "right"
-        expect_filtered, expect_tik = (p, p), (n, n)
-    if L_filtered.shape != expect_filtered:
-        raise DataError(f"filtered Laplacian is {L_filtered.shape}, "
-                        f"expected {expect_filtered}")
-    if L_tikhonov.shape != expect_tik:
-        raise DataError(f"smooth-term Laplacian is {L_tikhonov.shape}, "
-                        f"expected {expect_tik}")
-
-    prox_filtered = _FilteredProx(L_filtered, config.filter_spec, gamma_filtered,
-                                  filtered_axis, config.filter_application,
+        L, gamma, axis = Lr, config.gamma_r, "left"
+        gamma_r, gamma_c = 0.0, config.gamma_c
+    prox_filtered = _FilteredProx(L, config.filter_spec, gamma, axis,
+                                  config.filter_application,
                                   config.chebyshev_order)
-
-    def smooth_product(X):
-        # the smooth term's gradient is 2 gamma_tik times this product and
-        # its energy gamma_tik <X, product>
-        if tik_axis == "left":
-            return L_tikhonov.matrix @ X
-        return (L_tikhonov.matrix.T @ X.T).T
-
-    beta = 2.0 * gamma_tik * L_tikhonov.spectral_norm_bound
+    beta = lipschitz_bound(Lr, Lc, gamma_r, gamma_c)
     if beta > 0.0:
         tau1, tau2 = 1.0 / beta, beta / 2.0
     else:
@@ -421,37 +432,22 @@ def solve_gfrpcag(Y: np.ndarray, L_tikhonov: LaplacianMatrix,
 
     X = Y.copy()
     V = Y.copy()
-    # one product per iterate: the energy of X_next and the gradient step
+    # one gradient per iterate: the energy of X_next and the gradient step
     # of the next iteration share it
-    product = smooth_product(X) if gamma_tik != 0.0 else 0.0
-    trace, changes = [], []
-    converged = False
-    iterations = 0
-    for _ in range(config.max_iters):
-        iterations += 1
-        P = prox_loss(X - tau1 * (2.0 * gamma_tik * product + V), Y, tau1,
-                      config.loss)
+    G = frpcag_gradient(X, Lr, Lc, gamma_r, gamma_c)
+    while True:
+        P = prox_loss(X - tau1 * (G + V), Y, tau1, config.loss)
         T = V + tau2 * (2.0 * P - X)
         Q = T - tau2 * prox_filtered(T / tau2, 1.0 / tau2)
         X_next = X + tau3 * (P - X)
         V_next = V + tau3 * (Q - V)
-        energy = 0.0
-        if gamma_tik != 0.0:
-            product = smooth_product(X_next)
-            energy = gamma_tik * float(np.sum(X_next * product))
-        trace.append(loss_value(X_next, Y, config.loss) + energy
+        G = frpcag_gradient(X_next, Lr, Lc, gamma_r, gamma_c)
+        objective = (loss_value(X_next, Y, config.loss) + 0.5 * _dot(X_next, G)
                      + prox_filtered.penalty(X_next))
         dx = float(np.sum((X_next - X) ** 2)) / (float(np.sum(X * X)) + STOP_DELTA)
         dv = float(np.sum((V_next - V) ** 2)) / (float(np.sum(V * V)) + STOP_DELTA)
-        changes.append(max(dx, dv))
         X, V = X_next, V_next
-        if dx < config.tol and dv < config.tol:
-            converged = True
-            break
-    return SolverResult(X=X, iterations=iterations, objective_trace=trace,
-                        converged=converged,
-                        stop_reason="tolerance" if converged else "max_iters",
-                        change_trace=changes)
+        yield X, objective, max(dx, dv), dx < config.tol and dv < config.tol
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ def eigendecompose(L: LaplacianMatrix, count: int | None = None) -> EigenBasis:
     eigenvalues, eigenvectors = np.linalg.eigh(dense)
     eigenvalues = np.where(
         (eigenvalues < 0) & (eigenvalues > -1e-8 * scale), 0.0, eigenvalues)
-    eigenvectors = _fix_signs(eigenvectors)
+    eigenvectors = eigenvectors * _column_signs(eigenvectors)
     if count is not None:
         if not 1 <= count <= dense.shape[0]:
             raise ParameterError(f"count={count} out of range")
@@ -92,15 +92,18 @@ def eigendecompose(L: LaplacianMatrix, count: int | None = None) -> EigenBasis:
     return EigenBasis(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
-def _fix_signs(Q: np.ndarray) -> np.ndarray:
-    Q = Q.copy()
+def _column_signs(Q: np.ndarray) -> np.ndarray:
+    """The sign convention for eigen- and singular vectors: -1 for each
+    column of Q whose first significant entry (above 1e-12 of the column's
+    largest magnitude) is negative, +1 for every other column."""
+    signs = np.ones(Q.shape[1])
     for col in range(Q.shape[1]):
         v = Q[:, col]
         significant = np.abs(v) > 1e-12 * max(np.abs(v).max(initial=0.0), 1e-300)
         idx = np.argmax(significant)
         if significant[idx] and v[idx] < 0:
-            Q[:, col] = -v
-    return Q
+            signs[col] = -1.0
+    return signs
 
 
 def gft(basis: EigenBasis, x: np.ndarray) -> np.ndarray:

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from graphlowrank import (load_edge_list, load_matrix_csv,
-                          num_connected_components, save_matrix_csv)
+from graphlowrank import (FilterSpec, SolverConfig, laplacian,
+                          load_edge_list, load_matrix_csv,
+                          num_connected_components, save_matrix_csv,
+                          solve_gfrpcag)
 from graphlowrank.cli import main
 
 
@@ -134,6 +136,26 @@ class TestSolve:
                     "--out-dir", out_dir])
         assert code == 0
         assert (out_dir / "X.csv").exists()
+
+    def test_gfrpcag_row_side_writes_the_library_solution(self, tmp_path,
+                                                          solve_setup):
+        matrix, row_graph, col_graph, _ = solve_setup
+        out_dir = tmp_path / "gf_rows"
+        code = run(["solve", "--matrix", matrix, "--row-graph", row_graph,
+                    "--col-graph", col_graph, "--algo", "gfrpcag",
+                    "--filtered-side", "row_graph", "--loss", "l2",
+                    "--gamma-r", 1.0, "--gamma-c", 0.5, "--filter-b", 0.8,
+                    "--out-dir", out_dir])
+        assert code == 0
+        Lr = laplacian(load_edge_list(row_graph), "normalized")
+        Lc = laplacian(load_edge_list(col_graph), "normalized")
+        config = SolverConfig(gamma_r=1.0, gamma_c=0.5, loss="l2",
+                              filter_spec=FilterSpec("prox_fb", b=0.8),
+                              filtered_side="row_graph")
+        result = solve_gfrpcag(load_matrix_csv(matrix), Lr, Lc, config)
+        expected = tmp_path / "expected.csv"
+        save_matrix_csv(expected, result.X)
+        assert (out_dir / "X.csv").read_bytes() == expected.read_bytes()
 
 
 BUILD = ["graph", "build", "--matrix", "y.csv", "--out", "g.txt"]

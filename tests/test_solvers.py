@@ -374,6 +374,56 @@ class TestSolveFrpcag:
                                                            rel=1e-12)
 
 
+def reference_gfrpcag(Y, Lr, Lc, config):
+    """The primal-dual loop with its own smooth-term product, step sizes
+    and energy, as written before it shared FISTA's gradient."""
+    if config.filtered_side == "column_graph":
+        L_tik, L_filtered = Lr, Lc
+        gamma_filtered, gamma_tik = config.gamma_c, config.gamma_r
+        filtered_axis, tik_axis = "right", "left"
+    else:
+        L_tik, L_filtered = Lc, Lr
+        gamma_filtered, gamma_tik = config.gamma_r, config.gamma_c
+        filtered_axis, tik_axis = "left", "right"
+    prox_filtered = solvers._FilteredProx(
+        L_filtered, config.filter_spec, gamma_filtered, filtered_axis,
+        config.filter_application, config.chebyshev_order)
+
+    def smooth_product(X):
+        if tik_axis == "left":
+            return L_tik.matrix @ X
+        return (L_tik.matrix.T @ X.T).T
+
+    beta = 2.0 * gamma_tik * L_tik.spectral_norm_bound
+    tau1, tau2 = (1.0 / beta, beta / 2.0) if beta > 0.0 else (1.0, 0.5)
+    tau3 = 0.99
+    X, V = Y.copy(), Y.copy()
+    product = smooth_product(X) if gamma_tik != 0.0 else 0.0
+    trace, changes = [], []
+    for iterations in range(1, config.max_iters + 1):
+        P = prox_loss(X - tau1 * (2.0 * gamma_tik * product + V), Y, tau1,
+                      config.loss)
+        T = V + tau2 * (2.0 * P - X)
+        Q = T - tau2 * prox_filtered(T / tau2, 1.0 / tau2)
+        X_next = X + tau3 * (P - X)
+        V_next = V + tau3 * (Q - V)
+        energy = 0.0
+        if gamma_tik != 0.0:
+            product = smooth_product(X_next)
+            energy = gamma_tik * float(np.sum(X_next * product))
+        trace.append(loss_value(X_next, Y, config.loss) + energy
+                     + prox_filtered.penalty(X_next))
+        dx = float(np.sum((X_next - X) ** 2)) / (float(np.sum(X * X))
+                                                 + solvers.STOP_DELTA)
+        dv = float(np.sum((V_next - V) ** 2)) / (float(np.sum(V * V))
+                                                 + solvers.STOP_DELTA)
+        changes.append(max(dx, dv))
+        X, V = X_next, V_next
+        if dx < config.tol and dv < config.tol:
+            break
+    return X, iterations, trace, changes
+
+
 class TestFistaMatchesReference:
     """The product-reusing loop against the plain one it replaces."""
 
@@ -486,7 +536,7 @@ class TestSolveGfrpcag:
                               filter_spec=FilterSpec("prox_fb", b=b),
                               filtered_side="row_graph",
                               max_iters=5000, tol=1e-16)
-        result = solve_gfrpcag(Y, Lc, Lr, config)
+        result = solve_gfrpcag(Y, Lr, Lc, config)
         basis = eigendecompose(Lr)
         oracle = apply_filter_exact(
             basis, FilterSpec("prox_fb", b=b, gamma=gamma_r / 2.0), Y,
@@ -525,6 +575,83 @@ class TestSolveGfrpcag:
                                            max_iters=3000, tol=1e-12))
         assert (np.linalg.norm(result.X - exact.X)
                 <= 1e-3 * np.linalg.norm(exact.X))
+
+
+class TestGfrpcagMatchesReference:
+    """The primal-dual loop on FISTA's gradient and Lipschitz bound against
+    the loop with its own smooth-term product."""
+
+    @pytest.mark.parametrize("side", ["column_graph", "row_graph"])
+    @pytest.mark.parametrize("gamma_r, gamma_c", [(0.7, 1.3), (0.0, 1.3),
+                                                  (0.7, 0.0)])
+    @pytest.mark.parametrize("loss", ["l1", "l2", "l21"])
+    def test_same_iterates_and_traces(self, rng, loss, gamma_r, gamma_c, side):
+        Y = rng.standard_normal((14, 18))
+        Lr, Lc = build_laplacians(Y, 3, 4)
+        config = SolverConfig(gamma_r=gamma_r, gamma_c=gamma_c, loss=loss,
+                              filter_spec=FilterSpec("prox_fb", b=0.6),
+                              filtered_side=side, max_iters=300, tol=1e-8)
+        result = solve_gfrpcag(Y, Lr, Lc, config)
+        X, iterations, trace, changes = reference_gfrpcag(Y, Lr, Lc, config)
+        assert result.iterations == iterations
+        assert np.array_equal(result.X, X)
+        np.testing.assert_allclose(result.objective_trace, trace, rtol=1e-12,
+                                   atol=0)
+        assert result.change_trace == changes
+
+    # l21 sums column norms, so it does not commute with transposition
+    @pytest.mark.parametrize("loss", ["l1", "l2"])
+    def test_row_side_is_column_side_of_the_transpose(self, rng, loss):
+        Y = rng.standard_normal((12, 17))
+        Lr, Lc = build_laplacians(Y, 3, 4)
+        spec = FilterSpec("prox_fb", b=0.6)
+        rows = solve_gfrpcag(Y, Lr, Lc, SolverConfig(
+            gamma_r=1.5, gamma_c=0.4, loss=loss, filter_spec=spec,
+            filtered_side="row_graph", max_iters=400, tol=1e-10))
+        cols = solve_gfrpcag(Y.T, Lc, Lr, SolverConfig(
+            gamma_r=0.4, gamma_c=1.5, loss=loss, filter_spec=spec,
+            filtered_side="column_graph", max_iters=400, tol=1e-10))
+        assert rows.iterations == cols.iterations
+        # the two sides take different sparse and dense products, which
+        # round differently
+        assert (np.linalg.norm(rows.X - cols.X.T)
+                <= 1e-10 * np.linalg.norm(rows.X))
+        np.testing.assert_allclose(rows.objective_trace, cols.objective_trace,
+                                   rtol=1e-10)
+
+
+class TestInputCheck:
+    """Both solvers check Y and the Laplacian shapes before any work."""
+
+    @pytest.mark.parametrize("solve, spec", [
+        (solve_frpcag, None), (solve_gfrpcag, FilterSpec("prox_fb", b=0.5))])
+    @pytest.mark.parametrize("gammas", [(0.0, 0.0), (0.5, 0.5)])
+    def test_wrong_laplacian_shapes_rejected(self, rng, solve, spec, gammas):
+        Y = rng.standard_normal((4, 5))
+        L3 = random_laplacian(rng, 3)
+        config = SolverConfig(gamma_r=gammas[0], gamma_c=gammas[1],
+                              filter_spec=spec)
+        with pytest.raises(DataError, match="row Laplacian"):
+            solve(Y, L3, L3, config)
+        Lr = random_laplacian(rng, 4)
+        with pytest.raises(DataError, match="column Laplacian"):
+            solve(Y, Lr, L3, config)
+
+    def test_laplacians_in_swapped_order_rejected(self, rng):
+        Y = rng.standard_normal((16, 10))
+        Lr, Lc = build_laplacians(Y, 3, 3)
+        config = SolverConfig(gamma_r=3.0, filtered_side="row_graph",
+                              filter_spec=FilterSpec("prox_fb", b=0.8))
+        with pytest.raises(DataError):
+            solve_gfrpcag(Y, Lc, Lr, config)
+
+    def test_gfrpcag_rejects_non_finite_input(self, rng):
+        Y = rng.standard_normal((6, 7))
+        Lr, Lc = build_laplacians(Y, 2, 2)
+        Y[2, 3] = np.inf
+        with pytest.raises(DataError):
+            solve_gfrpcag(Y, Lr, Lc, SolverConfig(
+                gamma_c=1.0, filter_spec=FilterSpec("prox_fb", b=0.5)))
 
 
 class TestSolverConfigValidation:
