@@ -1,6 +1,6 @@
 """Low-rank matrix denoising via dual-graph spectral regularization."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .diagnostics import (AlignmentReport, DiagnosticsReport, alignment_report,
                           build_diagnostics_report, covariance,

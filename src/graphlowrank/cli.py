@@ -160,9 +160,7 @@ def _cmd_solve(params):
             gamma_r=params["gamma_r"], gamma_c=params["gamma_c"],
             loss=params["loss"], max_iters=params["max_iters"],
             tol=params["tol"], filter_spec=filter_spec,
-            filtered_side=params["filtered_side"],
-            filter_application=params["filter_application"],
-            chebyshev_order=params["chebyshev_order"])
+            filtered_side=params["filtered_side"])
         solve = solvers.solve_frpcag if algo == "frpcag" else solvers.solve_gfrpcag
         result = solve(Y, Lr, Lc, solver_config)
 
@@ -322,8 +320,6 @@ _COMMANDS = {
         ("tol", float, 1e-6, None, None),
         ("filter_b", float, None, None, None),
         ("filtered_side", str, "column_graph", solvers.FILTERED_SIDES, None),
-        ("filter_application", str, "exact", ("exact", "chebyshev"), None),
-        ("chebyshev_order", _int, 50, None, None),
         _OUT_DIR,
     )),
     "diagnose": ("alignment and bound diagnostics", _cmd_diagnose, (

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError, ParameterError
 from .graph import format_float
-from .spectral import EigenBasis, _column_signs
+from .spectral import EigenBasis, _column_signs, _frequency_energy
 
 # eigenvalues below this threshold count as zero when validating gaps
 ZERO_EIGENVALUE_TOL = 1e-12
@@ -215,10 +215,8 @@ def weighted_alignment_objective(X: np.ndarray, row_basis: EigenBasis,
     if X.shape[0] != row_basis.size or X.shape[1] != col_basis.size:
         raise DataError(f"X is {X.shape}, bases expect "
                         f"({row_basis.size}, {col_basis.size})")
-    col_coeffs = X @ col_basis.eigenvectors        # p x n, columns by frequency
-    row_coeffs = row_basis.eigenvectors.T @ X      # p x n, rows by frequency
-    col_diag = (col_coeffs ** 2).sum(axis=0)       # diag(Q^T X^T X Q)
-    row_diag = (row_coeffs ** 2).sum(axis=1)       # diag(P^T X X^T P)
+    col_diag = _frequency_energy(col_basis, X, "right")   # diag(Q^T X^T X Q)
+    row_diag = _frequency_energy(row_basis, X, "left")    # diag(P^T X X^T P)
     return (gamma_c * float(col_basis.eigenvalues @ col_diag)
             + gamma_r * float(row_basis.eigenvalues @ row_diag))
 

@@ -69,20 +69,19 @@ class SparseGraph:
     weights: sparse.csr_matrix = field(repr=False)
 
     @classmethod
-    def from_weight_matrix(cls, weights, *, validate: bool = True) -> "SparseGraph":
+    def from_weight_matrix(cls, weights) -> "SparseGraph":
         weights = sparse.csr_matrix(weights, dtype=np.float64)
         weights.eliminate_zeros()
         weights.sort_indices()
         if weights.shape[0] != weights.shape[1]:
             raise DataError(f"weight matrix must be square, got {weights.shape}")
-        if validate:
-            if weights.diagonal().any():
-                raise DataError("weight matrix has nonzero diagonal entries")
-            if (weights.data < 0).any():
-                raise DataError("weight matrix has negative entries")
-            asym = abs(weights - weights.T)
-            if asym.nnz and asym.max() > 1e-12:
-                raise DataError("weight matrix is not symmetric")
+        if weights.diagonal().any():
+            raise DataError("weight matrix has nonzero diagonal entries")
+        if (weights.data < 0).any():
+            raise DataError("weight matrix has negative entries")
+        asym = abs(weights - weights.T)
+        if asym.nnz and asym.max() > 1e-12:
+            raise DataError("weight matrix is not symmetric")
         return cls(num_vertices=weights.shape[0], weights=weights)
 
     def degrees(self) -> np.ndarray:
@@ -175,8 +174,8 @@ def knn_graph(data: DataMatrix, axis: str, k: int, weighting: str = "gaussian",
         if (norms == 0).any():
             raise DegenerateGraphError(
                 "correlation weighting is undefined for zero-norm vectors")
-        inner = vectors[rows] @ vectors.T
-        vals = inner[np.arange(rows.size), cols] / (norms[rows] * norms[cols])
+        inner = np.einsum("ij,ij->i", vectors[rows], vectors[cols])
+        vals = inner / (norms[rows] * norms[cols])
         vals = np.maximum(vals, 0.0)  # negative correlations carry no edge
 
     directed = sparse.coo_matrix((vals, (rows, cols)), shape=(count, count)).tocsr()

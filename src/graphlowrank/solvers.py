@@ -25,8 +25,8 @@ import scipy.linalg
 
 from .errors import DataError, ParameterError
 from .graph import LaplacianMatrix, format_float, save_matrix_csv
-from .spectral import (EigenBasis, FilterSpec, apply_filter_chebyshev,
-                       apply_filter_exact, eigendecompose, eval_filter)
+from .spectral import (FilterSpec, apply_filter_exact, eigendecompose,
+                       eval_filter, _frequency_energy)
 
 LOSSES = ("l1", "l2", "l21")
 FILTERED_SIDES = ("row_graph", "column_graph")
@@ -49,9 +49,9 @@ class SolverConfig:
     For the filtered solver, ``filter_spec`` describes the step-like filter
     and ``filtered_side`` names the graph it acts on: Lr for "row_graph",
     Lc for "column_graph". That side's gamma weighs the filtered penalty;
-    the other graph keeps its plain smoothness term.
-    ``filter_application`` selects exact eigenbasis filtering or a
-    Chebyshev polynomial approximation of the given order.
+    the other graph keeps its plain smoothness term. The filtered prox is
+    always applied exactly through the eigenbasis, and
+    ``filter_application`` accepts only "exact".
     """
 
     gamma_r: float = 0.0
@@ -61,8 +61,8 @@ class SolverConfig:
     tol: float = 1e-6
     filter_spec: FilterSpec | None = None
     filtered_side: str = "column_graph"
+    # kept only while bench/workloads.py passes filter_application="exact"
     filter_application: str = "exact"
-    chebyshev_order: int = 50
 
     def __post_init__(self):
         if self.loss not in LOSSES:
@@ -75,9 +75,11 @@ class SolverConfig:
             raise ParameterError("tolerance must be positive")
         if self.filtered_side not in FILTERED_SIDES:
             raise ParameterError(f"unknown filtered_side {self.filtered_side!r}")
-        if self.filter_application not in ("exact", "chebyshev"):
+        if self.filter_application != "exact":
             raise ParameterError(
-                f"unknown filter_application {self.filter_application!r}")
+                f"unknown filter_application {self.filter_application!r}: the "
+                "filtered prox is always exact; for a Chebyshev approximation "
+                "of a filter call spectral.apply_filter_chebyshev")
 
 
 @dataclass
@@ -342,55 +344,6 @@ def tikhonov_closed_form(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix
 # forward-backward primal-dual with a filtered penalty
 # ---------------------------------------------------------------------------
 
-class _FilteredProx:
-    """Spectral prox of gamma * tr(X g_b(L) X^T) on one side of X.
-
-    prox at scale c multiplies the spectral coefficients by
-    f_b(lambda, c * gamma), matching the squared-norm fidelity convention
-    of the losses. Application is exact through the eigenbasis or via a
-    Chebyshev polynomial of the Laplacian.
-    """
-
-    def __init__(self, L: LaplacianMatrix, spec: FilterSpec, gamma: float,
-                 side: str, application: str, order: int):
-        self.L = L
-        self.b = spec.b
-        self.gamma = gamma
-        self.side = side
-        self.application = application
-        self.order = order
-        basis = eigendecompose(L)
-        self.basis: EigenBasis | None = basis if application == "exact" else None
-        self._eigenvectors = basis.eigenvectors
-        curve = eval_filter(FilterSpec(family="step_gb", b=self.b),
-                            basis.eigenvalues)
-        self._finite = np.isfinite(curve)
-        self._finite_curve = curve[self._finite]
-
-    def __call__(self, Z: np.ndarray, scale: float) -> np.ndarray:
-        spec = FilterSpec(family="prox_fb", b=self.b, gamma=scale * self.gamma)
-        if self.basis is not None:
-            return apply_filter_exact(self.basis, spec, Z, side=self.side)
-        return apply_filter_chebyshev(self.L, spec, self.order, Z, side=self.side)
-
-    def penalty(self, X: np.ndarray) -> float:
-        """Finite part of gamma * tr(X g_b(L) X^T).
-
-        Frequencies where the penalty curve is infinite act as a hard
-        constraint driven to zero by the prox; they are excluded from the
-        reported value so the trace stays informative.
-        """
-        coeffs = X @ self._eigenvectors if self.side == "right" \
-            else self._eigenvectors.T @ X
-        sq = coeffs ** 2
-        if self.side == "right":
-            energy = sq.sum(axis=0)
-        else:
-            energy = sq.sum(axis=1)
-        return self.gamma * float(np.sum(self._finite_curve
-                                         * energy[self._finite]))
-
-
 def solve_gfrpcag(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
                   config: SolverConfig) -> SolverResult:
     """Forward-backward primal-dual iteration with one filtered graph.
@@ -413,22 +366,34 @@ def solve_gfrpcag(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
 
 
 def _primal_dual_steps(Y, Lr, Lc, config):
-    """The iterations of solve_gfrpcag, in the form ``_run`` takes."""
+    """The iterations of solve_gfrpcag, in the form ``_run`` takes.
+
+    The filtered penalty is gamma * tr(X g_b(L) X^T) on the filtered side.
+    Its prox at the fixed scale 1/tau_2 multiplies the spectral coefficients
+    by f_b(lambda, gamma / tau_2), matching the squared-norm fidelity
+    convention of the losses, and is applied exactly through the eigenbasis
+    of L, which the penalty trace needs anyway. Frequencies where g_b is
+    infinite act as a hard constraint that the prox drives to zero; they
+    are left out of the traced penalty so that it stays finite.
+    """
     if config.filtered_side == "column_graph":
         L, gamma, axis = Lc, config.gamma_c, "right"
         gamma_r, gamma_c = config.gamma_r, 0.0
     else:
         L, gamma, axis = Lr, config.gamma_r, "left"
         gamma_r, gamma_c = 0.0, config.gamma_c
-    prox_filtered = _FilteredProx(L, config.filter_spec, gamma, axis,
-                                  config.filter_application,
-                                  config.chebyshev_order)
     beta = lipschitz_bound(Lr, Lc, gamma_r, gamma_c)
     if beta > 0.0:
         tau1, tau2 = 1.0 / beta, beta / 2.0
     else:
         tau1, tau2 = 1.0, 0.5
     tau3 = 0.99
+    b = config.filter_spec.b
+    basis = eigendecompose(L)
+    prox_spec = FilterSpec(family="prox_fb", b=b, gamma=(1.0 / tau2) * gamma)
+    curve = eval_filter(FilterSpec(family="step_gb", b=b), basis.eigenvalues)
+    finite = np.isfinite(curve)
+    finite_curve = curve[finite]
 
     X = Y.copy()
     V = Y.copy()
@@ -438,12 +403,13 @@ def _primal_dual_steps(Y, Lr, Lc, config):
     while True:
         P = prox_loss(X - tau1 * (G + V), Y, tau1, config.loss)
         T = V + tau2 * (2.0 * P - X)
-        Q = T - tau2 * prox_filtered(T / tau2, 1.0 / tau2)
+        Q = T - tau2 * apply_filter_exact(basis, prox_spec, T / tau2, side=axis)
         X_next = X + tau3 * (P - X)
         V_next = V + tau3 * (Q - V)
         G = frpcag_gradient(X_next, Lr, Lc, gamma_r, gamma_c)
+        energy = _frequency_energy(basis, X_next, axis)
         objective = (loss_value(X_next, Y, config.loss) + 0.5 * _dot(X_next, G)
-                     + prox_filtered.penalty(X_next))
+                     + gamma * float(np.sum(finite_curve * energy[finite])))
         dx = float(np.sum((X_next - X) ** 2)) / (float(np.sum(X * X)) + STOP_DELTA)
         dv = float(np.sum((V_next - V) ** 2)) / (float(np.sum(V * V)) + STOP_DELTA)
         X, V = X_next, V_next

@@ -123,6 +123,15 @@ def igft(basis: EigenBasis, xhat: np.ndarray) -> np.ndarray:
     return basis.eigenvectors @ xhat
 
 
+def _frequency_energy(basis: EigenBasis, X: np.ndarray, side: str) -> np.ndarray:
+    """Energy of X at each graph frequency: ||X q_j||^2 for side "right"
+    (the columns of X are the vertices), ||q_i^T X||^2 for side "left"."""
+    Q = basis.eigenvectors
+    if side == "right":
+        return ((X @ Q) ** 2).sum(axis=0)
+    return ((Q.T @ X) ** 2).sum(axis=1)
+
+
 def dirichlet_energy(L: LaplacianMatrix, X: np.ndarray) -> float:
     """Graph smoothness energy tr(X^T L X) of the column signals of X."""
     X = np.asarray(X, dtype=np.float64)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from graphlowrank import (FilterSpec, SolverConfig, laplacian,
                           load_edge_list, load_matrix_csv,
                           num_connected_components, save_matrix_csv,
                           solve_gfrpcag)
+from graphlowrank import __version__
 from graphlowrank.cli import main
 
 
@@ -115,6 +117,34 @@ class TestSolve:
                  "--out-dir", tmp_path / "x"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--filter-application", "chebyshev"), ("--chebyshev-order", "50")])
+    def test_removed_chebyshev_flags_are_usage_errors(self, tmp_path,
+                                                      solve_setup, flag, value):
+        matrix, row_graph, col_graph, _ = solve_setup
+        with pytest.raises(SystemExit) as excinfo:
+            run(["solve", "--matrix", matrix, "--row-graph", row_graph,
+                 "--col-graph", col_graph, "--algo", "gfrpcag",
+                 "--filter-b", 0.8, flag, value, "--out-dir", tmp_path / "x"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("algo", ["frpcag", "gfrpcag"])
+    def test_manifest_reproduces_run(self, tmp_path, solve_setup, algo):
+        matrix, row_graph, col_graph, _ = solve_setup
+        first = tmp_path / "first"
+        assert run(["solve", "--matrix", matrix, "--row-graph", row_graph,
+                    "--col-graph", col_graph, "--algo", algo, "--loss", "l2",
+                    "--gamma-r", 0.5, "--gamma-c", 1.0, "--filter-b", 0.8,
+                    "--out-dir", first]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        replay = tmp_path / "replay"
+        manifest["params"]["out_dir"] = str(replay)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(manifest))
+        assert run(["solve", "--config", config]) == 0
+        for name in ("X.csv", "trace.csv"):
+            assert (replay / name).read_bytes() == (first / name).read_bytes()
+
     def test_hitting_iteration_cap_still_succeeds(self, tmp_path, solve_setup):
         matrix, row_graph, col_graph, _ = solve_setup
         out_dir = tmp_path / "capped"
@@ -173,6 +203,8 @@ SPECTRA = ["spectra", "--out", "s.csv", "--graph"]
     pytest.param([*BUILD, "--k", "3"], {"neighbours": 3}, 2,
                  id="config-unknown-key"),
     pytest.param(SOLVE, {"laplacian": "weird"}, 2, id="config-bad-choice"),
+    pytest.param(SOLVE, {"chebyshev_order": 50}, 2,
+                 id="config-removed-chebyshev-order"),
     pytest.param([*SPECTRA, "negative.txt"], None, 3, id="negative-vertex"),
     pytest.param([*SPECTRA, "duplicate.txt"], None, 3, id="duplicate-edge"),
     pytest.param(["graph", "build", "--matrix", "missing.csv", "--k", "3",
@@ -283,3 +315,11 @@ class TestSpectra:
 
     def test_missing_mode_is_usage_error(self, tmp_path):
         assert run(["spectra", "--out", tmp_path / "x.csv"]) == 2
+
+
+def test_package_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        declared = tomllib.load(fh)["project"]["version"]
+    assert __version__ == declared

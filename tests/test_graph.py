@@ -73,6 +73,22 @@ class TestKnnGraph:
         _, _, ew = g.edge_arrays()
         assert np.all(ew >= 0) and np.all(ew <= 1.0 + 1e-12)
 
+    def test_correlation_weights_are_clamped_cosines(self, rng):
+        values = rng.standard_normal((6, 30))
+        g = knn_graph(DataMatrix(values), axis="columns", k=4,
+                      weighting="correlation")
+        points = values.T
+        unit = points / np.linalg.norm(points, axis=1)[:, None]
+        expected = {(i, j): max(float(unit[i] @ unit[j]), 0.0)
+                    for i, j in brute_force_knn_pairs(points, 4)}
+        ei, ej, ew = g.edge_arrays()
+        # a negative correlation is clamped to 0, which leaves no edge
+        assert set(zip(ei.tolist(), ej.tolist())) == {
+            pair for pair, w in expected.items() if w > 0}
+        np.testing.assert_allclose(
+            ew, [expected[pair] for pair in zip(ei.tolist(), ej.tolist())],
+            rtol=1e-13, atol=0)
+
     def test_correlation_zero_vector_rejected(self):
         values = np.array([[1.0, 0.0, 2.0], [1.0, 0.0, 1.0]])
         with pytest.raises(DegenerateGraphError):

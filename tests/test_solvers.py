@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from graphlowrank import (DataError, DataMatrix, FilterSpec, ParameterError,
                           SolverConfig, SparseGraph, eigendecompose,
-                          frpcag_gradient, knn_graph, laplacian,
+                          eval_filter, frpcag_gradient, knn_graph, laplacian,
                           lipschitz_bound, loss_value, prox_loss, solve_frpcag,
                           solve_gfrpcag, tikhonov_closed_form)
 from graphlowrank import solvers
@@ -375,8 +375,9 @@ class TestSolveFrpcag:
 
 
 def reference_gfrpcag(Y, Lr, Lc, config):
-    """The primal-dual loop with its own smooth-term product, step sizes
-    and energy, as written before it shared FISTA's gradient."""
+    """The primal-dual loop with its own smooth-term product, step sizes,
+    energy and filtered prox, the latter built per call from the public
+    eigenbasis and filter functions."""
     if config.filtered_side == "column_graph":
         L_tik, L_filtered = Lr, Lc
         gamma_filtered, gamma_tik = config.gamma_c, config.gamma_r
@@ -385,9 +386,23 @@ def reference_gfrpcag(Y, Lr, Lc, config):
         L_tik, L_filtered = Lc, Lr
         gamma_filtered, gamma_tik = config.gamma_r, config.gamma_c
         filtered_axis, tik_axis = "left", "right"
-    prox_filtered = solvers._FilteredProx(
-        L_filtered, config.filter_spec, gamma_filtered, filtered_axis,
-        config.filter_application, config.chebyshev_order)
+    b = config.filter_spec.b
+    basis = eigendecompose(L_filtered)
+    curve = eval_filter(FilterSpec("step_gb", b=b), basis.eigenvalues)
+    finite = np.isfinite(curve)
+
+    def prox_filtered(Z, scale):
+        spec = FilterSpec("prox_fb", b=b, gamma=scale * gamma_filtered)
+        return apply_filter_exact(basis, spec, Z, side=filtered_axis)
+
+    def penalty(X):
+        # the finite part of gamma tr(X g_b(L) X^T)
+        Q = basis.eigenvectors
+        if filtered_axis == "right":
+            energy = ((X @ Q) ** 2).sum(axis=0)
+        else:
+            energy = ((Q.T @ X) ** 2).sum(axis=1)
+        return gamma_filtered * float(np.sum(curve[finite] * energy[finite]))
 
     def smooth_product(X):
         if tik_axis == "left":
@@ -412,7 +427,7 @@ def reference_gfrpcag(Y, Lr, Lc, config):
             product = smooth_product(X_next)
             energy = gamma_tik * float(np.sum(X_next * product))
         trace.append(loss_value(X_next, Y, config.loss) + energy
-                     + prox_filtered.penalty(X_next))
+                     + penalty(X_next))
         dx = float(np.sum((X_next - X) ** 2)) / (float(np.sum(X * X))
                                                  + solvers.STOP_DELTA)
         dv = float(np.sum((V_next - V) ** 2)) / (float(np.sum(V * V))
@@ -543,39 +558,6 @@ class TestSolveGfrpcag:
             side="left")
         assert np.linalg.norm(result.X - oracle) <= 1e-6 * np.linalg.norm(oracle)
 
-    def test_internal_prox_matches_dense_eigenbasis(self, rng):
-        from graphlowrank.solvers import _FilteredProx
-        Y = rng.standard_normal((9, 14))
-        _, Lc = build_laplacians(Y, 3, 3)
-        spec = FilterSpec("prox_fb", b=0.6)
-        basis = eigendecompose(Lc)
-        Z = rng.standard_normal((9, 14))
-        for application, tol in (("exact", 1e-6), ("chebyshev", 1e-3)):
-            prox = _FilteredProx(Lc, spec, gamma=1.7, side="right",
-                                 application=application, order=60)
-            dense = apply_filter_exact(basis,
-                                       FilterSpec("prox_fb", b=0.6,
-                                                  gamma=0.9 * 1.7),
-                                       Z, side="right")
-            out = prox(Z, 0.9)
-            assert np.linalg.norm(out - dense) <= tol * np.linalg.norm(dense)
-
-    def test_chebyshev_application_runs(self, rng):
-        Y = rng.standard_normal((8, 40))
-        Lr, Lc = build_laplacians(Y, 3, 5)
-        config = SolverConfig(gamma_c=1.0, loss="l2",
-                              filter_spec=FilterSpec("prox_fb", b=0.8),
-                              filter_application="chebyshev",
-                              chebyshev_order=60, max_iters=3000, tol=1e-12)
-        result = solve_gfrpcag(Y, Lr, Lc, config)
-        exact = solve_gfrpcag(Y, Lr, Lc,
-                              SolverConfig(gamma_c=1.0, loss="l2",
-                                           filter_spec=FilterSpec("prox_fb",
-                                                                  b=0.8),
-                                           max_iters=3000, tol=1e-12))
-        assert (np.linalg.norm(result.X - exact.X)
-                <= 1e-3 * np.linalg.norm(exact.X))
-
 
 class TestGfrpcagMatchesReference:
     """The primal-dual loop on FISTA's gradient and Lipschitz bound against
@@ -666,6 +648,8 @@ class TestSolverConfigValidation:
             SolverConfig(tol=0.0)
         with pytest.raises(ParameterError):
             SolverConfig(filtered_side="diagonal")
+        with pytest.raises(ParameterError, match="apply_filter_chebyshev"):
+            SolverConfig(filter_application="chebyshev")
 
 
 class TestExports:
