@@ -372,8 +372,18 @@ _COMMANDS = {
 _GROUP_HELP = {"graph": "graph construction", "synth": "synthetic data generators"}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a bad command line (an unknown flag,
+    a missing one, a value outside its choices) as a ParameterError, so
+    that ``main`` returns 2 for it as for every other usage error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ParameterError(f"{self.prog}: {message}")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphlowrank",
         description="Low-rank matrix denoising via dual-graph regularization")
     parser.add_argument("--version", action="version", version=__version__)
@@ -398,9 +408,9 @@ def _build_parser():
 
 def main(argv=None) -> int:
     started = time.perf_counter()
-    args = _build_parser().parse_args(argv)
-    command, handler, table = args.spec
     try:
+        args = _build_parser().parse_args(argv)
+        command, handler, table = args.spec
         params = _resolve(table, vars(args), _load_config(args.config))
         handler(params)
         _write_manifest(command, params, time.perf_counter() - started)

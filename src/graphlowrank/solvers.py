@@ -155,10 +155,13 @@ def frpcag_gradient(X: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Gradient of the two smoothness terms: 2 (gamma_c X Lc + gamma_r Lr X).
 
-    X is walked in row blocks of about BLOCK_BYTES: block b of the result
-    needs X[b] Lc and Lr[b] X, which are scaled and summed into it while
-    they are still in cache. Each output row accumulates its sparse sums in
-    the same order whatever the block width. The result is written into
+    With both terms active, X is walked in row blocks of about BLOCK_BYTES:
+    block b of the result needs X[b] Lc and Lr[b] X, which are scaled and
+    summed into it while they are still in cache. With one term there is
+    nothing to combine, and one whole sparse product is cheaper than a
+    sliced one per block. Each output row accumulates its sparse sums in
+    the same order whatever the block width, so both ways give the same
+    bits. The result is written into
     ``out`` when given (a float64 array of X's shape that does not overlap
     X) and returned.
     """
@@ -175,6 +178,14 @@ def frpcag_gradient(X: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
         raise DataError("out must be a float64 array of X's shape that does "
                         "not overlap X")
     LcT = Lc.matrix.T
+    if gamma_r == 0.0 or gamma_c == 0.0:
+        if gamma_c != 0.0:
+            np.multiply(2.0 * gamma_c, (LcT @ X.T).T, out=out)
+        elif gamma_r != 0.0:
+            np.multiply(2.0 * gamma_r, Lr.matrix @ X, out=out)
+        else:
+            out.fill(0.0)
+        return out
     for rows in _row_blocks(p, n):
         block = out[rows]
         if gamma_c != 0.0:
@@ -352,7 +363,11 @@ def solve_gfrpcag(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
     ``config.filtered_side`` carries the step-filter penalty, applied
     through its spectral prox; the other graph keeps its plain smoothness
     term, whose gradient is ``frpcag_gradient`` with the filtered side's
-    gamma set to 0. Time steps are tau_1 = 1/beta, tau_2 = beta/2,
+    gamma set to 0. The prox needs only the filtered graph's eigenpairs
+    below 3b/2, which ``eigendecompose`` finds once per solve with Lanczos
+    on the sparse Laplacian (dense ``eigh`` below
+    ``spectral.DENSE_EIGH_BELOW`` vertices or when the sparse result cannot
+    be certified). Time steps are tau_1 = 1/beta, tau_2 = beta/2,
     tau_3 = 0.99, with beta the ``lipschitz_bound`` of that smooth term,
     and tau_1 = 1, tau_2 = 1/2 when it vanishes. Stops once the relative
     changes of both the primal and the dual iterate fall below tol.
@@ -371,10 +386,16 @@ def _primal_dual_steps(Y, Lr, Lc, config):
     The filtered penalty is gamma * tr(X g_b(L) X^T) on the filtered side.
     Its prox at the fixed scale 1/tau_2 multiplies the spectral coefficients
     by f_b(lambda, gamma / tau_2), matching the squared-norm fidelity
-    convention of the losses, and is applied exactly through the eigenbasis
-    of L, which the penalty trace needs anyway. Frequencies where g_b is
-    infinite act as a hard constraint that the prox drives to zero; they
-    are left out of the traced penalty so that it stays finite.
+    convention of the losses, and is applied exactly through an eigenbasis
+    of L built once per solve. Frequencies where g_b is infinite act as a
+    hard constraint that the prox drives to zero; they are left out of the
+    traced penalty so that it stays finite. Since f_b vanishes from 3b/2 on,
+    the basis holds only the eigenpairs below 3b/2 (``eigendecompose`` with
+    ``below``), an n x m matrix with m often far below n, so the prox and
+    the penalty cost O(p n m) per iteration. g_b is also infinite on a
+    band about b/745 wide just below 3b/2, where the bump in its
+    denominator underflows, so the penalty still masks non-finite values.
+    When gamma is 0, f_b is 1 everywhere and the basis is whole.
     """
     if config.filtered_side == "column_graph":
         L, gamma, axis = Lc, config.gamma_c, "right"
@@ -389,7 +410,7 @@ def _primal_dual_steps(Y, Lr, Lc, config):
         tau1, tau2 = 1.0, 0.5
     tau3 = 0.99
     b = config.filter_spec.b
-    basis = eigendecompose(L)
+    basis = eigendecompose(L, below=1.5 * b) if gamma > 0.0 else eigendecompose(L)
     prox_spec = FilterSpec(family="prox_fb", b=b, gamma=(1.0 / tau2) * gamma)
     curve = eval_filter(FilterSpec(family="step_gb", b=b), basis.eigenvalues)
     finite = np.isfinite(curve)

@@ -13,11 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DataError, ParameterError
 from .graph import LaplacianMatrix, format_float
 
 FILTER_FAMILIES = ("identity", "tikhonov", "step_gb", "prox_fb")
+
+# Below this many vertices the dense eigh beats the inertia count plus
+# Lanczos, so ``eigendecompose(L, below=...)`` stays dense there. Measured
+# on KNN Laplacians (k = 10) on a 2-core x86 VM: 7.9 against 9.2 ms at
+# n = 200, 16.5 against 12.7 ms at n = 300.
+DENSE_EIGH_BELOW = 250
 
 
 @dataclass(frozen=True)
@@ -74,21 +81,127 @@ class FilterSpec:
             raise ParameterError(f"gamma must be nonnegative, got {self.gamma}")
 
 
-def eigendecompose(L: LaplacianMatrix, count: int | None = None) -> EigenBasis:
-    """Full (or leading-``count``) eigendecomposition of a Laplacian."""
-    dense = L.dense()
-    scale = max(1.0, float(np.abs(dense).max(initial=0.0)))
-    if np.abs(dense - dense.T).max(initial=0.0) > 1e-10 * scale:
-        raise DataError("Laplacian matrix is not symmetric")
-    eigenvalues, eigenvectors = np.linalg.eigh(dense)
-    eigenvalues = np.where(
-        (eigenvalues < 0) & (eigenvalues > -1e-8 * scale), 0.0, eigenvalues)
-    eigenvectors = eigenvectors * _column_signs(eigenvectors)
+def eigendecompose(L: LaplacianMatrix, count: int | None = None,
+                   below: float | None = None) -> EigenBasis:
+    """Full (or leading-``count``) eigendecomposition of a Laplacian.
+
+    With ``below=theta`` the basis holds only the eigenpairs with eigenvalue
+    below theta. From DENSE_EIGH_BELOW vertices on they come from Lanczos on
+    the sparse matrix, once an inertia count has certified how many there
+    are (see ``_sparse_eigenpairs_below``); below that size, and whenever
+    the certificate or Lanczos fails, the dense basis is computed and cut.
+    """
+    if count is not None and below is not None:
+        raise ParameterError("give count or below, not both")
+    if count is not None and not 1 <= count <= L.shape[0]:
+        raise ParameterError(f"count={count} out of range")
+    scale = _symmetric_scale(L)
+    if below is not None and L.shape[0] >= DENSE_EIGH_BELOW:
+        basis = _sparse_eigenpairs_below(L, below, scale)
+        if basis is not None:
+            return basis
+    eigenvalues, eigenvectors = _normalized_pairs(*np.linalg.eigh(L.dense()),
+                                                  scale)
+    if below is not None:
+        count = int(np.searchsorted(eigenvalues, below, side="left"))
     if count is not None:
-        if not 1 <= count <= dense.shape[0]:
-            raise ParameterError(f"count={count} out of range")
         eigenvalues = eigenvalues[:count]
         eigenvectors = eigenvectors[:, :count]
+    return EigenBasis(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+
+
+def _symmetric_scale(L: LaplacianMatrix) -> float:
+    """max(1, largest |entry|) of L, once L is symmetric to 1e-10 of it."""
+    matrix = L.matrix
+    scale = max(1.0, float(np.abs(matrix.data).max(initial=0.0)))
+    asymmetry = (matrix - matrix.T).data
+    if np.abs(asymmetry).max(initial=0.0) > 1e-10 * scale:
+        raise DataError("Laplacian matrix is not symmetric")
+    return scale
+
+
+def _normalized_pairs(eigenvalues, eigenvectors, scale):
+    """Eigenpairs in the EigenBasis convention: tiny negative eigenvalues
+    (above -1e-8 scale) clipped to zero, column signs fixed."""
+    eigenvalues = np.where(
+        (eigenvalues < 0) & (eigenvalues > -1e-8 * scale), 0.0, eigenvalues)
+    return eigenvalues, eigenvectors * _column_signs(eigenvectors)
+
+
+def _count_below(L: LaplacianMatrix, theta: float) -> int | None:
+    """The number of eigenvalues of L below theta, by Sylvester's law of
+    inertia, or None when the factorization cannot certify it.
+
+    L - theta I is factored with a symmetric fill-reducing ordering and no
+    off-diagonal pivoting. When SuperLU keeps the row and column orders
+    equal, the factors are P (L - theta I) P^T = Lo U with U = D Lo^T, so
+    the count of negative pivots on U's diagonal is the count of negative
+    eigenvalues of L - theta I.
+    """
+    from scipy.sparse.linalg import splu
+
+    identity = sparse.identity(L.shape[0], format="csr")
+    shifted = (L.matrix - theta * identity).tocsc()
+    try:
+        lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                  options={"SymmetricMode": True})
+    except RuntimeError:  # an exactly singular pivot
+        return None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    return int(np.count_nonzero(lu.U.diagonal() < 0))
+
+
+def _sparse_eigenpairs_below(L: LaplacianMatrix, theta: float,
+                             scale: float) -> EigenBasis | None:
+    """The eigenpairs of L below theta from sparse products only, or None
+    when they cannot be certified.
+
+    ``_count_below`` fixes how many there are. Lanczos (ARPACK) then finds
+    the largest eigenvalues of beta I - L, beta the Laplacian's norm bound,
+    which are the smallest of L, asking for two more than are missing.
+    From one start vector Lanczos may find fewer copies of a repeated
+    eigenvalue than its multiplicity (0 is repeated once per connected
+    component), so each further round runs on the complement of the
+    eigenvectors found so far until the count is met. None when the count
+    is uncertified or exceeds a quarter of the vertices (where the dense
+    eigh is the cheaper route), when a round finds nothing new below theta
+    or more than the count, or when ARPACK does not converge.
+    """
+    from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
+                                     eigsh)
+
+    n = L.shape[0]
+    count = _count_below(L, theta)
+    if count is None or count > n // 4:
+        return None
+    beta = L.spectral_norm_bound
+    shifted = beta * sparse.identity(n, format="csr") - L.matrix
+    # a fixed start vector makes repeated calls return the same bits
+    start = np.random.default_rng(0).standard_normal(n)
+    eigenvalues, eigenvectors = np.empty(0), np.empty((n, 0))
+
+    def complement(x):
+        # x less its components along the eigenvectors found so far
+        return x - eigenvectors @ (eigenvectors.T @ x)
+
+    operator = LinearOperator((n, n), dtype=np.float64,
+                              matvec=lambda x: complement(shifted @ complement(x)))
+    while eigenvalues.size < count:
+        try:
+            values, vectors = eigsh(operator, k=count - eigenvalues.size + 2,
+                                    which="LA", v0=complement(start))
+        except ArpackNoConvergence:
+            return None
+        found = beta - values
+        new = found < theta
+        if not new.any() or eigenvalues.size + np.count_nonzero(new) > count:
+            return None
+        eigenvalues = np.concatenate([eigenvalues, found[new]])
+        eigenvectors = np.hstack([eigenvectors, vectors[:, new]])
+    order = np.argsort(eigenvalues, kind="stable")
+    eigenvalues, eigenvectors = _normalized_pairs(
+        eigenvalues[order], eigenvectors[:, order], scale)
     return EigenBasis(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 

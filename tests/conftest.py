@@ -35,3 +35,10 @@ def build_laplacians(Y, k_row=4, k_col=4, kind="normalized"):
     Lr = laplacian(knn_graph(data, "rows", k_row), kind)
     Lc = laplacian(knn_graph(data, "columns", k_col), kind)
     return Lr, Lc
+
+
+def refuse_dense_eigh(monkeypatch):
+    """Make any call of the dense eigh fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense eigh was called")
+    monkeypatch.setattr(np.linalg, "eigh", refuse)

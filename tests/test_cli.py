@@ -109,25 +109,6 @@ class TestSolve:
                     "--col-graph", row_graph, "--out-dir", tmp_path / "x"])
         assert code == 3
 
-    def test_unknown_algo_is_usage_error(self, tmp_path, solve_setup):
-        matrix, row_graph, col_graph, _ = solve_setup
-        with pytest.raises(SystemExit) as excinfo:
-            run(["solve", "--matrix", matrix, "--row-graph", row_graph,
-                 "--col-graph", col_graph, "--algo", "nuclear",
-                 "--out-dir", tmp_path / "x"])
-        assert excinfo.value.code == 2
-
-    @pytest.mark.parametrize("flag, value", [
-        ("--filter-application", "chebyshev"), ("--chebyshev-order", "50")])
-    def test_removed_chebyshev_flags_are_usage_errors(self, tmp_path,
-                                                      solve_setup, flag, value):
-        matrix, row_graph, col_graph, _ = solve_setup
-        with pytest.raises(SystemExit) as excinfo:
-            run(["solve", "--matrix", matrix, "--row-graph", row_graph,
-                 "--col-graph", col_graph, "--algo", "gfrpcag",
-                 "--filter-b", 0.8, flag, value, "--out-dir", tmp_path / "x"])
-        assert excinfo.value.code == 2
-
     @pytest.mark.parametrize("algo", ["frpcag", "gfrpcag"])
     def test_manifest_reproduces_run(self, tmp_path, solve_setup, algo):
         matrix, row_graph, col_graph, _ = solve_setup
@@ -197,6 +178,14 @@ SPECTRA = ["spectra", "--out", "s.csv", "--graph"]
 @pytest.mark.parametrize("argv, config, code", [
     pytest.param([*BUILD, "--k", "3", "--sigma", "abc"], None, 2,
                  id="flag-sigma-abc"),
+    pytest.param([*SOLVE, "--algo", "nuclear"], None, 2,
+                 id="flag-unknown-algo"),
+    pytest.param([*SOLVE, "--algo", "gfrpcag", "--filter-b", "0.8",
+                  "--filter-application", "chebyshev"], None, 2,
+                 id="flag-removed-filter-application"),
+    pytest.param([*SOLVE, "--algo", "gfrpcag", "--filter-b", "0.8",
+                  "--chebyshev-order", "50"], None, 2,
+                 id="flag-removed-chebyshev-order"),
     pytest.param(BUILD, {"k": "three"}, 2, id="config-k-three"),
     pytest.param(BUILD, {"k": 2.7}, 2, id="config-k-not-integral"),
     pytest.param(SOLVE, {"gamma_r": "lots"}, 2, id="config-gamma-lots"),

@@ -8,11 +8,11 @@ from graphlowrank import (DataError, DataMatrix, FilterSpec, ParameterError,
                           eval_filter, frpcag_gradient, knn_graph, laplacian,
                           lipschitz_bound, loss_value, prox_loss, solve_frpcag,
                           solve_gfrpcag, tikhonov_closed_form)
-from graphlowrank import solvers
+from graphlowrank import solvers, spectral
 from graphlowrank.solvers import save_solution_csv, save_trace_csv, write_report
 from graphlowrank.spectral import apply_filter_exact
 
-from conftest import build_laplacians
+from conftest import build_laplacians, refuse_dense_eigh
 
 
 def smoothness_objective(X, Lr, Lc, gamma_r, gamma_c):
@@ -128,6 +128,24 @@ class TestGradient:
         use_row_blocks(monkeypatch, n, 3)
         assert len(solvers._row_blocks(p, n)) == 4
         assert np.array_equal(frpcag_gradient(X, Lr, Lc, 1.3, 0.7), whole)
+
+    @pytest.mark.parametrize("gamma_r, gamma_c", [(1.3, 0.0), (0.0, 0.7)])
+    def test_single_term_is_the_blocked_result(self, rng, monkeypatch,
+                                               gamma_r, gamma_c):
+        # one whole product accumulates each output row in the order that
+        # the per-block products of the two-term path do
+        p, n = 10, 7
+        Lr, Lc = random_laplacian(rng, p), random_laplacian(rng, n)
+        X = rng.standard_normal((p, n))
+        use_row_blocks(monkeypatch, n, 3)
+        blocked = np.zeros_like(X)
+        for rows in solvers._row_blocks(p, n):
+            if gamma_c != 0.0:
+                blocked[rows] = 2.0 * gamma_c * (Lc.matrix.T @ X[rows].T).T
+            else:
+                blocked[rows] = 2.0 * gamma_r * (Lr.matrix[rows] @ X)
+        assert np.array_equal(frpcag_gradient(X, Lr, Lc, gamma_r, gamma_c),
+                              blocked)
 
     def test_out_buffer_is_written_and_returned(self, rng):
         Y = rng.standard_normal((6, 8))
@@ -600,6 +618,45 @@ class TestGfrpcagMatchesReference:
                 <= 1e-10 * np.linalg.norm(rows.X))
         np.testing.assert_allclose(rows.objective_trace, cols.objective_trace,
                                    rtol=1e-10)
+
+
+class TestGfrpcagPartialBasis:
+    """Above the dense cutoff the filtered side's eigenpairs below 3b/2 come
+    from Lanczos on the sparse Laplacian: the solve matches the one on the
+    cut dense basis to rounding, and repeats bit for bit."""
+
+    @pytest.mark.parametrize("side", ["column_graph", "row_graph"])
+    def test_sparse_basis_matches_dense_basis(self, rng, monkeypatch, side):
+        p, n = 20, 400
+        centers = rng.standard_normal((p, 4))
+        Y = (centers[:, np.repeat(np.arange(4), n // 4)]
+             + 0.5 * rng.standard_normal((p, n)))
+        Lr, Lc = build_laplacians(Y, 4, 10)
+        b = eigendecompose(Lc).eigenvalues[4] / 2.0
+        gamma_r, gamma_c = 0.1, 2.0
+        if side == "row_graph":
+            Y, Lr, Lc = Y.T, Lc, Lr
+            gamma_r, gamma_c = gamma_c, gamma_r
+        config = SolverConfig(gamma_r=gamma_r, gamma_c=gamma_c, loss="l2",
+                              filter_spec=FilterSpec("prox_fb", b=b),
+                              filtered_side=side, max_iters=500, tol=1e-8)
+        assert n >= spectral.DENSE_EIGH_BELOW
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "DENSE_EIGH_BELOW", n + 1)
+            dense = solve_gfrpcag(Y, Lr, Lc, config)
+
+        refuse_dense_eigh(monkeypatch)
+        first = solve_gfrpcag(Y, Lr, Lc, config)
+        second = solve_gfrpcag(Y, Lr, Lc, config)
+        assert first.converged
+        assert first.iterations == dense.iterations
+        assert (np.linalg.norm(first.X - dense.X)
+                <= 1e-12 * np.linalg.norm(dense.X))
+        np.testing.assert_allclose(first.objective_trace,
+                                   dense.objective_trace, rtol=1e-10)
+        # the seeded Lanczos start vector makes reruns bit-identical
+        assert np.array_equal(second.X, first.X)
+        assert second.objective_trace == first.objective_trace
 
 
 class TestInputCheck:

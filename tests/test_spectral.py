@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,9 +9,11 @@ from graphlowrank import (DataError, DataMatrix, FilterSpec, ParameterError,
                           SparseGraph, apply_filter_chebyshev,
                           apply_filter_exact, dirichlet_energy, eigendecompose,
                           eval_filter, gft, igft, knn_graph, laplacian)
+from graphlowrank import spectral
 from graphlowrank.spectral import save_filter_curve_csv, save_spectrum_csv
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from conftest import path_graph_weights, random_graph
+from conftest import path_graph_weights, random_graph, refuse_dense_eigh
 
 
 def two_vertex_laplacian():
@@ -68,6 +71,139 @@ class TestEigendecompose:
                               spectral_norm_bound=3.0)
         with pytest.raises(DataError):
             eigendecompose(bad)
+
+
+def blob_laplacian(rng, clusters=5, per_cluster=80):
+    """Normalized 5-NN Laplacian of well-separated planar blobs: one
+    component per blob, and n = 400 is above the dense cutoff."""
+    angles = 2.0 * np.pi * np.arange(clusters) / clusters
+    centers = 20.0 * np.vstack([np.cos(angles), np.sin(angles)])
+    points = (np.repeat(centers, per_cluster, axis=1)
+              + rng.standard_normal((2, clusters * per_cluster)))
+    return laplacian(knn_graph(DataMatrix(points), "columns", 5), "normalized")
+
+
+def dense_below(L, theta):
+    full = eigendecompose(L)
+    keep = full.eigenvalues < theta
+    return full.eigenvalues[keep], full.eigenvectors[:, keep]
+
+
+class TestPartialEigenbasis:
+    """eigendecompose(L, below=theta): Lanczos on the sparse Laplacian,
+    certified by an inertia count, with the dense basis as the fallback."""
+
+    def test_null_space_of_separated_blobs(self, rng, monkeypatch):
+        L = blob_laplacian(rng)
+        assert L.shape[0] >= spectral.DENSE_EIGH_BELOW
+        assert spectral._count_below(L, 1e-9) == 5
+        refuse_dense_eigh(monkeypatch)
+        basis = eigendecompose(L, below=1e-9)
+        Q = basis.eigenvectors
+        assert basis.count == 5
+        assert np.abs(basis.eigenvalues).max() <= 1e-12
+        assert np.abs(Q.T @ Q - np.eye(5)).max() <= 1e-10
+        assert np.abs(L.matrix @ Q).max() <= 1e-10
+
+    @pytest.mark.parametrize("theta", [1e-9, 0.05, 0.3, 0.6, 1.2])
+    def test_inertia_count_matches_dense_spectrum(self, rng, theta):
+        L = blob_laplacian(rng)
+        eigenvalues, _ = dense_below(L, theta)
+        assert spectral._count_below(L, theta) == eigenvalues.size
+
+    def test_sparse_pairs_match_dense_pairs(self, rng, monkeypatch):
+        L = blob_laplacian(rng)
+        eigenvalues, eigenvectors = dense_below(L, 0.1)
+        refuse_dense_eigh(monkeypatch)
+        basis = eigendecompose(L, below=0.1)
+        assert basis.count == eigenvalues.size == 27
+        np.testing.assert_allclose(basis.eigenvalues, eigenvalues, rtol=0,
+                                   atol=1e-12)
+        # eigenvectors of the repeated eigenvalue 0 are fixed only up to a
+        # rotation, so the spanned spaces are compared
+        Q = basis.eigenvectors
+        assert (np.abs(Q @ Q.T - eigenvectors @ eigenvectors.T).max()
+                <= 1e-9)
+        # the seeded start vector makes the basis reproducible
+        again = eigendecompose(L, below=0.1)
+        assert np.array_equal(again.eigenvalues, basis.eigenvalues)
+        assert np.array_equal(again.eigenvectors, Q)
+
+    # at 1.0 SuperLU pivots off the diagonal, so the count is uncertified;
+    # at 1.2 the count (223) exceeds a quarter of the 400 vertices
+    @pytest.mark.parametrize("theta", [1.0, 1.2])
+    def test_dense_fallback_is_the_cut_dense_basis(self, rng, theta):
+        L = blob_laplacian(rng)
+        if theta == 1.0:
+            assert spectral._count_below(L, theta) is None
+        eigenvalues, eigenvectors = dense_below(L, theta)
+        basis = eigendecompose(L, below=theta)
+        assert np.array_equal(basis.eigenvalues, eigenvalues)
+        assert np.array_equal(basis.eigenvectors, eigenvectors)
+
+    def test_arpack_failure_falls_back_to_dense(self, rng, monkeypatch):
+        L = blob_laplacian(rng)
+        eigenvalues, eigenvectors = dense_below(L, 0.1)
+
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0),
+                                      np.empty((L.shape[0], 0)))
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        basis = eigendecompose(L, below=0.1)
+        assert np.array_equal(basis.eigenvalues, eigenvalues)
+        assert np.array_equal(basis.eigenvectors, eigenvectors)
+
+    def test_lanczos_disagreeing_with_the_count_falls_back(self, rng,
+                                                           monkeypatch):
+        L = blob_laplacian(rng)
+        eigenvalues, eigenvectors = dense_below(L, 0.1)
+        count_below = spectral._count_below
+        monkeypatch.setattr(spectral, "_count_below",
+                            lambda L, theta: count_below(L, theta) + 1)
+        basis = eigendecompose(L, below=0.1)
+        assert np.array_equal(basis.eigenvalues, eigenvalues)
+        assert np.array_equal(basis.eigenvectors, eigenvectors)
+
+    def test_rejects_asymmetric_matrix_above_dense_cutoff(self):
+        from graphlowrank.graph import LaplacianMatrix
+        W = path_graph_weights(300)
+        matrix = sparse.csr_matrix(np.diag(W.sum(axis=1)) - W)
+        matrix[0, 1] = -2.0
+        bad = LaplacianMatrix(kind="unnormalized", matrix=matrix,
+                              spectral_norm_bound=5.0)
+        with pytest.raises(DataError):
+            eigendecompose(bad, below=0.5)
+
+    def test_count_and_below_are_exclusive(self, rng):
+        L = laplacian(random_graph(rng, n=10, k=3), "normalized")
+        with pytest.raises(ParameterError):
+            eigendecompose(L, count=2, below=0.5)
+
+    @settings(max_examples=25, deadline=None)
+    @given(sizes=st.lists(st.integers(8, 40), min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_null_space_of_disconnected_graphs(self, sizes, seed):
+        # rings with random chords and weights, one per component; the
+        # cutoff is lowered so that these small graphs take the sparse path
+        rng = np.random.default_rng(seed)
+        blocks = []
+        for size in sizes:
+            W = np.triu(rng.uniform(0.1, 1.0, (size, size))
+                        * (rng.random((size, size)) < 0.2), k=1)
+            ring = np.arange(size)
+            W[ring, (ring + 1) % size] = rng.uniform(0.1, 1.0, size)
+            W = np.triu(W + W.T, k=1)
+            blocks.append(W + W.T)
+        L = laplacian(SparseGraph.from_weight_matrix(sparse.block_diag(blocks)),
+                      "normalized")
+        assert spectral._count_below(L, 1e-9) in (None, len(sizes))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectral, "DENSE_EIGH_BELOW", 0)
+            basis = eigendecompose(L, below=1e-9)
+        Q = basis.eigenvectors
+        assert basis.count == len(sizes)
+        assert np.abs(Q.T @ Q - np.eye(len(sizes))).max() <= 1e-10
+        assert np.abs(L.matrix @ Q).max() <= 1e-10
 
 
 class TestFourierTransform:
