@@ -25,8 +25,7 @@ import scipy.linalg
 
 from .errors import DataError, ParameterError
 from .graph import LaplacianMatrix, format_float, save_matrix_csv
-from .spectral import (FilterSpec, apply_filter_exact, eigendecompose,
-                       eval_filter, _frequency_energy)
+from .spectral import FilterSpec, eigendecompose, eval_filter
 
 LOSSES = ("l1", "l2", "l21")
 FILTERED_SIDES = ("row_graph", "column_graph")
@@ -106,14 +105,25 @@ def _row_blocks(p: int, n: int) -> list:
 
 def loss_value(X: np.ndarray, Y: np.ndarray, loss: str) -> float:
     """phi(X - Y) for the supported losses."""
-    R = X - Y
+    if loss not in LOSSES:
+        raise ParameterError(f"unknown loss {loss!r}")
+    return _loss_total(_loss_sums(X - Y, loss), loss)
+
+
+def _loss_sums(R: np.ndarray, loss: str):
+    """The sums of phi(R) that row blocks of R add up: the l1 or squared l2
+    sum, and for l21 the squared norm of each column. Overwrites R."""
     if loss == "l1":
         return float(np.abs(R, out=R).sum())
+    R *= R
     if loss == "l2":
-        return float(np.sum(R * R))
-    if loss == "l21":
-        return float(np.linalg.norm(R, axis=0).sum())
-    raise ParameterError(f"unknown loss {loss!r}")
+        return float(np.sum(R))
+    return np.add.reduce(R, axis=0)
+
+
+def _loss_total(sums, loss: str) -> float:
+    """phi from the summed ``_loss_sums`` of all row blocks."""
+    return float(np.sqrt(sums).sum()) if loss == "l21" else sums
 
 
 def prox_loss(X: np.ndarray, Y: np.ndarray, lam: float, loss: str) -> np.ndarray:
@@ -129,6 +139,14 @@ def prox_loss(X: np.ndarray, Y: np.ndarray, lam: float, loss: str) -> np.ndarray
     Y = np.asarray(Y, dtype=np.float64)
     if X.shape != Y.shape:
         raise DataError(f"shape mismatch {X.shape} vs {Y.shape}")
+    return _prox_loss(X, Y, lam, loss)
+
+
+def _prox_loss(X, Y, lam, loss, norms=None):
+    """``prox_loss`` without its checks. For l21, ``norms`` may give the
+    column norms of X - Y, which a row block of X cannot compute alone."""
+    if loss == "l2":
+        return (X + 2.0 * lam * Y) / (1.0 + 2.0 * lam)
     R = X - Y
     if loss == "l1":
         # Y + (R - clip(R, -lam, lam)), in row blocks so that the clipped
@@ -139,10 +157,9 @@ def prox_loss(X: np.ndarray, Y: np.ndarray, lam: float, loss: str) -> np.ndarray
             block -= np.clip(block, -lam, lam)
             block += Y2[rows]
         return R
-    if loss == "l2":
-        return (X + 2.0 * lam * Y) / (1.0 + 2.0 * lam)
     if loss == "l21":
-        norms = np.linalg.norm(np.atleast_2d(R), axis=0)
+        if norms is None:
+            norms = np.linalg.norm(np.atleast_2d(R), axis=0)
         scale = np.zeros_like(norms)
         nonzero = norms > 0
         scale[nonzero] = np.maximum(0.0, 1.0 - lam / norms[nonzero])
@@ -396,6 +413,19 @@ def _primal_dual_steps(Y, Lr, Lc, config):
     band about b/745 wide just below 3b/2, where the bump in its
     denominator underflows, so the penalty still masks non-finite values.
     When gamma is 0, f_b is 1 everywhere and the basis is whole.
+
+    Each iteration walks X, V, G and Y once, in the row blocks of
+    ``_row_blocks``, and finishes a block while its rows are in cache: the
+    loss prox P, the dual input T = V + tau_2 (2P - X) and its filtered
+    prox, X_next and V_next, written over X and V, and the block's parts
+    of the change norms, the loss and the frequency energy of X_next. Two
+    steps need every row, and each gets a pre-sweep over the same blocks
+    that recomputes the row-local values and keeps only the reduction: the
+    column norms of the l21 prox input, and on the row side the m x n
+    coefficients Q^T (T / tau_2) of the filtered prox. The column side
+    with l1 or l2 needs neither. After the pass one ``frpcag_gradient``
+    at X_next serves the objective and the next iteration's step. With
+    one block every operation is the whole-array one, in the same order.
     """
     if config.filtered_side == "column_graph":
         L, gamma, axis = Lc, config.gamma_c, "right"
@@ -411,30 +441,96 @@ def _primal_dual_steps(Y, Lr, Lc, config):
     tau3 = 0.99
     b = config.filter_spec.b
     basis = eigendecompose(L, below=1.5 * b) if gamma > 0.0 else eigendecompose(L)
-    prox_spec = FilterSpec(family="prox_fb", b=b, gamma=(1.0 / tau2) * gamma)
+    Q = basis.eigenvectors
+    m, n = Q.shape[1], Y.shape[1]
+    response = eval_filter(FilterSpec(family="prox_fb", b=b,
+                                      gamma=(1.0 / tau2) * gamma),
+                           basis.eigenvalues)
     curve = eval_filter(FilterSpec(family="step_gb", b=b), basis.eigenvalues)
     finite = np.isfinite(curve)
     finite_curve = curve[finite]
+    loss, blocks = config.loss, _row_blocks(*Y.shape)
 
     X = Y.copy()
     V = Y.copy()
     # one gradient per iterate: the energy of X_next and the gradient step
     # of the next iteration share it
     G = frpcag_gradient(X, Lr, Lc, gamma_r, gamma_c)
+
+    def prox_input(rows):
+        # X - tau_1 (G + V)
+        z = G[rows] + V[rows]
+        z *= tau1
+        return np.subtract(X[rows], z, out=z)
+
+    def primal_dual(rows, norms):
+        # P and T = V + tau_2 (2P - X)
+        P = _prox_loss(prox_input(rows), Y[rows], tau1, loss, norms)
+        T = 2.0 * P
+        T -= X[rows]
+        T *= tau2
+        T += V[rows]
+        return P, T
+
     while True:
-        P = prox_loss(X - tau1 * (G + V), Y, tau1, config.loss)
-        T = V + tau2 * (2.0 * P - X)
-        Q = T - tau2 * apply_filter_exact(basis, prox_spec, T / tau2, side=axis)
-        X_next = X + tau3 * (P - X)
-        V_next = V + tau3 * (Q - V)
-        G = frpcag_gradient(X_next, Lr, Lc, gamma_r, gamma_c)
-        energy = _frequency_energy(basis, X_next, axis)
-        objective = (loss_value(X_next, Y, config.loss) + 0.5 * _dot(X_next, G)
+        norms = coeffs = None
+        if loss == "l21":
+            squares = np.zeros(n)
+            for rows in blocks:
+                R = prox_input(rows)
+                R -= Y[rows]
+                squares += _loss_sums(R, loss)
+            norms = np.sqrt(squares)
+        if axis == "left":
+            coeffs = np.zeros((m, n))
+            for rows in blocks:
+                coeffs += Q[rows].T @ (primal_dual(rows, norms)[1] / tau2)
+            coeffs = response[:, None] * coeffs
+        loss_sums = dx = x_ref = dv = v_ref = 0.0
+        # the energy of each frequency; on the row side the coefficients
+        # Q^T X_next, squared once every block is in
+        energy = np.zeros(m if axis == "right" else (m, n))
+        for rows in blocks:
+            x, v = X[rows], V[rows]
+            P, T = primal_dual(rows, norms)
+            if axis == "right":
+                D = ((T / tau2) @ Q * response[None, :]) @ Q.T
+            else:
+                D = Q[rows] @ coeffs
+            # D = T - tau_2 prox(T / tau_2), then V_next = V + tau_3 (D - V)
+            D *= tau2
+            np.subtract(T, D, out=D)
+            D -= v
+            D *= tau3
+            D += v
+            # P becomes X_next = X + tau_3 (P - X)
+            P -= x
+            P *= tau3
+            P += x
+            if axis == "right":
+                energy += ((P @ Q) ** 2).sum(axis=0)
+            else:
+                energy += Q[rows].T @ P
+            loss_sums = loss_sums + _loss_sums(P - Y[rows], loss)
+            dx += _squared_change(P, x)
+            x_ref += float(np.sum(x * x))
+            dv += _squared_change(D, v)
+            v_ref += float(np.sum(v * v))
+            x[...] = P
+            v[...] = D
+        if axis == "left":
+            energy = (energy ** 2).sum(axis=1)
+        frpcag_gradient(X, Lr, Lc, gamma_r, gamma_c, out=G)
+        objective = (_loss_total(loss_sums, loss) + 0.5 * _dot(X, G)
                      + gamma * float(np.sum(finite_curve * energy[finite])))
-        dx = float(np.sum((X_next - X) ** 2)) / (float(np.sum(X * X)) + STOP_DELTA)
-        dv = float(np.sum((V_next - V) ** 2)) / (float(np.sum(V * V)) + STOP_DELTA)
-        X, V = X_next, V_next
+        dx /= x_ref + STOP_DELTA
+        dv /= v_ref + STOP_DELTA
         yield X, objective, max(dx, dv), dx < config.tol and dv < config.tol
+
+
+def _squared_change(new, old):
+    d = new - old
+    return float(np.sum(d * d))
 
 
 # ---------------------------------------------------------------------------

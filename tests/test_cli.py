@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +307,18 @@ class TestSpectra:
 
     def test_missing_mode_is_usage_error(self, tmp_path):
         assert run(["spectra", "--out", tmp_path / "x.csv"]) == 2
+
+
+def test_cli_import_leaves_out_scipy_spatial():
+    # cdist is imported inside knn_graph: commands that build no graph do
+    # not pay for scipy.spatial and the scipy.special it loads
+    code = ("import sys, graphlowrank.cli; "
+            "sys.exit('scipy.spatial' in sys.modules)")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert done.returncode == 0
 
 
 def test_package_version_matches_pyproject():

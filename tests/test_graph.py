@@ -10,6 +10,7 @@ from graphlowrank import (DataError, DataMatrix, DegenerateGraphError,
                           graph_gradient, knn_graph, laplacian, load_edge_list,
                           load_matrix_csv, num_connected_components,
                           save_edge_list, save_matrix_csv)
+from graphlowrank.graph import WEIGHTINGS, format_float
 from graphlowrank.spectral import eigendecompose
 
 from conftest import path_graph_weights, random_graph
@@ -101,6 +102,17 @@ class TestKnnGraph:
             knn_graph(data, axis="columns", k=5)
         with pytest.raises(ParameterError):
             knn_graph(data, axis="columns", k=0)
+
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    def test_columns_are_the_rows_of_the_transpose(self, rng, weighting):
+        # the column graph runs on a contiguous copy of the transpose
+        D = DataMatrix(rng.standard_normal((7, 30)))
+        by_columns = knn_graph(D, "columns", 4, weighting=weighting)
+        by_rows = knn_graph(DataMatrix(D.values.T), "rows", 4,
+                            weighting=weighting)
+        for got, expected in zip(by_columns.edge_arrays(),
+                                 by_rows.edge_arrays()):
+            assert np.array_equal(got, expected)
 
     def test_cityblock_metric(self, rng):
         data = DataMatrix(rng.standard_normal((2, 10)))
@@ -302,6 +314,16 @@ class TestFileFormats:
         values = rng.standard_normal((4, 6))
         path = tmp_path / "m.csv"
         save_matrix_csv(path, values)
+        assert np.array_equal(load_matrix_csv(path), values)
+
+    def test_matrix_csv_bytes_are_format_float(self, tmp_path):
+        values = np.array([[-0.0, 5e-324, 1e-05],
+                           [1e16, 0.1 + 0.2, 2.0 ** 53 + 2]])
+        path = tmp_path / "m.csv"
+        save_matrix_csv(path, values)
+        expected = "".join(",".join(format_float(v) for v in row) + "\n"
+                           for row in values)
+        assert path.read_text(encoding="utf-8") == expected
         assert np.array_equal(load_matrix_csv(path), values)
 
     def test_matrix_csv_malformed_row(self, tmp_path):

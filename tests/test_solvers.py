@@ -28,7 +28,8 @@ def random_laplacian(rng, size):
 
 
 def use_row_blocks(monkeypatch, n, rows):
-    """Make the FISTA passes use blocks of ``rows`` rows for width n."""
+    """Make the row-blocked solver passes use blocks of ``rows`` rows for
+    width n."""
     monkeypatch.setattr(solvers, "BLOCK_BYTES", 8 * n * rows)
 
 
@@ -598,6 +599,40 @@ class TestGfrpcagMatchesReference:
         np.testing.assert_allclose(result.objective_trace, trace, rtol=1e-12,
                                    atol=0)
         assert result.change_trace == changes
+
+    @pytest.mark.parametrize("side", ["column_graph", "row_graph"])
+    @pytest.mark.parametrize("gamma_r, gamma_c", [(0.7, 1.3), (0.0, 1.3),
+                                                  (0.7, 0.0)])
+    @pytest.mark.parametrize("loss", ["l1", "l2", "l21"])
+    def test_same_iterates_and_traces_in_row_blocks(self, rng, monkeypatch,
+                                                    loss, gamma_r, gamma_c,
+                                                    side):
+        # blocks of 3 rows sum the reductions (l21 column norms, row-side
+        # coefficients, energies, change norms) block by block, so the
+        # results agree to rounding rather than bit for bit
+        p, n = 14, 18
+        Y = rng.standard_normal((p, n))
+        Lr, Lc = build_laplacians(Y, 3, 4)
+        use_row_blocks(monkeypatch, n, 3)
+        assert len(solvers._row_blocks(p, n)) == 5  # the last has 2 rows
+        config = SolverConfig(gamma_r=gamma_r, gamma_c=gamma_c, loss=loss,
+                              filter_spec=FilterSpec("prox_fb", b=0.6),
+                              filtered_side=side, max_iters=300, tol=1e-8)
+        result = solve_gfrpcag(Y, Lr, Lc, config)
+        X, iterations, trace, changes = reference_gfrpcag(Y, Lr, Lc, config)
+        assert result.iterations == iterations
+        assert np.linalg.norm(result.X - X) <= 1e-12 * np.linalg.norm(X)
+        np.testing.assert_allclose(result.objective_trace, trace, rtol=1e-12,
+                                   atol=0)
+        # with the filtered side's gamma at 0, f_b is 1, the dual prox
+        # output T - tau_2 prox(T / tau_2) is cancellation noise and V
+        # shrinks by 1 - tau_3 per iteration down to that noise, so a few
+        # of its relative changes are ratios of rounding errors, which the
+        # block sums change (by up to 7e-10 here)
+        filtered = gamma_c if side == "column_graph" else gamma_r
+        np.testing.assert_allclose(np.sqrt(result.change_trace),
+                                   np.sqrt(changes), rtol=0,
+                                   atol=1e-12 if filtered > 0 else 1e-8)
 
     # l21 sums column norms, so it does not commute with transposition
     @pytest.mark.parametrize("loss", ["l1", "l2"])
