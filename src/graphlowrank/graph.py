@@ -9,6 +9,8 @@ every selected weight.
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +20,11 @@ from .errors import DataError, DegenerateGraphError, ParameterError
 
 WEIGHTINGS = ("gaussian", "binary", "correlation")
 LAPLACIAN_KINDS = ("normalized", "unnormalized")
+
+# Row blocks of the KNN pass and of the solvers' passes hold about this
+# many bytes per operand: a KNN block's N-wide rows cap its memory at
+# O(block * N), and a solver block stays in L2 cache while it is combined.
+BLOCK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -130,8 +137,8 @@ def knn_graph(data: DataMatrix, axis: str, k: int, weighting: str = "gaussian",
     if axis == "rows":
         vectors = data.values
     elif axis == "columns":
-        # cdist on the transposed view takes about twice as long as on a
-        # contiguous copy, with the same distances
+        # the GEMM, the row gathers and the per-row cdist calls below all
+        # read whole vectors; a contiguous copy keeps them fast
         vectors = np.ascontiguousarray(data.values.T)
     else:
         raise ParameterError(f"unknown axis {axis!r}")
@@ -148,17 +155,42 @@ def knn_graph(data: DataMatrix, axis: str, k: int, weighting: str = "gaussian",
         raise ParameterError(f"unknown metric {metric!r}")
 
     # imported here: scipy.spatial loads scipy.special with it, about 0.1 s
-    # of every import of the package; only this needs it
+    # of every import of the package; the exact distances come from cdist
     from scipy.spatial.distance import cdist
-    dist = cdist(vectors, vectors, metric=metric)
-    np.fill_diagonal(dist, np.inf)
-    # stable sort keeps ties ordered by index, which makes the result
-    # deterministic for repeated inputs
-    neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    if metric == "euclidean":
+        screen = _GramScreen(vectors)
+    neighbors = np.empty((count, k), dtype=np.intp)
+    pair_dist = np.empty((count, k))
+    step = max(1, BLOCK_BYTES // (8 * count))
+    for start in range(0, count, step):
+        block = slice(start, min(start + step, count))
+        local = np.arange(block.stop - start)
+        if metric == "euclidean":
+            approx, lower, slack = screen.block(block)
+        else:  # cityblock distances are cheap to get exactly
+            approx = lower = cdist(vectors[block], vectors, metric="cityblock")
+            slack = 0.0
+        approx[local, local + start] = np.inf
+        kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+        # candidates: every j whose distance may be at or below the k-th
+        # exact one; the vector itself stays in at distance inf, as on
+        # the diagonal of a full distance matrix
+        keep = lower <= (kth + slack)[:, None]
+        keep[local, local + start] = True
+        for r in local:
+            i = start + r
+            cand = np.flatnonzero(keep[r])
+            dist = cdist(vectors[i:i + 1], vectors[cand], metric=metric)[0]
+            dist[cand == i] = np.inf
+            # cand is ascending, so a stable sort breaks ties toward the
+            # smaller index, which makes the result deterministic
+            order = np.argsort(dist, kind="stable")[:k]
+            neighbors[i] = cand[order]
+            pair_dist[i] = dist[order]
 
     rows = np.repeat(np.arange(count), k)
     cols = neighbors.ravel()
-    pair_dist = dist[rows, cols]
+    pair_dist = pair_dist.ravel()
 
     if weighting == "gaussian":
         if sigma == "auto":
@@ -185,6 +217,58 @@ def knn_graph(data: DataMatrix, axis: str, k: int, weighting: str = "gaussian",
     directed = sparse.coo_matrix((vals, (rows, cols)), shape=(count, count)).tocsr()
     symmetric = directed.maximum(directed.T)
     return SparseGraph.from_weight_matrix(symmetric)
+
+
+class _GramScreen:
+    """Squared Euclidean distances in Gram form, with a certified error.
+
+    The vectors are scaled by 2^e, which puts the largest entry in
+    [1/2, 1) without rounding, and centred, which leaves the distances
+    alone and shrinks the norms the rounding error grows with. For these
+    vectors c a block's screen s_ij = max(|c_i|^2 + |c_j|^2 - 2 c_i.c_j, 0)
+    is one GEMM, and with cdist's value D_ij,
+
+        |s_ij - 4^e D_ij^2| <= m_ij = K u (|c_i|^2 + |c_j|^2) + floor,
+
+    u the unit roundoff and K = 8 (d + 4), twice the sum of the bounds for
+    the dot products, the centring and cdist's own sum (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 3). ``floor`` bounds what
+    underflow adds. With t the k-th smallest s_ij of a row, at least k
+    vectors have 4^e D^2 <= t + max_j m_ij, so each of the k nearest has
+    s_ij - m_ij <= t + max_j m_ij.
+    """
+
+    def __init__(self, vectors: np.ndarray):
+        d = vectors.shape[1]
+        big = float(np.abs(vectors).max(initial=0.0))
+        e = -math.frexp(big)[1]
+        self.centred = np.ldexp(vectors, e)
+        self.centred -= self.centred.mean(axis=0)
+        self.sq_norms = np.einsum("ij,ij->i", self.centred, self.centred)
+        K = 8 * (d + 4)
+        self.rel = K * np.finfo(np.float64).eps / 2
+        # cdist's underflow is absolute in the unscaled units, so 4^e times
+        # larger here. A squared distance past the float range makes cdist
+        # return inf, which no screen value bounds: every j is kept then.
+        floor_exp = max(2 * e, 0) - 1069
+        if floor_exp > 1000 or math.log2(4 * max(d, 1)) - 2 * e > 1020:
+            self.floor = np.inf
+        else:
+            self.floor = K * math.ldexp(1.0, floor_exp)
+        self.max_norm = self.sq_norms.max()
+
+    def block(self, rows: slice):
+        """The screen, the screen minus m_ij, and max_j m_ij per row."""
+        norm_sum = self.sq_norms[rows, None] + self.sq_norms
+        approx = self.centred[rows] @ self.centred.T
+        approx *= -2.0
+        approx += norm_sum
+        np.maximum(approx, 0.0, out=approx)
+        norm_sum *= self.rel
+        norm_sum += self.floor
+        lower = np.subtract(approx, norm_sum, out=norm_sum)
+        slack = self.rel * (self.sq_norms[rows] + self.max_norm) + self.floor
+        return approx, lower, slack
 
 
 def laplacian(g: SparseGraph, kind: str = "normalized") -> LaplacianMatrix:
@@ -290,29 +374,44 @@ def _open_input(path):
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    rows = []
-    width = None
     with _open_input(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                row = [float(tok) for tok in stripped.split(",")]
-            except ValueError as exc:
-                raise DataError(f"{path}: malformed CSV row at line {lineno}: {exc}")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise DataError(
-                    f"{path}: line {lineno} has {len(row)} fields, expected {width}")
-            rows.append(row)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    values = np.asarray(rows, dtype=np.float64)
+        try:
+            with warnings.catch_warnings():
+                # an empty file warns here; the line parser reports it
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+        except ValueError:
+            values = None
+        if values is None or values.shape[0] == 0:
+            # what loadtxt does not take, the line parser accepts (blank
+            # lines, "1_0") or rejects with the line number in its message
+            fh.seek(0)
+            values = _parse_csv_lines(path, fh)
     if not np.isfinite(values).all():
         raise DataError(f"{path}: matrix contains NaN or Inf entries")
     return values
+
+
+def _parse_csv_lines(path, fh) -> np.ndarray:
+    rows = []
+    width = None
+    for lineno, line in enumerate(fh, start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            row = [float(tok) for tok in stripped.split(",")]
+        except ValueError as exc:
+            raise DataError(f"{path}: malformed CSV row at line {lineno}: {exc}")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise DataError(
+                f"{path}: line {lineno} has {len(row)} fields, expected {width}")
+        rows.append(row)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return np.asarray(rows, dtype=np.float64)
 
 
 def save_edge_list(g: SparseGraph, path) -> None:

@@ -21,10 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DataError, ParameterError
-from .graph import LaplacianMatrix, format_float, save_matrix_csv
+from .graph import BLOCK_BYTES, LaplacianMatrix, format_float, save_matrix_csv
 from .spectral import FilterSpec, eigendecompose, eval_filter
 
 LOSSES = ("l1", "l2", "l21")
@@ -32,11 +31,6 @@ FILTERED_SIDES = ("row_graph", "column_graph")
 
 # guard against division by zero in the relative-change stopping rule
 STOP_DELTA = 1e-12
-
-# Row blocks of the FISTA passes hold about this many bytes per operand,
-# so that a block's sparse products and iterate rows stay in L2 cache
-# while they are combined.
-BLOCK_BYTES = 512 * 1024
 
 
 @dataclass
@@ -356,6 +350,9 @@ def tikhonov_closed_form(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix
     eigenbases it divides each coefficient by
     (1 + gamma_r lambda_ri) * (1 + gamma_c lambda_cj).
     """
+    # imported here: scipy.linalg is about 0.14 s of every import of the
+    # package, paid by each CLI process; only this needs it
+    import scipy.linalg
     Y = _checked_input(Y, Lr, Lc)
     p, n = Y.shape
     X = Y

@@ -321,6 +321,17 @@ def test_cli_import_leaves_out_scipy_spatial():
     assert done.returncode == 0
 
 
+def test_cli_import_leaves_out_scipy_linalg():
+    # scipy.linalg is imported inside tikhonov_closed_form, the one user
+    code = ("import sys, graphlowrank.cli; "
+            "sys.exit('scipy.linalg' in sys.modules)")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert done.returncode == 0
+
+
 def test_package_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

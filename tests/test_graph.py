@@ -1,9 +1,15 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
 import scipy.sparse.csgraph as csgraph
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
+
+from graphlowrank import graph
 
 from graphlowrank import (DataError, DataMatrix, DegenerateGraphError,
                           ParameterError, SparseGraph, graph_divergence,
@@ -129,6 +135,142 @@ class TestKnnGraph:
         assert W.diagonal().sum() == 0.0
         assert (W.data >= 0).all()
         assert abs(W - W.T).max() <= 1e-15
+
+
+def full_matrix_knn_graph(data, axis, k, weighting="gaussian", sigma="auto",
+                          metric="euclidean"):
+    """Oracle: the whole N x N cdist matrix and a stable argsort per row."""
+    vectors = np.ascontiguousarray(data.values if axis == "rows" else data.values.T)
+    count = vectors.shape[0]
+    dist = cdist(vectors, vectors, metric=metric)
+    np.fill_diagonal(dist, np.inf)
+    neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    rows = np.repeat(np.arange(count), k)
+    cols = neighbors.ravel()
+    pair_dist = dist[rows, cols]
+    if weighting == "gaussian":
+        if sigma == "auto":
+            sigma_sq = float(np.mean(pair_dist ** 2)) or 1.0
+        else:
+            sigma_sq = float(sigma) ** 2
+        vals = np.exp(-(pair_dist ** 2) / sigma_sq)
+    elif weighting == "binary":
+        vals = np.ones_like(pair_dist)
+    else:
+        norms = np.linalg.norm(vectors, axis=1)
+        if (norms == 0).any():
+            raise DegenerateGraphError(
+                "correlation weighting is undefined for zero-norm vectors")
+        inner = np.einsum("ij,ij->i", vectors[rows], vectors[cols])
+        vals = np.maximum(inner / (norms[rows] * norms[cols]), 0.0)
+    directed = sparse.coo_matrix((vals, (rows, cols)), shape=(count, count)).tocsr()
+    return SparseGraph.from_weight_matrix(directed.maximum(directed.T))
+
+
+def assert_same_as_full_matrix(data, axis, k, **kwargs):
+    """knn_graph gives the oracle's edges and weights bit for bit, or fails
+    with the same error."""
+    outcomes = []
+    for build in (knn_graph, full_matrix_knn_graph):
+        with warnings.catch_warnings():
+            # distances past the float range give inf and nan weights
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                outcomes.append(build(data, axis, k, **kwargs).edge_arrays())
+            except (DataError, DegenerateGraphError) as exc:
+                outcomes.append((type(exc), str(exc)))
+    got, expected = outcomes
+    if isinstance(expected[0], type):
+        assert got == expected
+    else:
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b, equal_nan=True)
+
+
+class TestKnnMatchesFullMatrix:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), count=st.integers(2, 14), dim=st.integers(1, 4),
+           distinct=st.integers(1, 14), block=st.integers(1, 5),
+           scale=st.sampled_from([1.0, 0.1, 1e-150, 1e-160, 1e150, 1e160]),
+           offset=st.sampled_from([0.0, 1e6]),
+           axis=st.sampled_from(["rows", "columns"]),
+           weighting=st.sampled_from(WEIGHTINGS),
+           metric=st.sampled_from(["euclidean", "cityblock"]))
+    def test_ties_and_lattices(self, data, count, dim, distinct, block, scale,
+                               offset, axis, weighting, metric):
+        # a few distinct points of a small integer lattice, each repeated,
+        # so that most distances tie exactly; scale 0.1 makes near ties,
+        # 1e-160 squares that underflow and 1e160 distances past the float
+        # range
+        lattice = data.draw(st.lists(
+            st.lists(st.integers(-2, 2), min_size=dim, max_size=dim),
+            min_size=min(distinct, count), max_size=min(distinct, count)))
+        picks = data.draw(st.lists(st.integers(0, len(lattice) - 1),
+                                   min_size=count, max_size=count))
+        vectors = offset + scale * np.array([lattice[i] for i in picks], float)
+        values = vectors if axis == "rows" else vectors.T
+        k = data.draw(st.integers(1, count - 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "BLOCK_BYTES", 8 * count * block)  # block rows
+            assert_same_as_full_matrix(DataMatrix(values), axis, k,
+                                       weighting=weighting, metric=metric)
+
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    def test_large_common_offset(self, rng, weighting):
+        # the Gram form cancels about 12 of 16 digits at 1e6 without centring
+        values = 1e6 + rng.standard_normal((5, 300))
+        assert_same_as_full_matrix(DataMatrix(values), "columns", 7,
+                                   weighting=weighting)
+        assert_same_as_full_matrix(DataMatrix(values.T), "rows", 7,
+                                   weighting=weighting)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-160, 1e-310])
+    def test_tiny_scale(self, rng, scale):
+        # squared entries near and below the smallest normal float
+        values = scale * rng.standard_normal((4, 200))
+        for weighting in WEIGHTINGS:
+            assert_same_as_full_matrix(DataMatrix(values), "columns", 5,
+                                       weighting=weighting)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cityblock"])
+    def test_several_row_blocks(self, rng, metric):
+        count = 600
+        assert count // max(1, graph.BLOCK_BYTES // (8 * count)) >= 4
+        values = rng.standard_normal((count, 3))
+        values[::7] = values[1::7][:len(values[::7])]  # exact duplicates
+        for weighting in WEIGHTINGS:
+            assert_same_as_full_matrix(DataMatrix(values), "rows", 10,
+                                       weighting=weighting, metric=metric)
+
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    @pytest.mark.parametrize("metric", ["euclidean", "cityblock"])
+    def test_distances_past_the_float_range(self, weighting, metric):
+        # cdist returns inf between the three groups, and the full matrix
+        # breaks those ties by index: the far vector 6 takes 0 and 1, though
+        # 3 and 4 are nearer
+        b, c = (1.4e155, 1.5e155) if metric == "euclidean" else (1e308, 1.1e308)
+        line = [b, b * (1 + 1e-10), b * (1 + 2e-10), 0.0, 1.0, 2.0, -c]
+        values = np.array([line, line if metric == "cityblock" else [1.0] * 7])
+        oracle = full_matrix_knn_graph(DataMatrix(values), "columns", 2,
+                                       weighting="binary", metric=metric)
+        assert oracle.weights[6, 0] == oracle.weights[6, 1] == 1.0
+        assert_same_as_full_matrix(DataMatrix(values), "columns", 2,
+                                   weighting=weighting, metric=metric)
+
+    def test_fixed_sigma(self, rng):
+        data = DataMatrix(np.round(rng.standard_normal((3, 80)), 1))
+        assert_same_as_full_matrix(data, "columns", 6, sigma=0.7)
+
+    def test_memory_stays_below_the_distance_matrix(self, rng):
+        count = 3000
+        data = DataMatrix(rng.standard_normal((count, 5)))
+        tracemalloc.start()
+        try:
+            knn_graph(data, "rows", 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < count * count * 8 / 4
 
 
 class TestLaplacian:
@@ -334,6 +476,39 @@ class TestFileFormats:
         path.write_text("1.0,2.0\n3.0\n")
         with pytest.raises(DataError, match="line 2"):
             load_matrix_csv(path)
+
+    @pytest.mark.parametrize("text, expected", [
+        # loadtxt rejects these two and the line parser accepts them
+        ("1.0,2.0\n  \t\n3.0,4.0\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("1_0,2.5\n", [[10.0, 2.5]]),
+        # both reject these
+        ("1.0,2.0,\n", "malformed CSV row at line 1: could not convert "
+                       "string to float: ''"),
+        ("1.0,2.0\n# note\n", "malformed CSV row at line 2: could not "
+                              "convert string to float: '# note'"),
+        ("1.0,2.0\n3.0\n", "line 2 has 1 fields, expected 2"),
+        # loadtxt returns no rows; the line parser has no data rows
+        ("", "no data rows"),
+        ("\n\n", "no data rows"),
+        # both parse nan and inf, which the finite check rejects
+        ("nan,1.0\n", "matrix contains NaN or Inf entries"),
+        ("1.0,-inf\n", "matrix contains NaN or Inf entries"),
+        ("1\n2\n", [[1.0], [2.0]]),
+    ])
+    def test_matrix_csv_accepts_and_rejects_as_the_line_parser(
+            self, tmp_path, text, expected):
+        path = tmp_path / "m.csv"
+        path.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if isinstance(expected, str):
+                with pytest.raises(DataError) as info:
+                    load_matrix_csv(path)
+                assert str(info.value) == f"{path}: {expected}"
+            else:
+                values = load_matrix_csv(path)
+                assert values.dtype == np.float64
+                assert np.array_equal(values, expected)
 
     def test_data_matrix_rejects_non_finite(self):
         with pytest.raises(DataError):
