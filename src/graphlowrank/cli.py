@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -42,8 +43,17 @@ def _int(value):
     return int(value)
 
 
+def _float(value):
+    """A finite float from a flag string or a JSON number; NaN and +-inf
+    are usage errors."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not finite")
+    return value
+
+
 def _sigma(value):
-    return value if value == "auto" else float(value)
+    return value if value == "auto" else _float(value)
 
 
 def _flag(name):
@@ -313,12 +323,12 @@ _COMMANDS = {
         *_GRAPHS,
         ("algo", str, "frpcag", ("frpcag", "gfrpcag", "tikhonov"), None),
         _LOSS,
-        ("gamma_r", float, 0.0, None, None),
-        ("gamma_c", float, 0.0, None, None),
+        ("gamma_r", _float, 0.0, None, None),
+        ("gamma_c", _float, 0.0, None, None),
         _LAPLACIAN,
         ("max_iters", _int, 1000, None, None),
-        ("tol", float, 1e-6, None, None),
-        ("filter_b", float, None, None, None),
+        ("tol", _float, 1e-6, None, None),
+        ("filter_b", _float, None, None, None),
         ("filtered_side", str, "column_graph", solvers.FILTERED_SIDES, None),
         _OUT_DIR,
     )),
@@ -330,7 +340,7 @@ _COMMANDS = {
         _LAPLACIAN,
         ("ystar", str, None, None, "clean matrix CSV for the bound check"),
         ("noisy", str, None, None, "noisy matrix CSV for the bound check"),
-        ("gamma", float, 1.0, None, None),
+        ("gamma", _float, 1.0, None, None),
         _LOSS,
         ("k_r", _int, None, None, None),
         ("k_c", _int, None, None, None),
@@ -345,15 +355,15 @@ _COMMANDS = {
         ("k_neighbors", _int, 10, None, None),
         _LAPLACIAN,
         ("noise", str, "none", ("none", *synth.NOISE_MODELS), None),
-        ("sigma", float, 0.1, None, None),
-        ("fraction", float, 0.1, None, None),
-        ("amplitude", float, 1.0, None, None),
+        ("sigma", _float, 0.1, None, None),
+        ("fraction", _float, 0.1, None, None),
+        ("amplitude", _float, 1.0, None, None),
         _OUT_DIR,
     )),
     "synth manifold": ("parametric manifold samples", _cmd_synth_manifold, (
         ("kind", str, _REQUIRED, synth.MANIFOLD_KINDS, None),
         ("n", _int, _REQUIRED, None, None),
-        ("noise_sigma", float, 0.0, None, None),
+        ("noise_sigma", _float, 0.0, None, None),
         ("noise_dims", str, "ambient", ("ambient", "extra_dim"), None),
         ("seed", _int, 0, None, None),
         ("out", str, _REQUIRED, None, None),
@@ -362,9 +372,9 @@ _COMMANDS = {
         ("graph", str, None, None, "edge-list file to decompose"),
         _LAPLACIAN,
         ("count", _int, None, None, None),
-        ("filter_b", float, None, None, None),
-        ("filter_gamma", float, 1.0, None, None),
-        ("x_max", float, 2.0, None, None),
+        ("filter_b", _float, None, None, None),
+        ("filter_gamma", _float, 1.0, None, None),
+        ("x_max", _float, 2.0, None, None),
         ("out", str, _REQUIRED, None, None),
     )),
 }

@@ -135,6 +135,8 @@ def recovery_bound_check(Y_star: np.ndarray, E: np.ndarray, X_star: np.ndarray,
         raise DataError("bases do not match the matrix shape")
     if not (1 <= k_r < row_basis.count and 1 <= k_c < col_basis.count):
         raise ParameterError("k_r and k_c must leave at least one eigenvalue above")
+    if not 0 <= gamma < np.inf:
+        raise ParameterError(f"gamma must be finite and nonnegative, got {gamma}")
     lam_r = row_basis.eigenvalues
     lam_c = col_basis.eigenvalues
     if lam_r[k_r] <= ZERO_EIGENVALUE_TOL or lam_c[k_c] <= ZERO_EIGENVALUE_TOL:

@@ -27,6 +27,18 @@ LAPLACIAN_KINDS = ("normalized", "unnormalized")
 BLOCK_BYTES = 512 * 1024
 
 
+def _row_blocks(count: int, width: int) -> list:
+    """Row slices of a count x width float64 array, about BLOCK_BYTES each.
+
+    Rows wider than 2048 get the height of 2048-wide ones, 32 rows at
+    512 KiB: a block's GEMM streams the whole other operand, which a few
+    rows at a time make memory-bound, and each operand stays O(width).
+    """
+    rows = max(1, BLOCK_BYTES // (8 * min(max(width, 1), 2048)))
+    return [slice(start, min(start + rows, count))
+            for start in range(0, count, rows)]
+
+
 @dataclass(frozen=True)
 class DataMatrix:
     """A p x n real matrix with rows as features and columns as samples."""
@@ -161,9 +173,8 @@ def knn_graph(data: DataMatrix, axis: str, k: int, weighting: str = "gaussian",
         screen = _GramScreen(vectors)
     neighbors = np.empty((count, k), dtype=np.intp)
     pair_dist = np.empty((count, k))
-    step = max(1, BLOCK_BYTES // (8 * count))
-    for start in range(0, count, step):
-        block = slice(start, min(start + step, count))
+    for block in _row_blocks(count, count):
+        start = block.start
         local = np.arange(block.stop - start)
         if metric == "euclidean":
             approx, lower, slack = screen.block(block)
@@ -199,8 +210,9 @@ def knn_graph(data: DataMatrix, axis: str, k: int, weighting: str = "gaussian",
                 sigma_sq = 1.0  # all selected pairs coincide; exp(0) = 1
         else:
             sigma = float(sigma)
-            if sigma <= 0:
-                raise ParameterError(f"sigma must be positive, got {sigma}")
+            if not 0 < sigma < np.inf:
+                raise ParameterError("sigma must be finite and positive, "
+                                     f"got {sigma}")
             sigma_sq = sigma * sigma
         vals = np.exp(-(pair_dist ** 2) / sigma_sq)
     elif weighting == "binary":

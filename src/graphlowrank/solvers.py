@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .graph import BLOCK_BYTES, LaplacianMatrix, format_float, save_matrix_csv
+from .graph import LaplacianMatrix, _row_blocks, format_float, save_matrix_csv
 from .spectral import FilterSpec, eigendecompose, eval_filter
 
 LOSSES = ("l1", "l2", "l21")
@@ -41,10 +41,10 @@ class SolverConfig:
     penalty (Lr is p x p), gamma_c the column-graph penalty (Lc is n x n).
     For the filtered solver, ``filter_spec`` describes the step-like filter
     and ``filtered_side`` names the graph it acts on: Lr for "row_graph",
-    Lc for "column_graph". That side's gamma weighs the filtered penalty;
-    the other graph keeps its plain smoothness term. The filtered prox is
-    always applied exactly through the eigenbasis, and
-    ``filter_application`` accepts only "exact".
+    Lc for "column_graph". That side's gamma weighs the filtered penalty,
+    so ``filter_spec.gamma`` must be 0; the other graph keeps its plain
+    smoothness term. The filtered prox is always applied exactly through
+    the eigenbasis, and ``filter_application`` accepts only "exact".
     """
 
     gamma_r: float = 0.0
@@ -60,12 +60,13 @@ class SolverConfig:
     def __post_init__(self):
         if self.loss not in LOSSES:
             raise ParameterError(f"unknown loss {self.loss!r}")
-        if self.gamma_r < 0 or self.gamma_c < 0:
-            raise ParameterError("gamma_r and gamma_c must be nonnegative")
+        if not (0 <= self.gamma_r < np.inf and 0 <= self.gamma_c < np.inf):
+            raise ParameterError("gamma_r and gamma_c must be finite and "
+                                 "nonnegative")
         if self.max_iters < 1:
             raise ParameterError("max_iters must be at least 1")
-        if not self.tol > 0:
-            raise ParameterError("tolerance must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ParameterError("tolerance must be finite and positive")
         if self.filtered_side not in FILTERED_SIDES:
             raise ParameterError(f"unknown filtered_side {self.filtered_side!r}")
         if self.filter_application != "exact":
@@ -85,12 +86,6 @@ class SolverResult:
     converged: bool = False
     stop_reason: str = "max_iters"
     change_trace: list = field(default_factory=list)
-
-
-def _row_blocks(p: int, n: int) -> list:
-    """Row slices of a p x n float64 array, about BLOCK_BYTES each."""
-    rows = max(1, BLOCK_BYTES // (8 * max(n, 1)))
-    return [slice(start, min(start + rows, p)) for start in range(0, p, rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +194,10 @@ def frpcag_gradient(X: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
         return out
     for rows in _row_blocks(p, n):
         block = out[rows]
-        if gamma_c != 0.0:
-            np.multiply(2.0 * gamma_c, (LcT @ X[rows].T).T, out=block)
-        else:
-            block.fill(0.0)
-        if gamma_r != 0.0:
-            row_part = Lr.matrix[rows] @ X
-            row_part *= 2.0 * gamma_r
-            block += row_part
+        np.multiply(2.0 * gamma_c, (LcT @ X[rows].T).T, out=block)
+        row_part = Lr.matrix[rows] @ X
+        row_part *= 2.0 * gamma_r
+        block += row_part
     return out
 
 
@@ -295,8 +286,9 @@ def solve_frpcag(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
 
     Starts from S_1 = X_0 = Y with momentum t_1 = 1 and stops once
     ||S_{j+1} - S_j||_F^2 <= tol * ||S_j||_F^2 or max_iters is reached.
-    A zero Lipschitz bound (no effective regularization) reduces the
-    problem to the bare loss, whose minimizer is Y itself.
+    A zero Lipschitz bound gets a unit step. The gradient is then 0, so the
+    first iterate is prox_loss(Y, Y, 1, loss), and the loop stops there
+    unless tol is below the rounding error of that prox.
 
     The graph products are computed once per iteration, at the new iterate
     X_j, and serve three uses. The extrapolation S_{j+1} = X_j
@@ -310,19 +302,14 @@ def solve_frpcag(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
     Y = _checked_input(Y, Lr, Lc)
     if config.filter_spec is not None:
         raise ParameterError("filter_spec is only used by solve_gfrpcag")
-    beta = lipschitz_bound(Lr, Lc, config.gamma_r, config.gamma_c)
-    if beta == 0.0:
-        X = prox_loss(Y, Y, 1.0, config.loss)
-        return SolverResult(X=X, iterations=1,
-                            objective_trace=[loss_value(X, Y, config.loss)],
-                            converged=True, stop_reason="degenerate",
-                            change_trace=[0.0])
-    return _run(_fista_steps(Y, Lr, Lc, config, 1.0 / beta), config.max_iters)
+    return _run(_fista_steps(Y, Lr, Lc, config), config.max_iters)
 
 
-def _fista_steps(Y, Lr, Lc, config, step):
+def _fista_steps(Y, Lr, Lc, config):
     """The iterations of solve_frpcag, in the form ``_run`` takes."""
     gamma_r, gamma_c = config.gamma_r, config.gamma_c
+    beta = lipschitz_bound(Lr, Lc, gamma_r, gamma_c)
+    step = 1.0 / beta if beta > 0.0 else 1.0
     # S_1 = X_0 = Y; G_prev = grad f(X_0) and Z is the first prox input.
     # The loop keeps four p x n buffers besides Y and the prox output: the
     # post-prox pass turns X_prev into S_next and G_prev into the next Z,
@@ -391,6 +378,12 @@ def solve_gfrpcag(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
         raise ParameterError("solve_gfrpcag requires config.filter_spec")
     if config.filter_spec.family != "prox_fb":
         raise ParameterError("the filtered penalty must use the prox_fb family")
+    if config.filter_spec.gamma != 0.0:
+        side = "gamma_c" if config.filtered_side == "column_graph" else "gamma_r"
+        raise ParameterError(
+            "filter_spec.gamma is not used: the filtered penalty on the "
+            f"{config.filtered_side} is weighed by config.{side}; set that "
+            "and leave filter_spec.gamma at 0")
     return _run(_primal_dual_steps(Y, Lr, Lc, config), config.max_iters)
 
 

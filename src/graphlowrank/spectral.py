@@ -75,6 +75,9 @@ class FilterSpec:
     def __post_init__(self):
         if self.family not in FILTER_FAMILIES:
             raise ParameterError(f"unknown filter family {self.family!r}")
+        if not (np.isfinite(self.b) and np.isfinite(self.gamma)):
+            raise ParameterError(f"b and gamma must be finite, got b={self.b}, "
+                                 f"gamma={self.gamma}")
         if self.family in ("step_gb", "prox_fb") and not self.b > 0:
             raise ParameterError(f"family {self.family!r} requires b > 0")
         if self.gamma < 0:
@@ -209,14 +212,13 @@ def _column_signs(Q: np.ndarray) -> np.ndarray:
     """The sign convention for eigen- and singular vectors: -1 for each
     column of Q whose first significant entry (above 1e-12 of the column's
     largest magnitude) is negative, +1 for every other column."""
-    signs = np.ones(Q.shape[1])
-    for col in range(Q.shape[1]):
-        v = Q[:, col]
-        significant = np.abs(v) > 1e-12 * max(np.abs(v).max(initial=0.0), 1e-300)
-        idx = np.argmax(significant)
-        if significant[idx] and v[idx] < 0:
-            signs[col] = -1.0
-    return signs
+    magnitude = np.abs(Q)
+    largest = np.maximum(magnitude.max(axis=0, initial=0.0), 1e-300)
+    significant = magnitude > 1e-12 * largest
+    first = np.argmax(significant, axis=0)
+    cols = np.arange(Q.shape[1])
+    flip = significant[first, cols] & (Q[first, cols] < 0)
+    return np.where(flip, -1.0, 1.0)
 
 
 def gft(basis: EigenBasis, x: np.ndarray) -> np.ndarray:
@@ -409,6 +411,9 @@ def save_spectrum_csv(path, eigenvalues) -> None:
 def save_filter_curve_csv(path, b: float, gamma: float, x_max: float = 2.0,
                           points: int = 1000) -> None:
     """CSV "x,g(x),f(x)" on a uniform grid, for plotting the filter family."""
+    FilterSpec("prox_fb", b=b, gamma=gamma)  # checks b and gamma
+    if not 0 < x_max < np.inf:
+        raise ParameterError(f"x_max must be finite and positive, got {x_max}")
     grid = np.linspace(0.0, x_max, points)
     g_vals = step_penalty_curve(grid, b)
     f_vals = prox_filter_curve(grid, b, gamma)

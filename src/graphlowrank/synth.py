@@ -97,14 +97,17 @@ def add_noise(Y: np.ndarray, model: str, seed: int, sigma: float = 0.0,
     Y = np.asarray(Y, dtype=np.float64)
     rng = np.random.default_rng(seed)
     if model == "gaussian":
-        if sigma < 0:
-            raise ParameterError("sigma must be nonnegative")
+        if not 0 <= sigma < np.inf:
+            raise ParameterError("sigma must be finite and nonnegative, "
+                                 f"got {sigma}")
         if sigma == 0:
             return Y.copy()
         return Y + sigma * rng.standard_normal(Y.shape)
     if model == "sparse":
         if not 0.0 <= fraction <= 1.0:
             raise ParameterError("fraction must lie in [0, 1]")
+        if not np.isfinite(amplitude):
+            raise ParameterError(f"amplitude must be finite, got {amplitude}")
         out = Y.copy()
         count = int(round(fraction * Y.size))
         if count == 0:
@@ -136,8 +139,9 @@ def make_manifold(kind: str, n: int, noise_sigma: float = 0.0,
     """
     if n < 10:
         raise ParameterError(f"need at least 10 samples, got {n}")
-    if noise_sigma < 0:
-        raise ParameterError("noise_sigma must be nonnegative")
+    if not 0 <= noise_sigma < np.inf:
+        raise ParameterError("noise_sigma must be finite and nonnegative, "
+                             f"got {noise_sigma}")
     if noise_dims not in ("ambient", "extra_dim"):
         raise ParameterError(f"unknown noise_dims {noise_dims!r}")
     rng = np.random.default_rng(seed)

@@ -176,6 +176,11 @@ BUILD = ["graph", "build", "--matrix", "y.csv", "--out", "g.txt"]
 SOLVE = ["solve", "--matrix", "y.csv", "--row-graph", "rows.txt",
          "--col-graph", "cols.txt", "--out-dir", "run"]
 SPECTRA = ["spectra", "--out", "s.csv", "--graph"]
+CURVE = ["spectra", "--out", "c.csv", "--filter-b"]
+DIAGNOSE = ["diagnose", "--matrix", "y.csv", "--row-graph", "rows.txt",
+            "--col-graph", "cols.txt", "--k", "3", "--out-dir", "diag"]
+SYNTH = ["synth", "lowrank", "--p", "8", "--n", "9", "--k-r", "2", "--k-c",
+         "2", "--out-dir", "syn"]
 
 
 @pytest.mark.parametrize("argv, config, code", [
@@ -197,6 +202,24 @@ SPECTRA = ["spectra", "--out", "s.csv", "--graph"]
     pytest.param(SOLVE, {"laplacian": "weird"}, 2, id="config-bad-choice"),
     pytest.param(SOLVE, {"chebyshev_order": 50}, 2,
                  id="config-removed-chebyshev-order"),
+    pytest.param([*SOLVE, "--gamma-c", "nan"], None, 2, id="flag-gamma-nan"),
+    pytest.param([*SOLVE, "--gamma-c", "inf"], None, 2, id="flag-gamma-inf"),
+    pytest.param(SOLVE, {"gamma_c": float("nan")}, 2, id="config-gamma-nan"),
+    pytest.param([*BUILD, "--k", "3", "--sigma", "nan"], None, 2,
+                 id="flag-sigma-nan"),
+    pytest.param([*SOLVE, "--algo", "gfrpcag", "--filter-b", "inf"], None, 2,
+                 id="flag-filter-b-inf"),
+    pytest.param([*SYNTH, "--noise", "gaussian", "--sigma", "nan"], None, 2,
+                 id="flag-noise-sigma-nan"),
+    pytest.param([*CURVE, "0.4", "--filter-gamma", "nan"], None, 2,
+                 id="flag-filter-gamma-nan"),
+    pytest.param([*CURVE, "-1"], None, 2, id="curve-negative-b"),
+    pytest.param([*CURVE, "0.4", "--filter-gamma", "-2"], None, 2,
+                 id="curve-negative-gamma"),
+    pytest.param([*CURVE, "0.4", "--x-max", "-1"], None, 2,
+                 id="curve-negative-x-max"),
+    pytest.param([*DIAGNOSE, "--gamma", "nan"], None, 2,
+                 id="flag-diagnose-gamma-nan"),
     pytest.param([*SPECTRA, "negative.txt"], None, 3, id="negative-vertex"),
     pytest.param([*SPECTRA, "duplicate.txt"], None, 3, id="duplicate-edge"),
     pytest.param(["graph", "build", "--matrix", "missing.csv", "--k", "3",

@@ -132,6 +132,15 @@ class TestRecoveryBound:
         assert lhs == pytest.approx(l1(Y))
         assert rhs > 0
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -1.0])
+    def test_bad_gamma_rejected(self, gamma):
+        instance = make_lrmg(12, 12, 3, 3, seed=5)
+        with pytest.raises(ParameterError):
+            recovery_bound_check(
+                instance.Y_star, np.zeros_like(instance.Y_star),
+                instance.Y_star, instance.row_basis, instance.col_basis, 3, 3,
+                gamma=gamma, loss_fn=l1)
+
     def test_solver_output_satisfies_bound(self):
         instance = make_lrmg(60, 60, 5, 5, seed=11)
         rng = np.random.default_rng(11)

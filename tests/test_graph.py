@@ -261,6 +261,12 @@ class TestKnnMatchesFullMatrix:
         data = DataMatrix(np.round(rng.standard_normal((3, 80)), 1))
         assert_same_as_full_matrix(data, "columns", 6, sigma=0.7)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_sigma_rejected(self, rng, sigma):
+        data = DataMatrix(rng.standard_normal((3, 20)))
+        with pytest.raises(ParameterError):
+            knn_graph(data, "columns", 3, sigma=sigma)
+
     def test_memory_stays_below_the_distance_matrix(self, rng):
         count = 3000
         data = DataMatrix(rng.standard_normal((count, 5)))
@@ -271,6 +277,16 @@ class TestKnnMatchesFullMatrix:
         finally:
             tracemalloc.stop()
         assert peak < count * count * 8 / 4
+
+
+@pytest.mark.parametrize("width, rows", [(1, 65536), (1500, 43), (2048, 32),
+                                         (20000, 32)])
+def test_rows_per_block(width, rows):
+    # 512 KiB per block operand up to width 2048, 32 rows beyond it
+    blocks = graph._row_blocks(100000, width)
+    assert {b.stop - b.start for b in blocks[:-1]} == {rows}
+    assert blocks[0].start == 0 and blocks[-1].stop == 100000
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
 
 
 class TestLaplacian:

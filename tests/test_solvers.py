@@ -8,7 +8,7 @@ from graphlowrank import (DataError, DataMatrix, FilterSpec, ParameterError,
                           eval_filter, frpcag_gradient, knn_graph, laplacian,
                           lipschitz_bound, loss_value, prox_loss, solve_frpcag,
                           solve_gfrpcag, tikhonov_closed_form)
-from graphlowrank import solvers, spectral
+from graphlowrank import graph, solvers, spectral
 from graphlowrank.solvers import save_solution_csv, save_trace_csv, write_report
 from graphlowrank.spectral import apply_filter_exact
 
@@ -30,7 +30,7 @@ def random_laplacian(rng, size):
 def use_row_blocks(monkeypatch, n, rows):
     """Make the row-blocked solver passes use blocks of ``rows`` rows for
     width n."""
-    monkeypatch.setattr(solvers, "BLOCK_BYTES", 8 * n * rows)
+    monkeypatch.setattr(graph, "BLOCK_BYTES", 8 * n * rows)
 
 
 def reference_frpcag(Y, Lr, Lc, config):
@@ -291,6 +291,28 @@ class TestSolveFrpcag:
                               SolverConfig(gamma_r=1.0, gamma_c=1.0))
         assert np.allclose(result.X, Y)
 
+    @pytest.mark.parametrize("loss", ["l1", "l2", "l21"])
+    @pytest.mark.parametrize("graphs", ["zero_gammas", "edgeless"])
+    def test_zero_bound_takes_one_unit_step(self, rng, loss, graphs):
+        # the gradient is identically 0, so FISTA's loop stops after its
+        # first iterate, the loss prox of Y at Y
+        Y = rng.standard_normal((5, 6))
+        if graphs == "zero_gammas":
+            Lr, Lc = build_laplacians(Y, 2, 2)
+            config = SolverConfig(loss=loss)
+        else:
+            Lr, Lc = (laplacian(SparseGraph.from_weight_matrix(np.zeros((m, m))),
+                                "unnormalized") for m in Y.shape)
+            config = SolverConfig(gamma_r=1.0, gamma_c=1.0, loss=loss)
+        assert lipschitz_bound(Lr, Lc, config.gamma_r, config.gamma_c) == 0.0
+        result = solve_frpcag(Y, Lr, Lc, config)
+        X = prox_loss(Y, Y, 1.0, loss)
+        assert np.array_equal(result.X, X)
+        assert result.iterations == 1
+        assert result.converged
+        assert result.objective_trace == [loss_value(X, Y, loss)]
+        assert result.stop_reason == "tolerance"
+
     def test_l2_single_graph_matches_closed_form(self, rng):
         Y = rng.standard_normal((20, 30))
         Lr, Lc = build_laplacians(Y, 4, 4)
@@ -545,6 +567,19 @@ class TestSolveGfrpcag:
         with pytest.raises(ParameterError):
             solve_gfrpcag(Y, Lr, Lc, SolverConfig())
 
+    @pytest.mark.parametrize("side, field", [("column_graph", "gamma_c"),
+                                             ("row_graph", "gamma_r")])
+    def test_filter_gamma_rejected(self, rng, side, field):
+        # the filtered side's gamma weighs the penalty; the spec's own gamma
+        # would be ignored
+        Y = rng.standard_normal((6, 6))
+        Lr, Lc = build_laplacians(Y, 2, 2)
+        config = SolverConfig(gamma_r=1.0, gamma_c=1.0, filtered_side=side,
+                              filter_spec=FilterSpec("prox_fb", b=0.5,
+                                                     gamma=3.0))
+        with pytest.raises(ParameterError, match=f"config.{field}"):
+            solve_gfrpcag(Y, Lr, Lc, config)
+
     def test_l2_fixed_point_matches_spectral_filtering(self, rng):
         # smooth term off: the minimizer applies the prox response to the
         # input's column-graph spectrum (penalty weight enters halved
@@ -742,6 +777,12 @@ class TestSolverConfigValidation:
             SolverConfig(filtered_side="diagonal")
         with pytest.raises(ParameterError, match="apply_filter_chebyshev"):
             SolverConfig(filter_application="chebyshev")
+
+    @pytest.mark.parametrize("field", ["gamma_r", "gamma_c", "tol"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_values(self, field, value):
+        with pytest.raises(ParameterError, match="finite"):
+            SolverConfig(**{field: value})
 
 
 class TestExports:

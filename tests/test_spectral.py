@@ -73,6 +73,36 @@ class TestEigendecompose:
             eigendecompose(bad)
 
 
+def column_signs_loop(Q):
+    """The sign convention one column at a time, the oracle of
+    ``spectral._column_signs``."""
+    signs = np.ones(Q.shape[1])
+    for col in range(Q.shape[1]):
+        v = Q[:, col]
+        significant = np.abs(v) > 1e-12 * max(np.abs(v).max(initial=0.0), 1e-300)
+        idx = np.argmax(significant)
+        if significant[idx] and v[idx] < 0:
+            signs[col] = -1.0
+    return signs
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 8), cols=st.integers(0, 8),
+       scale=st.integers(-320, 300))
+def test_column_signs_match_the_loop(data, rows, cols, scale):
+    # small integers give zero columns and leading zeros; exponents up to
+    # 15 below the scale put entries on both sides of the 1e-12 cut-off,
+    # and the scale runs from subnormals to near the float maximum
+    size = rows * cols
+    mantissas = data.draw(st.lists(st.integers(-3, 3), min_size=size,
+                                   max_size=size))
+    shifts = data.draw(st.lists(st.integers(-15, 0), min_size=size,
+                                max_size=size))
+    exponents = scale + np.array(shifts, dtype=np.float64)
+    Q = (np.array(mantissas) * 10.0 ** exponents).reshape(rows, cols)
+    assert np.array_equal(spectral._column_signs(Q), column_signs_loop(Q))
+
+
 def blob_laplacian(rng, clusters=5, per_cluster=80):
     """Normalized 5-NN Laplacian of well-separated planar blobs: one
     component per blob, and n = 400 is above the dense cutoff."""
@@ -309,6 +339,13 @@ class TestFilterFamily:
         with pytest.raises(ParameterError):
             eval_filter(FilterSpec("identity"), -0.5)
 
+    @pytest.mark.parametrize("family", ["tikhonov", "prox_fb"])
+    @pytest.mark.parametrize("field", ["b", "gamma"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_specs(self, family, field, value):
+        with pytest.raises(ParameterError, match="finite"):
+            FilterSpec(family, **{"b": 0.5, "gamma": 1.0, field: value})
+
 
 class TestApplyFilterExact:
     def test_identity_filter_is_noop(self, rng):
@@ -426,3 +463,13 @@ class TestExports:
         assert len(lines) == 1001
         # the grid endpoint sits in the killed band: g infinite, f zero
         assert lines[-1] == "2.0,inf,0.0"
+
+    @pytest.mark.parametrize("b, gamma, x_max", [
+        (np.nan, 1.0, 2.0), (-1.0, 1.0, 2.0), (0.4, np.nan, 2.0),
+        (0.4, np.inf, 2.0), (0.4, -2.0, 2.0), (0.4, 1.0, -1.0),
+        (0.4, 1.0, 0.0), (0.4, 1.0, np.inf)])
+    def test_filter_curve_csv_bad_values(self, tmp_path, b, gamma, x_max):
+        path = tmp_path / "curve.csv"
+        with pytest.raises(ParameterError):
+            save_filter_curve_csv(path, b=b, gamma=gamma, x_max=x_max)
+        assert not path.exists()

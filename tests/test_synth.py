@@ -108,6 +108,14 @@ class TestAddNoise:
         with pytest.raises(ParameterError):
             add_noise(Y, "salt", seed=0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameters(self, rng, value):
+        Y = rng.standard_normal((4, 4))
+        with pytest.raises(ParameterError):
+            add_noise(Y, "gaussian", seed=0, sigma=value)
+        with pytest.raises(ParameterError):
+            add_noise(Y, "sparse", seed=0, fraction=0.5, amplitude=value)
+
 
 class TestMakeManifold:
     def test_clean_circle_has_unit_radius(self):
@@ -150,3 +158,8 @@ class TestMakeManifold:
             make_manifold("circle2d", n=5)
         with pytest.raises(ParameterError):
             make_manifold("circle2d", n=100, noise_dims="everywhere")
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_noise_sigma(self, sigma):
+        with pytest.raises(ParameterError):
+            make_manifold("circle2d", n=100, noise_sigma=sigma)
