@@ -128,6 +128,33 @@ def _write_manifest(command, params, wall_time_s):
         fh.write("\n")
 
 
+def _write_table(path, header, *columns):
+    """A CSV table: the header line, then one row per entry of the columns.
+    ``tolist()`` gives Python ints and floats, whose repr keeps an index an
+    int and writes a float as ``format_float`` does."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in zip(*(np.asarray(column).tolist() for column in columns)):
+            fh.write(",".join(map(repr, row)) + "\n")
+
+
+def _write_report(path, title, items):
+    """A plain-text report: the title, a "=" underline, then a "key: value"
+    line per item of the dict. None reads "undefined", a boolean true or
+    false, and a float (np.float64 included) its ``format_float``."""
+    def shown(value):
+        if value is None:
+            return "undefined"
+        if isinstance(value, (bool, np.bool_)):
+            return str(bool(value)).lower()
+        return graphmod.format_float(value) if isinstance(value, float) else str(value)
+
+    lines = [title, "=" * len(title),
+             *(f"{key}: {shown(value)}" for key, value in items.items())]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -177,10 +204,18 @@ def _cmd_solve(params):
     out_dir = Path(params["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     wall = time.perf_counter() - started
-    solvers.save_solution_csv(result, out_dir / "X.csv")
-    solvers.save_trace_csv(result, out_dir / "trace.csv")
-    solvers.write_report(out_dir / "report.txt", result,
-                         {k: v for k, v in params.items() if v is not None}, wall)
+    graphmod.save_matrix_csv(out_dir / "X.csv", result.X)
+    trace = np.asarray(result.objective_trace, dtype=np.float64)
+    _write_table(out_dir / "trace.csv", "iter,objective,relative_change",
+                 np.arange(1, trace.size + 1), trace,
+                 np.asarray(result.change_trace, dtype=np.float64))
+    report = {k: params[k] for k in sorted(params) if params[k] is not None}
+    report.update(iterations=result.iterations, converged=result.converged,
+                  stop_reason=result.stop_reason)
+    if trace.size:
+        report["final_objective"] = trace[-1]
+    report["wall_time_s"] = f"{wall:.3f}"
+    _write_report(out_dir / "report.txt", "solver report", report)
     print(f"wrote {out_dir}/X.csv ({result.iterations} iterations, "
           f"converged={str(result.converged).lower()})")
 
@@ -200,13 +235,13 @@ def _cmd_diagnose(params):
 
     row_report = diag.alignment_report(row_basis, diag.covariance(X, "rows"), k)
     col_report = diag.alignment_report(col_basis, diag.covariance(X, "columns"), k)
-    diag.save_alignment_report(out_dir / "alignment_rows.txt", row_report, "rows")
-    diag.save_alignment_report(out_dir / "alignment_columns.txt", col_report,
-                               "columns")
-    graphmod.save_matrix_csv(out_dir / "gamma_rows_db.csv",
-                             diag.gamma_to_db(row_report.Gamma))
-    graphmod.save_matrix_csv(out_dir / "gamma_columns_db.csv",
-                             diag.gamma_to_db(col_report.Gamma))
+    for side, aligned in (("rows", row_report), ("columns", col_report)):
+        _write_report(out_dir / f"alignment_{side}.txt", "alignment report", {
+            "label": side, "k": aligned.k,
+            "alignment_order": aligned.alignment_order,
+            "rank_k_alignment": aligned.rank_k_alignment})
+        graphmod.save_matrix_csv(out_dir / f"gamma_{side}_db.csv",
+                                 diag.gamma_to_db(aligned.Gamma))
 
     bound = None
     if params["ystar"] is not None and params["noisy"] is not None:
@@ -223,29 +258,23 @@ def _cmd_diagnose(params):
 
     report = diag.build_diagnostics_report(X, row_basis, col_basis, k,
                                            bound=bound)
-    diag.save_singular_values_csv(out_dir / "singular_values.csv",
-                                  report.singular_values)
+    sigma = report.singular_values
+    _write_table(out_dir / "singular_values.csv", "index,singular_value",
+                 np.arange(sigma.size), sigma)
     graphmod.save_matrix_csv(out_dir / "coherence_right.csv",
                              report.coherence_right)
     graphmod.save_matrix_csv(out_dir / "coherence_left.csv",
                              report.coherence_left)
-
-    def shown(value):
-        return graphmod.format_float(value) if value is not None else "undefined"
-
-    lines = ["diagnostics report", "==================", f"k: {k}",
-             f"spectral_gap_col: {shown(report.spectral_gaps[0])}",
-             f"spectral_gap_row: {shown(report.spectral_gaps[1])}",
-             f"alignment_order_rows: {shown(row_report.alignment_order)}",
-             f"rank_k_alignment_rows: {shown(row_report.rank_k_alignment)}",
-             f"alignment_order_columns: {shown(col_report.alignment_order)}",
-             f"rank_k_alignment_columns: {shown(col_report.rank_k_alignment)}"]
-    if report.bound_lhs is not None:
-        lines.append(f"bound_lhs: {shown(report.bound_lhs)}")
-        lines.append(f"bound_rhs: {shown(report.bound_rhs)}")
-        lines.append(f"bound_holds: {str(report.bound_holds).lower()}")
-    with open(out_dir / "diagnostics.txt", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    items = {"k": k,
+             "spectral_gap_col": report.spectral_gaps[0],
+             "spectral_gap_row": report.spectral_gaps[1],
+             "alignment_order_rows": row_report.alignment_order,
+             "rank_k_alignment_rows": row_report.rank_k_alignment,
+             "alignment_order_columns": col_report.alignment_order,
+             "rank_k_alignment_columns": col_report.rank_k_alignment}
+    if bound is not None:
+        items.update(zip(("bound_lhs", "bound_rhs", "bound_holds"), bound))
+    _write_report(out_dir / "diagnostics.txt", "diagnostics report", items)
     print(f"wrote {out_dir}/diagnostics.txt")
 
 
@@ -284,12 +313,19 @@ def _cmd_spectra(params):
     if params["graph"] is not None:
         g = graphmod.load_edge_list(params["graph"])
         L = graphmod.laplacian(g, params["laplacian"])
-        basis = spectral.eigendecompose(L, params["count"])
-        spectral.save_spectrum_csv(out, basis.eigenvalues)
+        eigenvalues = spectral.eigendecompose(L, params["count"]).eigenvalues
+        _write_table(out, "index,eigenvalue", np.arange(eigenvalues.size),
+                     eigenvalues)
     elif params["filter_b"] is not None:
-        spectral.save_filter_curve_csv(out, params["filter_b"],
-                                       params["filter_gamma"],
-                                       x_max=params["x_max"])
+        b, x_max = params["filter_b"], params["x_max"]
+        spec = spectral.FilterSpec("prox_fb", b=b, gamma=params["filter_gamma"])
+        if not x_max > 0:
+            raise ParameterError(f"x_max must be positive, got {x_max}")
+        grid = np.linspace(0.0, x_max, 1000)
+        _write_table(out, "x,g(x),f(x)", grid,
+                     spectral.eval_filter(spectral.FilterSpec("step_gb", b=b),
+                                          grid),
+                     spectral.eval_filter(spec, grid))
     else:
         raise ParameterError("spectra needs either --graph or --filter-b")
     print(f"wrote {out}")

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .graph import format_float
 from .spectral import EigenBasis, _column_signs, _frequency_energy
 
 # eigenvalues below this threshold count as zero when validating gaps
@@ -223,10 +222,6 @@ def weighted_alignment_objective(X: np.ndarray, row_basis: EigenBasis,
             + gamma_r * float(row_basis.eigenvalues @ row_diag))
 
 
-# ---------------------------------------------------------------------------
-# exports
-# ---------------------------------------------------------------------------
-
 def gamma_to_db(Gamma: np.ndarray, floor_db: float = -200.0) -> np.ndarray:
     """20 * log10 |Gamma|, floored so zero entries stay plottable."""
     mag = np.abs(Gamma)
@@ -235,20 +230,3 @@ def gamma_to_db(Gamma: np.ndarray, floor_db: float = -200.0) -> np.ndarray:
     out[positive] = np.maximum(20.0 * np.log10(mag[positive]), floor_db)
     return out
 
-
-def save_alignment_report(path, report: AlignmentReport, label: str = "") -> None:
-    lines = ["alignment report", "================"]
-    if label:
-        lines.append(f"label: {label}")
-    lines.append(f"k: {report.k}")
-    lines.append(f"alignment_order: {format_float(report.alignment_order)}")
-    lines.append(f"rank_k_alignment: {format_float(report.rank_k_alignment)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def save_singular_values_csv(path, sigma) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("index,singular_value\n")
-        for idx, s in enumerate(np.asarray(sigma, dtype=np.float64)):
-            fh.write(f"{idx},{format_float(s)}\n")

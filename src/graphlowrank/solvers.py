@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .graph import LaplacianMatrix, _row_blocks, format_float, save_matrix_csv
+from .graph import LaplacianMatrix, _row_blocks
 from .spectral import FilterSpec, eigendecompose, eval_filter
 
 LOSSES = ("l1", "l2", "l21")
@@ -204,8 +204,15 @@ def frpcag_gradient(X: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
 def lipschitz_bound(Lr: LaplacianMatrix, Lc: LaplacianMatrix,
                     gamma_r: float, gamma_c: float) -> float:
     """Upper bound 2 gamma_c ||Lc|| + 2 gamma_r ||Lr|| on the gradient's
-    Lipschitz constant."""
-    return 2.0 * gamma_c * Lc.spectral_norm_bound + 2.0 * gamma_r * Lr.spectral_norm_bound
+    Lipschitz constant. A bound that overflows is refused: its step 1/beta
+    would be 0, and 0 times the infinite gradient is NaN."""
+    with np.errstate(over="ignore"):
+        beta = (2.0 * gamma_c * Lc.spectral_norm_bound
+                + 2.0 * gamma_r * Lr.spectral_norm_bound)
+    if not np.isfinite(beta):
+        raise ParameterError(f"gamma_r={gamma_r} and gamma_c={gamma_c} make "
+                             "the Lipschitz bound overflow")
+    return beta
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +385,17 @@ def solve_gfrpcag(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
         raise ParameterError("solve_gfrpcag requires config.filter_spec")
     if config.filter_spec.family != "prox_fb":
         raise ParameterError("the filtered penalty must use the prox_fb family")
+    side = "gamma_c" if config.filtered_side == "column_graph" else "gamma_r"
     if config.filter_spec.gamma != 0.0:
-        side = "gamma_c" if config.filtered_side == "column_graph" else "gamma_r"
         raise ParameterError(
             "filter_spec.gamma is not used: the filtered penalty on the "
             f"{config.filtered_side} is weighed by config.{side}; set that "
             "and leave filter_spec.gamma at 0")
+    if getattr(config, side) == 0.0:
+        raise ParameterError(
+            f"config.{side} is 0, so the filtered penalty on the "
+            f"{config.filtered_side} vanishes; solve_frpcag solves the same "
+            "problem without the filter")
     return _run(_primal_dual_steps(Y, Lr, Lc, config), config.max_iters)
 
 
@@ -402,7 +414,6 @@ def _primal_dual_steps(Y, Lr, Lc, config):
     the penalty cost O(p n m) per iteration. g_b is also infinite on a
     band about b/745 wide just below 3b/2, where the bump in its
     denominator underflows, so the penalty still masks non-finite values.
-    When gamma is 0, f_b is 1 everywhere and the basis is whole.
 
     Each iteration walks X, V, G and Y once, in the row blocks of
     ``_row_blocks``, and finishes a block while its rows are in cache: the
@@ -430,7 +441,7 @@ def _primal_dual_steps(Y, Lr, Lc, config):
         tau1, tau2 = 1.0, 0.5
     tau3 = 0.99
     b = config.filter_spec.b
-    basis = eigendecompose(L, below=1.5 * b) if gamma > 0.0 else eigendecompose(L)
+    basis = eigendecompose(L, below=1.5 * b)
     Q = basis.eigenvectors
     m, n = Q.shape[1], Y.shape[1]
     response = eval_filter(FilterSpec(family="prox_fb", b=b,
@@ -522,35 +533,3 @@ def _squared_change(new, old):
     d = new - old
     return float(np.sum(d * d))
 
-
-# ---------------------------------------------------------------------------
-# exports
-# ---------------------------------------------------------------------------
-
-def save_solution_csv(result: SolverResult, path) -> None:
-    save_matrix_csv(path, result.X)
-
-
-def save_trace_csv(result: SolverResult, path) -> None:
-    """CSV "iter,objective,relative_change", one row per iteration."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iter,objective,relative_change\n")
-        for idx, (obj, change) in enumerate(
-                zip(result.objective_trace, result.change_trace), start=1):
-            fh.write(f"{idx},{format_float(obj)},{format_float(change)}\n")
-
-
-def write_report(path, result: SolverResult, params: dict,
-                 wall_time_s: float) -> None:
-    """Plain-text run summary: parameters, stop reason, wall time."""
-    lines = ["solver report", "============="]
-    for key in sorted(params):
-        lines.append(f"{key}: {params[key]}")
-    lines.append(f"iterations: {result.iterations}")
-    lines.append(f"converged: {str(result.converged).lower()}")
-    lines.append(f"stop_reason: {result.stop_reason}")
-    if result.objective_trace:
-        lines.append(f"final_objective: {format_float(result.objective_trace[-1])}")
-    lines.append(f"wall_time_s: {wall_time_s:.3f}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DataError, ParameterError
-from .graph import LaplacianMatrix, format_float
+from .graph import LaplacianMatrix
 
 FILTER_FAMILIES = ("identity", "tikhonov", "step_gb", "prox_fb")
 
@@ -395,29 +395,3 @@ def apply_filter_chebyshev(L: LaplacianMatrix, spec: FilterSpec, order: int,
         result = result[:, 0]
     return result if side == "left" else result.T
 
-
-# ---------------------------------------------------------------------------
-# exports
-# ---------------------------------------------------------------------------
-
-def save_spectrum_csv(path, eigenvalues) -> None:
-    """CSV "index,eigenvalue" rows for plotting a Laplacian spectrum."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("index,eigenvalue\n")
-        for idx, lam in enumerate(np.asarray(eigenvalues, dtype=np.float64)):
-            fh.write(f"{idx},{format_float(lam)}\n")
-
-
-def save_filter_curve_csv(path, b: float, gamma: float, x_max: float = 2.0,
-                          points: int = 1000) -> None:
-    """CSV "x,g(x),f(x)" on a uniform grid, for plotting the filter family."""
-    FilterSpec("prox_fb", b=b, gamma=gamma)  # checks b and gamma
-    if not 0 < x_max < np.inf:
-        raise ParameterError(f"x_max must be finite and positive, got {x_max}")
-    grid = np.linspace(0.0, x_max, points)
-    g_vals = step_penalty_curve(grid, b)
-    f_vals = prox_filter_curve(grid, b, gamma)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,g(x),f(x)\n")
-        for x, gv, fv in zip(grid, g_vals, f_vals):
-            fh.write(f"{format_float(x)},{format_float(gv)},{format_float(fv)}\n")

@@ -42,33 +42,31 @@ class LrmgInstance:
 
 
 def make_lrmg(p: int, n: int, k_r: int, k_c: int, seed: int,
-              graph_source: str = "random_data_knn",
               graphs: tuple[SparseGraph, SparseGraph] | None = None,
               k_neighbors: int = 10,
               laplacian_kind: str = "normalized") -> LrmgInstance:
     """Generate a matrix that is exactly band-limited on a pair of graphs.
 
-    With graph_source="random_data_knn" the graphs are K-nearest-neighbor
-    graphs of an auxiliary random matrix of rank max(k_r, k_c), so their
-    leading spectra reflect a genuine low-dimensional structure. With
-    "given", the caller supplies (row_graph, col_graph) and controls the
-    spectrum directly. The coefficient block is standard normal.
+    Without ``graphs`` the graphs are K-nearest-neighbor graphs of an
+    auxiliary random matrix of rank max(k_r, k_c), so their leading spectra
+    reflect a genuine low-dimensional structure. Given (row_graph,
+    col_graph) on p and n vertices, the caller controls the spectrum
+    directly. The coefficient block is standard normal.
     """
     if not (1 <= k_r <= p and 1 <= k_c <= n):
         raise ParameterError(f"k_r={k_r}, k_c={k_c} out of range for {p}x{n}")
     rng = np.random.default_rng(seed)
-    if graph_source == "random_data_knn":
+    if graphs is None:
         aux_rank = max(k_r, k_c)
         aux = rng.standard_normal((p, aux_rank)) @ rng.standard_normal((aux_rank, n))
         aux_data = DataMatrix(aux)
         row_graph = knn_graph(aux_data, axis="rows", k=min(k_neighbors, p - 1))
         col_graph = knn_graph(aux_data, axis="columns", k=min(k_neighbors, n - 1))
-    elif graph_source == "given":
-        if graphs is None:
-            raise ParameterError("graph_source='given' requires graphs")
-        row_graph, col_graph = graphs
     else:
-        raise ParameterError(f"unknown graph_source {graph_source!r}")
+        row_graph, col_graph = graphs
+        if (row_graph.num_vertices, col_graph.num_vertices) != (p, n):
+            raise ParameterError(f"graphs have {row_graph.num_vertices} and "
+                                 f"{col_graph.num_vertices} vertices, not {p} and {n}")
 
     row_laplacian = laplacian(row_graph, laplacian_kind)
     col_laplacian = laplacian(col_graph, laplacian_kind)

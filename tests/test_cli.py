@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -220,6 +221,13 @@ SYNTH = ["synth", "lowrank", "--p", "8", "--n", "9", "--k-r", "2", "--k-c",
                  id="curve-negative-x-max"),
     pytest.param([*DIAGNOSE, "--gamma", "nan"], None, 2,
                  id="flag-diagnose-gamma-nan"),
+    pytest.param([*SOLVE, "--gamma-c", "1e308"], None, 2,
+                 id="frpcag-bound-overflows"),
+    pytest.param([*SOLVE, "--algo", "gfrpcag", "--filter-b", "0.8",
+                  "--filtered-side", "row_graph", "--gamma-r", "1",
+                  "--gamma-c", "1e308"], None, 2, id="gfrpcag-bound-overflows"),
+    pytest.param([*SOLVE, "--algo", "gfrpcag", "--filter-b", "0.8",
+                  "--gamma-r", "1"], None, 2, id="gfrpcag-zero-filtered-gamma"),
     pytest.param([*SPECTRA, "negative.txt"], None, 3, id="negative-vertex"),
     pytest.param([*SPECTRA, "duplicate.txt"], None, 3, id="duplicate-edge"),
     pytest.param(["graph", "build", "--matrix", "missing.csv", "--k", "3",
@@ -330,6 +338,148 @@ class TestSpectra:
 
     def test_missing_mode_is_usage_error(self, tmp_path):
         assert run(["spectra", "--out", tmp_path / "x.csv"]) == 2
+
+
+def report_items(path, title):
+    """The (key, value) pairs of a report, once its first two lines are the
+    title and its "=" underline."""
+    lines = path.read_text().splitlines()
+    assert lines[:2] == [title, "=" * len(title)]
+    return [tuple(line.split(": ", 1)) for line in lines[2:]]
+
+
+def table_rows(path, header):
+    """The comma-split rows of a CSV table, once its first line is header."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == header
+    return [line.split(",") for line in lines[1:]]
+
+
+def is_float_form(text):
+    """Whether text is the shortest decimal of a float, as format_float
+    writes it."""
+    try:
+        return repr(float(text)) == text
+    except ValueError:
+        return False
+
+
+@pytest.fixture
+def fixed_inputs(tmp_path, monkeypatch):
+    """A 4 x 5 matrix, a clean copy, a row graph of two components (its
+    second eigenvalue is 0, so its gap at k = 1 is undefined) and a
+    5-cycle column graph."""
+    monkeypatch.chdir(tmp_path)
+    Y = np.array([[1.0, 2.0, 0.5, -1.0, 3.0],
+                  [0.0, 1.5, -2.0, 1.0, 0.5],
+                  [2.0, -1.0, 1.0, 0.0, 1.0],
+                  [-0.5, 0.5, 1.5, 2.0, -1.0]])
+    save_matrix_csv("y.csv", Y)
+    save_matrix_csv("ystar.csv", 0.9 * Y)
+    Path("rows.txt").write_text("#vertices 4\n0\t1\t1.0\n2\t3\t1.0\n")
+    Path("cols.txt").write_text("#vertices 5\n" + "".join(
+        f"{i}\t{j}\t1.0\n" for i, j in ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))))
+    return ["--row-graph", "rows.txt", "--col-graph", "cols.txt"]
+
+
+class TestArtifactFormats:
+    """The layout of every run artifact: key order, headers, index columns
+    and value forms (shortest-repr floats, lower-case booleans, undefined
+    gaps)."""
+
+    @pytest.mark.parametrize("algo", ["frpcag", "tikhonov"])
+    def test_solve_report_and_trace(self, fixed_inputs, algo):
+        assert run(["solve", "--matrix", "y.csv", *fixed_inputs,
+                    "--algo", algo, "--gamma-r", 0.5, "--gamma-c", 0.7,
+                    "--max-iters", 3, "--tol", 1e-16, "--out-dir", "run"]) == 0
+        items = report_items(Path("run/report.txt"), "solver report")
+        assert [key for key, _ in items] == [
+            "algo", "col_graph", "filtered_side", "gamma_c", "gamma_r",
+            "laplacian", "loss", "matrix", "max_iters", "orientation",
+            "out_dir", "row_graph", "tol", "iterations", "converged",
+            "stop_reason",
+            *(["final_objective"] if algo == "frpcag" else []),
+            "wall_time_s"]
+        report = dict(items)
+        assert report["gamma_c"] == "0.7" and report["tol"] == "1e-16"
+        assert report["max_iters"] == "3" and report["loss"] == "l1"
+        assert report["converged"] in ("true", "false")
+        assert re.fullmatch(r"\d+\.\d{3}", report["wall_time_s"])
+        rows = table_rows(Path("run/trace.csv"),
+                          "iter,objective,relative_change")
+        if algo == "tikhonov":
+            assert report["stop_reason"] == "closed_form"
+            assert report["iterations"] == "1" and rows == []
+            return
+        assert report["stop_reason"] == "max_iters"
+        assert report["converged"] == "false"
+        assert len(rows) == int(report["iterations"]) == 3
+        assert [row[0] for row in rows] == ["1", "2", "3"]
+        assert all(is_float_form(v) for row in rows for v in row[1:])
+        assert report["final_objective"] == rows[-1][1]
+
+    @pytest.mark.parametrize("bound", [False, True])
+    def test_diagnose_reports(self, fixed_inputs, bound):
+        extra = (["--ystar", "ystar.csv", "--noisy", "y.csv", "--k-r", 2]
+                 if bound else [])
+        assert run(["diagnose", "--matrix", "y.csv", *fixed_inputs, "--k", 1,
+                    *extra, "--out-dir", "diag"]) == 0
+        items = report_items(Path("diag/diagnostics.txt"), "diagnostics report")
+        assert [key for key, _ in items] == [
+            "k", "spectral_gap_col", "spectral_gap_row",
+            "alignment_order_rows", "rank_k_alignment_rows",
+            "alignment_order_columns", "rank_k_alignment_columns",
+            *(["bound_lhs", "bound_rhs", "bound_holds"] if bound else [])]
+        report = dict(items)
+        assert report["k"] == "1"
+        assert report["spectral_gap_row"] == "undefined"
+        floats = [key for key, _ in items
+                  if key not in ("k", "spectral_gap_row", "bound_holds")]
+        assert all(is_float_form(report[key]) for key in floats)
+        if bound:
+            assert report["bound_holds"] in ("true", "false")
+        for side in ("rows", "columns"):
+            items = report_items(Path(f"diag/alignment_{side}.txt"),
+                                 "alignment report")
+            assert [key for key, _ in items] == [
+                "label", "k", "alignment_order", "rank_k_alignment"]
+            assert items[0][1] == side and items[1][1] == "1"
+            assert is_float_form(items[2][1]) and is_float_form(items[3][1])
+        rows = table_rows(Path("diag/singular_values.csv"),
+                          "index,singular_value")
+        assert [row[0] for row in rows] == ["0", "1", "2", "3"]
+        assert all(is_float_form(row[1]) for row in rows)
+
+    @pytest.mark.parametrize("count", [None, 3])
+    def test_spectrum(self, fixed_inputs, count):
+        extra = [] if count is None else ["--count", count]
+        assert run(["spectra", "--graph", "cols.txt", *extra,
+                    "--out", "s.csv"]) == 0
+        rows = table_rows(Path("s.csv"), "index,eigenvalue")
+        assert [row[0] for row in rows] == [str(i) for i in range(count or 5)]
+        assert all(is_float_form(row[1]) for row in rows)
+
+    def test_filter_curve(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        assert run(["spectra", "--filter-b", 0.4, "--filter-gamma", 1.0,
+                    "--out", out]) == 0
+        rows = table_rows(out, "x,g(x),f(x)")
+        assert len(rows) == 1000
+        assert rows[0] == ["0.0", "0.0", "1.0"]
+        # the grid endpoint sits in the killed band: g infinite, f zero
+        assert rows[-1] == ["2.0", "inf", "0.0"]
+        assert all(is_float_form(v) for row in rows for v in row)
+
+    @pytest.mark.parametrize("b, gamma, x_max", [
+        ("nan", 1.0, 2.0), (-1.0, 1.0, 2.0), (0.4, "nan", 2.0),
+        (0.4, "inf", 2.0), (0.4, -2.0, 2.0), (0.4, 1.0, -1.0),
+        (0.4, 1.0, 0.0), (0.4, 1.0, "inf")])
+    def test_refused_filter_curve_writes_nothing(self, tmp_path, b, gamma,
+                                                 x_max):
+        out = tmp_path / "curve.csv"
+        assert run(["spectra", "--filter-b", b, "--filter-gamma", gamma,
+                    "--x-max", x_max, "--out", out]) == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_import_leaves_out_scipy_spatial():

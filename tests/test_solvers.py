@@ -9,7 +9,6 @@ from graphlowrank import (DataError, DataMatrix, FilterSpec, ParameterError,
                           lipschitz_bound, loss_value, prox_loss, solve_frpcag,
                           solve_gfrpcag, tikhonov_closed_form)
 from graphlowrank import graph, solvers, spectral
-from graphlowrank.solvers import save_solution_csv, save_trace_csv, write_report
 from graphlowrank.spectral import apply_filter_exact
 
 from conftest import build_laplacians, refuse_dense_eigh
@@ -173,6 +172,25 @@ class TestLipschitzBound:
         Lr, Lc = build_laplacians(rng.standard_normal((8, 9)), 2, 2,
                                   kind="normalized")
         assert lipschitz_bound(Lr, Lc, 1.0, 1.0) <= 8.0
+
+    @pytest.mark.parametrize("gamma_r, gamma_c", [
+        (0.0, 1e308), (1e308, 1e308), (np.float64(1e308), 0.0)])
+    def test_overflowing_bound_rejected(self, rng, gamma_r, gamma_c):
+        Lr, Lc = build_laplacians(rng.standard_normal((6, 7)), 2, 2)
+        with pytest.raises(ParameterError, match="overflow"):
+            lipschitz_bound(Lr, Lc, gamma_r, gamma_c)
+
+    @pytest.mark.parametrize("solve, spec", [
+        (solve_frpcag, None), (solve_gfrpcag, FilterSpec("prox_fb", b=0.5))])
+    def test_solvers_refuse_an_overflowing_bound(self, rng, solve, spec):
+        # without the refusal the step is 1/inf = 0 and 0 * inf makes X NaN;
+        # gFRPCAG filters the row side here, so 1e308 weighs its smooth term
+        Y = rng.standard_normal((6, 7))
+        Lr, Lc = build_laplacians(Y, 2, 2)
+        config = SolverConfig(gamma_r=1.0, gamma_c=1e308, filter_spec=spec,
+                              filtered_side="row_graph")
+        with pytest.raises(ParameterError, match="overflow"):
+            solve(Y, Lr, Lc, config)
 
     def test_sampled_lipschitz_inequality(self, rng):
         Y = rng.standard_normal((7, 9))
@@ -542,13 +560,20 @@ class TestTikhonovClosedForm:
 
 
 class TestSolveGfrpcag:
-    def test_zero_gammas_return_input(self, rng):
+    @pytest.mark.parametrize("side, gamma_r, gamma_c", [
+        ("column_graph", 0.0, 0.0), ("column_graph", 1.0, 0.0),
+        ("row_graph", 0.0, 1.0)])
+    def test_zero_filtered_gamma_rejected(self, rng, side, gamma_r, gamma_c):
+        # f_b is then 1, the identity: the problem is solve_frpcag's
         Y = rng.standard_normal((8, 12))
         Lr, Lc = build_laplacians(Y, 3, 3)
-        config = SolverConfig(filter_spec=FilterSpec("prox_fb", b=0.5),
-                              max_iters=500, tol=1e-12)
-        result = solve_gfrpcag(Y, Lr, Lc, config)
-        assert np.linalg.norm(result.X - Y) <= 1e-8 * np.linalg.norm(Y)
+        config = SolverConfig(gamma_r=gamma_r, gamma_c=gamma_c,
+                              filter_spec=FilterSpec("prox_fb", b=0.5),
+                              filtered_side=side)
+        field = "gamma_c" if side == "column_graph" else "gamma_r"
+        with pytest.raises(ParameterError,
+                           match=f"config.{field} is 0.*solve_frpcag"):
+            solve_gfrpcag(Y, Lr, Lc, config)
 
     def test_wide_band_filter_returns_input(self, rng):
         Y = rng.standard_normal((8, 12))
@@ -613,13 +638,17 @@ class TestSolveGfrpcag:
         assert np.linalg.norm(result.X - oracle) <= 1e-6 * np.linalg.norm(oracle)
 
 
+# (gamma_r, gamma_c, filtered side): the filtered side's gamma is non-zero,
+# the other side's smooth term is on or off
+FILTERED_GAMMAS = [(0.7, 1.3, "column_graph"), (0.0, 1.3, "column_graph"),
+                   (0.7, 1.3, "row_graph"), (0.7, 0.0, "row_graph")]
+
+
 class TestGfrpcagMatchesReference:
     """The primal-dual loop on FISTA's gradient and Lipschitz bound against
     the loop with its own smooth-term product."""
 
-    @pytest.mark.parametrize("side", ["column_graph", "row_graph"])
-    @pytest.mark.parametrize("gamma_r, gamma_c", [(0.7, 1.3), (0.0, 1.3),
-                                                  (0.7, 0.0)])
+    @pytest.mark.parametrize("gamma_r, gamma_c, side", FILTERED_GAMMAS)
     @pytest.mark.parametrize("loss", ["l1", "l2", "l21"])
     def test_same_iterates_and_traces(self, rng, loss, gamma_r, gamma_c, side):
         Y = rng.standard_normal((14, 18))
@@ -635,9 +664,7 @@ class TestGfrpcagMatchesReference:
                                    atol=0)
         assert result.change_trace == changes
 
-    @pytest.mark.parametrize("side", ["column_graph", "row_graph"])
-    @pytest.mark.parametrize("gamma_r, gamma_c", [(0.7, 1.3), (0.0, 1.3),
-                                                  (0.7, 0.0)])
+    @pytest.mark.parametrize("gamma_r, gamma_c, side", FILTERED_GAMMAS)
     @pytest.mark.parametrize("loss", ["l1", "l2", "l21"])
     def test_same_iterates_and_traces_in_row_blocks(self, rng, monkeypatch,
                                                     loss, gamma_r, gamma_c,
@@ -659,15 +686,8 @@ class TestGfrpcagMatchesReference:
         assert np.linalg.norm(result.X - X) <= 1e-12 * np.linalg.norm(X)
         np.testing.assert_allclose(result.objective_trace, trace, rtol=1e-12,
                                    atol=0)
-        # with the filtered side's gamma at 0, f_b is 1, the dual prox
-        # output T - tau_2 prox(T / tau_2) is cancellation noise and V
-        # shrinks by 1 - tau_3 per iteration down to that noise, so a few
-        # of its relative changes are ratios of rounding errors, which the
-        # block sums change (by up to 7e-10 here)
-        filtered = gamma_c if side == "column_graph" else gamma_r
         np.testing.assert_allclose(np.sqrt(result.change_trace),
-                                   np.sqrt(changes), rtol=0,
-                                   atol=1e-12 if filtered > 0 else 1e-8)
+                                   np.sqrt(changes), rtol=0, atol=1e-12)
 
     # l21 sums column norms, so it does not commute with transposition
     @pytest.mark.parametrize("loss", ["l1", "l2"])
@@ -784,19 +804,3 @@ class TestSolverConfigValidation:
         with pytest.raises(ParameterError, match="finite"):
             SolverConfig(**{field: value})
 
-
-class TestExports:
-    def test_solution_trace_report_files(self, tmp_path, rng):
-        Y = rng.standard_normal((6, 7))
-        Lr, Lc = build_laplacians(Y, 2, 2)
-        config = SolverConfig(gamma_r=0.5, gamma_c=0.5, loss="l1",
-                              max_iters=50, tol=1e-10)
-        result = solve_frpcag(Y, Lr, Lc, config)
-        save_solution_csv(result, tmp_path / "X.csv")
-        save_trace_csv(result, tmp_path / "trace.csv")
-        write_report(tmp_path / "report.txt", result, {"loss": "l1"}, 0.01)
-        trace_lines = (tmp_path / "trace.csv").read_text().splitlines()
-        assert trace_lines[0] == "iter,objective,relative_change"
-        assert len(trace_lines) == result.iterations + 1
-        report = (tmp_path / "report.txt").read_text()
-        assert "stop_reason:" in report and "loss: l1" in report

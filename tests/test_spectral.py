@@ -10,7 +10,6 @@ from graphlowrank import (DataError, DataMatrix, FilterSpec, ParameterError,
                           apply_filter_exact, dirichlet_energy, eigendecompose,
                           eval_filter, gft, igft, knn_graph, laplacian)
 from graphlowrank import spectral
-from graphlowrank.spectral import save_filter_curve_csv, save_spectrum_csv
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from conftest import path_graph_weights, random_graph, refuse_dense_eigh
@@ -443,33 +442,3 @@ class TestApplyFilterChebyshev:
         approx = apply_filter_chebyshev(graph100, spec, 60, X, side="right")
         assert np.linalg.norm(approx - exact) <= 1e-3 * np.linalg.norm(exact)
 
-
-class TestExports:
-    def test_spectrum_csv(self, tmp_path, rng):
-        g = random_graph(rng, n=8, k=2)
-        basis = eigendecompose(laplacian(g, "normalized"))
-        path = tmp_path / "spectrum.csv"
-        save_spectrum_csv(path, basis.eigenvalues)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "index,eigenvalue"
-        assert len(lines) == 9
-        assert lines[1].startswith("0,")
-
-    def test_filter_curve_csv(self, tmp_path):
-        path = tmp_path / "curve.csv"
-        save_filter_curve_csv(path, b=0.4, gamma=1.0, x_max=2.0)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x,g(x),f(x)"
-        assert len(lines) == 1001
-        # the grid endpoint sits in the killed band: g infinite, f zero
-        assert lines[-1] == "2.0,inf,0.0"
-
-    @pytest.mark.parametrize("b, gamma, x_max", [
-        (np.nan, 1.0, 2.0), (-1.0, 1.0, 2.0), (0.4, np.nan, 2.0),
-        (0.4, np.inf, 2.0), (0.4, -2.0, 2.0), (0.4, 1.0, -1.0),
-        (0.4, 1.0, 0.0), (0.4, 1.0, np.inf)])
-    def test_filter_curve_csv_bad_values(self, tmp_path, b, gamma, x_max):
-        path = tmp_path / "curve.csv"
-        with pytest.raises(ParameterError):
-            save_filter_curve_csv(path, b=b, gamma=gamma, x_max=x_max)
-        assert not path.exists()

@@ -46,14 +46,18 @@ class TestMakeLrmg:
         data = two_blob_data(rng, per_cluster=10)
         g_cols = knn_graph(data, "columns", 3)
         g_rows = knn_graph(DataMatrix(rng.standard_normal((3, 8))), "columns", 2)
-        instance = make_lrmg(8, 20, 2, 2, seed=7, graph_source="given",
-                             graphs=(g_rows, g_cols))
+        instance = make_lrmg(8, 20, 2, 2, seed=7, graphs=(g_rows, g_cols))
         assert instance.Y_star.shape == (8, 20)
-        assert instance.col_graph is g_cols
-
-    def test_unknown_source(self):
-        with pytest.raises(ParameterError):
-            make_lrmg(5, 5, 2, 2, seed=0, graph_source="oracle")
+        assert instance.row_graph is g_rows and instance.col_graph is g_cols
+        # Y* is band-limited on the given graphs, and the seed draws only
+        # the coefficients: no auxiliary matrix comes first
+        assert np.allclose(instance.row_basis.trailing(2).T @ instance.Y_star, 0)
+        assert np.allclose(instance.Y_star @ instance.col_basis.trailing(2), 0)
+        expected = np.random.default_rng(7).standard_normal((2, 2))
+        assert np.array_equal(instance.coefficients, expected)
+        # swapped graphs would give a 20 x 8 Y*
+        with pytest.raises(ParameterError, match="not 8 and 20"):
+            make_lrmg(8, 20, 2, 2, seed=7, graphs=(g_cols, g_rows))
 
 
 class TestAddNoise:
