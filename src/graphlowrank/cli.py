@@ -204,7 +204,9 @@ def _cmd_solve(params):
     out_dir = Path(params["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     wall = time.perf_counter() - started
-    graphmod.save_matrix_csv(out_dir / "X.csv", result.X)
+    # X.csv takes the orientation the matrix was read in
+    X = result.X.T if params["orientation"] == "columns" else result.X
+    graphmod.save_matrix_csv(out_dir / "X.csv", X)
     trace = np.asarray(result.objective_trace, dtype=np.float64)
     _write_table(out_dir / "trace.csv", "iter,objective,relative_change",
                  np.arange(1, trace.size + 1), trace,
@@ -256,18 +258,23 @@ def _cmd_diagnose(params):
             params["gamma"],
             lambda R: solvers.loss_value(R, np.zeros_like(R), params["loss"]))
 
-    report = diag.build_diagnostics_report(X, row_basis, col_basis, k,
-                                           bound=bound)
-    sigma = report.singular_values
+    coherence_right, coherence_left, sigma = diag.subspace_coherence(
+        X, row_basis, col_basis)
     _write_table(out_dir / "singular_values.csv", "index,singular_value",
                  np.arange(sigma.size), sigma)
-    graphmod.save_matrix_csv(out_dir / "coherence_right.csv",
-                             report.coherence_right)
-    graphmod.save_matrix_csv(out_dir / "coherence_left.csv",
-                             report.coherence_left)
+    graphmod.save_matrix_csv(out_dir / "coherence_right.csv", coherence_right)
+    graphmod.save_matrix_csv(out_dir / "coherence_left.csv", coherence_left)
+
+    def gap(basis):
+        # None, written "undefined", when the (k+1)-th eigenvalue is zero
+        try:
+            return diag.spectral_gap(basis.eigenvalues, k)
+        except ParameterError:
+            return None
+
     items = {"k": k,
-             "spectral_gap_col": report.spectral_gaps[0],
-             "spectral_gap_row": report.spectral_gaps[1],
+             "spectral_gap_col": gap(col_basis),
+             "spectral_gap_row": gap(row_basis),
              "alignment_order_rows": row_report.alignment_order,
              "rank_k_alignment_rows": row_report.rank_k_alignment,
              "alignment_order_columns": col_report.alignment_order,

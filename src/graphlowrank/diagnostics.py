@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .spectral import EigenBasis, _column_signs, _frequency_energy
+from .spectral import EigenBasis, _column_signs
 
 # eigenvalues below this threshold count as zero when validating gaps
 ZERO_EIGENVALUE_TOL = 1e-12
@@ -34,19 +34,6 @@ class AlignmentReport:
     alignment_order: float
     rank_k_alignment: float
     k: int
-
-
-@dataclass
-class DiagnosticsReport:
-    """Singular values, spectral gaps, bound sides, and coherence matrices."""
-
-    singular_values: np.ndarray
-    spectral_gaps: tuple
-    bound_lhs: float | None = None
-    bound_rhs: float | None = None
-    bound_holds: bool | None = None
-    coherence_right: np.ndarray | None = None
-    coherence_left: np.ndarray | None = None
 
 
 def covariance(Y: np.ndarray, axis: str = "rows") -> np.ndarray:
@@ -154,33 +141,6 @@ def recovery_bound_check(Y_star: np.ndarray, E: np.ndarray, X_star: np.ndarray,
     return lhs, rhs, holds
 
 
-def build_diagnostics_report(X: np.ndarray, row_basis: EigenBasis,
-                             col_basis: EigenBasis, k: int,
-                             bound: tuple[float, float, bool] | None = None
-                             ) -> DiagnosticsReport:
-    """Assemble the spectral summary of a matrix against its two bases.
-
-    Gaps are (column, row) at position k; either may be None when the
-    (k+1)-th eigenvalue vanishes. ``bound`` carries (lhs, rhs, holds) from
-    ``recovery_bound_check`` when the clean and noisy matrices are known.
-    """
-    coh_right, coh_left, sigma = subspace_coherence(X, row_basis, col_basis)
-
-    def gap_or_none(eigenvalues):
-        try:
-            return spectral_gap(eigenvalues, k)
-        except ParameterError:
-            return None
-
-    lhs, rhs, holds = bound if bound is not None else (None, None, None)
-    return DiagnosticsReport(
-        singular_values=sigma,
-        spectral_gaps=(gap_or_none(col_basis.eigenvalues),
-                       gap_or_none(row_basis.eigenvalues)),
-        bound_lhs=lhs, bound_rhs=rhs, bound_holds=holds,
-        coherence_right=coh_right, coherence_left=coh_left)
-
-
 def subspace_coherence(X: np.ndarray, row_basis: EigenBasis,
                        col_basis: EigenBasis):
     """Singular-value-weighted coherence of X with the graph eigenvectors.
@@ -200,26 +160,6 @@ def subspace_coherence(X: np.ndarray, row_basis: EigenBasis,
     weighted_vq = sigma[:, None] * (Vt @ col_basis.eigenvectors)
     weighted_up = sigma[:, None] * (U.T @ row_basis.eigenvectors)
     return weighted_vq, weighted_up, sigma
-
-
-def weighted_alignment_objective(X: np.ndarray, row_basis: EigenBasis,
-                                 col_basis: EigenBasis,
-                                 gamma_r: float, gamma_c: float) -> float:
-    """Eigenvalue-weighted diagonal of the uncentered alignment matrices.
-
-    Expanding the SVD of X shows gamma_c tr(X Lc X^T) + gamma_r tr(X^T Lr X)
-    equals gamma_c sum_j lambda_cj Gamma_c[j,j] + gamma_r sum_i lambda_ri
-    Gamma_r[i,i], with Gamma built from the raw second moments of X
-    (X^T X and X X^T, uncentered). This computes the right-hand side.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape[0] != row_basis.size or X.shape[1] != col_basis.size:
-        raise DataError(f"X is {X.shape}, bases expect "
-                        f"({row_basis.size}, {col_basis.size})")
-    col_diag = _frequency_energy(col_basis, X, "right")   # diag(Q^T X^T X Q)
-    row_diag = _frequency_energy(row_basis, X, "left")    # diag(P^T X X^T P)
-    return (gamma_c * float(col_basis.eigenvalues @ col_diag)
-            + gamma_r * float(row_basis.eigenvalues @ row_diag))
 
 
 def gamma_to_db(Gamma: np.ndarray, floor_db: float = -200.0) -> np.ndarray:

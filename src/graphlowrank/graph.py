@@ -317,40 +317,6 @@ def _inv_sqrt_degrees(d: np.ndarray) -> np.ndarray:
     return inv_sqrt
 
 
-def graph_gradient(g: SparseGraph, s: np.ndarray) -> np.ndarray:
-    """Degree-normalized gradient of a vertex signal, one value per edge.
-
-    Edge order matches ``edge_arrays``; for an edge {i, j} with i < j the
-    value is sqrt(w_ij) * (s_j / sqrt(d_j) - s_i / sqrt(d_i)). Vertices of
-    degree zero may not carry signal mass because the formula divides by
-    sqrt(d).
-    """
-    s = np.asarray(s, dtype=np.float64)
-    if s.shape != (g.num_vertices,):
-        raise DataError(f"signal must have {g.num_vertices} entries, got {s.shape}")
-    d = g.degrees()
-    isolated = d == 0
-    if isolated.any() and np.abs(s[isolated]).max(initial=0.0) > 0:
-        raise DegenerateGraphError("signal is nonzero on a degree-0 vertex")
-    inv_sqrt = _inv_sqrt_degrees(d)
-    ei, ej, ew = g.edge_arrays()
-    return np.sqrt(ew) * (s[ej] * inv_sqrt[ej] - s[ei] * inv_sqrt[ei])
-
-
-def graph_divergence(g: SparseGraph, c: np.ndarray) -> np.ndarray:
-    """Adjoint of ``graph_gradient``: <grad s, c> = <s, div c> for all s, c."""
-    c = np.asarray(c, dtype=np.float64)
-    ei, ej, ew = g.edge_arrays()
-    if c.shape != ei.shape:
-        raise DataError(f"edge signal must have {ei.size} entries, got {c.shape}")
-    inv_sqrt = _inv_sqrt_degrees(g.degrees())
-    weighted = np.sqrt(ew) * c
-    out = np.zeros(g.num_vertices)
-    np.add.at(out, ej, weighted * inv_sqrt[ej])
-    np.add.at(out, ei, -weighted * inv_sqrt[ei])
-    return out
-
-
 def num_connected_components(g: SparseGraph) -> int:
     """Number of connected components; isolated vertices count as one each."""
     # imported here: scipy.sparse.csgraph adds 45 modules (15-30 ms on a

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import DataError, ParameterError
 from .graph import LaplacianMatrix, _row_blocks
-from .spectral import FilterSpec, eigendecompose, eval_filter
+from .spectral import (FilterSpec, eigendecompose, prox_filter_curve,
+                       step_penalty_curve)
 
 LOSSES = ("l1", "l2", "l21")
 FILTERED_SIDES = ("row_graph", "column_graph")
@@ -156,6 +157,16 @@ def _prox_loss(X, Y, lam, loss, norms=None):
     raise ParameterError(f"unknown loss {loss!r}")
 
 
+def _check_laplacians(X, Lr, Lc):
+    """X's shape (p, n), once Lr is p x p and Lc is n x n."""
+    p, n = X.shape
+    if Lr.shape != (p, p):
+        raise DataError(f"row Laplacian is {Lr.shape}, expected {(p, p)}")
+    if Lc.shape != (n, n):
+        raise DataError(f"column Laplacian is {Lc.shape}, expected {(n, n)}")
+    return p, n
+
+
 def frpcag_gradient(X: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
                     gamma_r: float, gamma_c: float,
                     out: np.ndarray | None = None) -> np.ndarray:
@@ -172,11 +183,7 @@ def frpcag_gradient(X: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
     X) and returned.
     """
     X = np.asarray(X, dtype=np.float64)
-    p, n = X.shape
-    if Lr.shape != (p, p):
-        raise DataError(f"row Laplacian is {Lr.shape}, expected {(p, p)}")
-    if Lc.shape != (n, n):
-        raise DataError(f"column Laplacian is {Lc.shape}, expected {(n, n)}")
+    p, n = _check_laplacians(X, Lr, Lc)
     if out is None:
         out = np.empty_like(X)
     elif (out.shape != X.shape or out.dtype != np.float64
@@ -259,11 +266,7 @@ def _checked_input(Y: np.ndarray, Lr: LaplacianMatrix,
     Y = np.ascontiguousarray(Y, dtype=np.float64)
     if not np.isfinite(Y).all():
         raise DataError("input matrix contains NaN or Inf entries")
-    p, n = Y.shape
-    if Lr.shape != (p, p):
-        raise DataError(f"row Laplacian is {Lr.shape}, expected {(p, p)}")
-    if Lc.shape != (n, n):
-        raise DataError(f"column Laplacian is {Lc.shape}, expected {(n, n)}")
+    _check_laplacians(Y, Lr, Lc)
     return Y
 
 
@@ -379,6 +382,14 @@ def solve_gfrpcag(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
     tau_3 = 0.99, with beta the ``lipschitz_bound`` of that smooth term,
     and tau_1 = 1, tau_2 = 1/2 when it vanishes. Stops once the relative
     changes of both the primal and the dual iterate fall below tol.
+
+    Refused before the first iteration, naming the config field: a smooth
+    side's gamma for which 4 tau_2 max(1, max|Y|) sqrt(p n) is not below
+    sqrt(float max), an overflowing bound included, and a filtered side's
+    gamma whose gamma / tau_2, the weight of the filtered prox, overflows.
+    The dual iterate grows with tau_2 and the pass sums its squares. On a
+    30 x 40 ``make_lrmg`` input the first overflow came at 120-160 times
+    the largest accepted tau_2, and at 50-70 times with Y scaled by 1e50.
     """
     Y = _checked_input(Y, Lr, Lc)
     if config.filter_spec is None:
@@ -429,25 +440,41 @@ def _primal_dual_steps(Y, Lr, Lc, config):
     one block every operation is the whole-array one, in the same order.
     """
     if config.filtered_side == "column_graph":
-        L, gamma, axis = Lc, config.gamma_c, "right"
+        L, axis, filtered, smooth = Lc, "right", "gamma_c", "gamma_r"
         gamma_r, gamma_c = config.gamma_r, 0.0
     else:
-        L, gamma, axis = Lr, config.gamma_r, "left"
+        L, axis, filtered, smooth = Lr, "left", "gamma_r", "gamma_c"
         gamma_r, gamma_c = 0.0, config.gamma_c
-    beta = lipschitz_bound(Lr, Lc, gamma_r, gamma_c)
+    gamma = getattr(config, filtered)
+    try:
+        beta = lipschitz_bound(Lr, Lc, gamma_r, gamma_c)
+    except ParameterError:  # refused below, by the config field
+        beta = np.inf
     if beta > 0.0:
         tau1, tau2 = 1.0 / beta, beta / 2.0
     else:
         tau1, tau2 = 1.0, 0.5
     tau3 = 0.99
+    scale = max(1.0, float(np.abs(Y).max(initial=0.0)))
+    with np.errstate(over="ignore"):
+        reach = 4.0 * tau2 * scale * np.sqrt(Y.size)
+        filter_gamma = (1.0 / tau2) * gamma
+    if not reach < np.sqrt(np.finfo(np.float64).max):
+        raise ParameterError(
+            f"config.{smooth}={getattr(config, smooth)} with max(1, max|Y|) "
+            f"= {scale} is too large: the dual step tau_2 it sets would "
+            "overflow the squared norms of the iteration")
+    if not np.isfinite(filter_gamma):
+        raise ParameterError(
+            f"config.{filtered}={gamma} over the dual step tau_2 = {tau2} "
+            f"set by config.{smooth} overflows the weight of the filtered "
+            "prox")
     b = config.filter_spec.b
     basis = eigendecompose(L, below=1.5 * b)
     Q = basis.eigenvectors
     m, n = Q.shape[1], Y.shape[1]
-    response = eval_filter(FilterSpec(family="prox_fb", b=b,
-                                      gamma=(1.0 / tau2) * gamma),
-                           basis.eigenvalues)
-    curve = eval_filter(FilterSpec(family="step_gb", b=b), basis.eigenvalues)
+    response = prox_filter_curve(basis.eigenvalues, b, filter_gamma)
+    curve = step_penalty_curve(basis.eigenvalues, b)
     finite = np.isfinite(curve)
     finite_curve = curve[finite]
     loss, blocks = config.loss, _row_blocks(*Y.shape)

@@ -1,4 +1,4 @@
-"""Laplacian eigenbases, graph Fourier transforms, and spectral filters.
+"""Laplacian eigenbases and spectral filters.
 
 The filter family is built from a bump function h_b that vanishes below
 b/2: the penalty curve g_b(x) = h_b(x) / h_b(2b - x) is zero below b/2 and
@@ -18,7 +18,7 @@ from scipy import sparse
 from .errors import DataError, ParameterError
 from .graph import LaplacianMatrix
 
-FILTER_FAMILIES = ("identity", "tikhonov", "step_gb", "prox_fb")
+FILTER_FAMILIES = ("step_gb", "prox_fb")
 
 # Below this many vertices the dense eigh beats the inertia count plus
 # Lanczos, so ``eigendecompose(L, below=...)`` stays dense there. Measured
@@ -64,8 +64,9 @@ class EigenBasis:
 class FilterSpec:
     """Spectral filter description.
 
-    b is the bandwidth of the step-like families; gamma is the penalty
-    weight of the prox form (and of the tikhonov response 1/(1+gamma*x)).
+    b is the bandwidth of both families, the penalty curve g_b
+    ("step_gb") and its prox response f_b ("prox_fb"); gamma is the penalty
+    weight of the prox form.
     """
 
     family: str
@@ -78,7 +79,7 @@ class FilterSpec:
         if not (np.isfinite(self.b) and np.isfinite(self.gamma)):
             raise ParameterError(f"b and gamma must be finite, got b={self.b}, "
                                  f"gamma={self.gamma}")
-        if self.family in ("step_gb", "prox_fb") and not self.b > 0:
+        if not self.b > 0:
             raise ParameterError(f"family {self.family!r} requires b > 0")
         if self.gamma < 0:
             raise ParameterError(f"gamma must be nonnegative, got {self.gamma}")
@@ -221,32 +222,6 @@ def _column_signs(Q: np.ndarray) -> np.ndarray:
     return np.where(flip, -1.0, 1.0)
 
 
-def gft(basis: EigenBasis, x: np.ndarray) -> np.ndarray:
-    """Graph Fourier transform: project a vertex signal onto the basis."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != basis.size:
-        raise DataError(f"signal has {x.shape[0]} entries, basis has {basis.size}")
-    return basis.eigenvectors.T @ x
-
-
-def igft(basis: EigenBasis, xhat: np.ndarray) -> np.ndarray:
-    """Inverse graph Fourier transform."""
-    xhat = np.asarray(xhat, dtype=np.float64)
-    if xhat.shape[0] != basis.count:
-        raise DataError(f"coefficients have {xhat.shape[0]} entries, "
-                        f"basis has {basis.count}")
-    return basis.eigenvectors @ xhat
-
-
-def _frequency_energy(basis: EigenBasis, X: np.ndarray, side: str) -> np.ndarray:
-    """Energy of X at each graph frequency: ||X q_j||^2 for side "right"
-    (the columns of X are the vertices), ||q_i^T X||^2 for side "left"."""
-    Q = basis.eigenvectors
-    if side == "right":
-        return ((X @ Q) ** 2).sum(axis=0)
-    return ((Q.T @ X) ** 2).sum(axis=1)
-
-
 def dirichlet_energy(L: LaplacianMatrix, X: np.ndarray) -> float:
     """Graph smoothness energy tr(X^T L X) of the column signals of X."""
     X = np.asarray(X, dtype=np.float64)
@@ -301,18 +276,14 @@ def eval_filter(spec: FilterSpec, x):
     """Evaluate a filter response on nonnegative frequencies.
 
     step_gb may return +inf (it is a penalty curve, not an applicable
-    response); every other family is finite with values in [0, 1].
+    response); prox_fb is finite with values in [0, 1].
     Scalar input yields a float, array input an array.
     """
     scalar = np.ndim(x) == 0
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if (arr < 0).any():
         raise ParameterError("filter argument must be nonnegative")
-    if spec.family == "identity":
-        out = np.ones_like(arr)
-    elif spec.family == "tikhonov":
-        out = 1.0 / (1.0 + spec.gamma * arr)
-    elif spec.family == "step_gb":
+    if spec.family == "step_gb":
         out = step_penalty_curve(arr, spec.b)
     else:
         out = prox_filter_curve(arr, spec.b, spec.gamma)

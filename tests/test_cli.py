@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphlowrank import (FilterSpec, SolverConfig, laplacian,
-                          load_edge_list, load_matrix_csv,
+from graphlowrank import (FilterSpec, SolverConfig, eigendecompose,
+                          laplacian, load_edge_list, load_matrix_csv,
                           num_connected_components, save_matrix_csv,
-                          solve_gfrpcag)
+                          solve_gfrpcag, spectral_gap)
 from graphlowrank import __version__
 from graphlowrank.cli import main
 
@@ -245,6 +245,56 @@ def test_bad_input_exit_code(tmp_path, monkeypatch, solve_setup, argv,
     assert run(argv) == code
 
 
+@pytest.mark.parametrize("side, gammas, named", [
+    ("row_graph", ["--gamma-r", "1", "--gamma-c", "1e308"], "gamma_c=1e+308"),
+    ("row_graph", ["--gamma-r", "1", "--gamma-c", "1e154"], "gamma_c=1e+154"),
+    ("column_graph", ["--gamma-c", "1", "--gamma-r", "1e154"],
+     "gamma_r=1e+154"),
+    ("column_graph", ["--gamma-c", "1e308"], "gamma_c=1e+308"),
+])
+def test_gfrpcag_refusal_names_the_gamma_set(tmp_path, monkeypatch, capsys,
+                                             solve_setup, side, gammas,
+                                             named):
+    # the smooth-side bound overflows, its dual step would overflow the
+    # squared norms, or the filtered gamma over that step overflows; the
+    # message names the value given, not one derived from it
+    monkeypatch.chdir(tmp_path)
+    assert run([*SOLVE, "--algo", "gfrpcag", "--filter-b", "0.8",
+                "--filtered-side", side, *gammas]) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "=0.0" not in err and "inf" not in err
+    assert not Path("run").exists()
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (6, 9)])
+def test_columns_orientation_round_trip(tmp_path, monkeypatch, rng, shape):
+    # a sample-major input gives a sample-major X.csv, the transpose of the
+    # feature-major run's, and diagnose reads it back with the same flag
+    monkeypatch.chdir(tmp_path)
+    Y = rng.standard_normal(shape)
+    for name, values in (("y.csv", Y), ("ystar.csv", 0.9 * Y)):
+        save_matrix_csv(name, values)
+        save_matrix_csv("t_" + name, values.T)
+    graphs = ["--row-graph", "rows.txt", "--col-graph", "cols.txt"]
+    for axis, out in (("rows", "rows.txt"), ("columns", "cols.txt")):
+        assert run(["graph", "build", "--matrix", "y.csv", "--axis", axis,
+                    "--k", 2, "--out", out]) == 0
+    for prefix, orientation in (("", "rows"), ("t_", "columns")):
+        assert run(["solve", "--matrix", prefix + "y.csv", *graphs,
+                    "--orientation", orientation, "--gamma-r", 0.5,
+                    "--gamma-c", 0.7, "--out-dir", prefix + "run"]) == 0
+        assert run(["diagnose", "--matrix", prefix + "run/X.csv", *graphs,
+                    "--orientation", orientation, "--k", 2,
+                    "--ystar", prefix + "ystar.csv", "--noisy", prefix + "y.csv",
+                    "--out-dir", prefix + "diag"]) == 0
+    X, X_t = load_matrix_csv("run/X.csv"), load_matrix_csv("t_run/X.csv")
+    assert X.shape == Y.shape and X_t.shape == Y.T.shape
+    assert np.array_equal(X_t, X.T) and not np.array_equal(X_t, X)
+    assert (Path("t_diag/diagnostics.txt").read_bytes()
+            == Path("diag/diagnostics.txt").read_bytes())
+
+
 class TestSynthCommands:
     def test_lowrank_outputs_and_determinism(self, tmp_path):
         args = ["synth", "lowrank", "--p", 20, "--n", 24, "--k-r", 3,
@@ -364,6 +414,12 @@ def is_float_form(text):
         return False
 
 
+def graph_gap(path, k):
+    """The spectral gap at k of a graph file's normalized Laplacian."""
+    L = laplacian(load_edge_list(path), "normalized")
+    return spectral_gap(eigendecompose(L).eigenvalues, k)
+
+
 @pytest.fixture
 def fixed_inputs(tmp_path, monkeypatch):
     """A 4 x 5 matrix, a clean copy, a row graph of two components (its
@@ -432,6 +488,8 @@ class TestArtifactFormats:
             *(["bound_lhs", "bound_rhs", "bound_holds"] if bound else [])]
         report = dict(items)
         assert report["k"] == "1"
+        # the row graph has two components, so only the column gap exists
+        assert report["spectral_gap_col"] == repr(graph_gap("cols.txt", 1))
         assert report["spectral_gap_row"] == "undefined"
         floats = [key for key, _ in items
                   if key not in ("k", "spectral_gap_row", "bound_holds")]
@@ -449,6 +507,18 @@ class TestArtifactFormats:
                           "index,singular_value")
         assert [row[0] for row in rows] == ["0", "1", "2", "3"]
         assert all(is_float_form(row[1]) for row in rows)
+
+    def test_diagnose_gaps_are_column_then_row(self, fixed_inputs):
+        # at k = 2 both gaps exist and differ: 0 for the two-component row
+        # graph, about 1 for the 5-cycle, so a swapped pair reads wrong
+        assert run(["diagnose", "--matrix", "y.csv", *fixed_inputs, "--k", 2,
+                    "--out-dir", "diag"]) == 0
+        report = dict(report_items(Path("diag/diagnostics.txt"),
+                                   "diagnostics report"))
+        col_gap, row_gap = graph_gap("cols.txt", 2), graph_gap("rows.txt", 2)
+        assert row_gap == 0.0 and col_gap > 0.5
+        assert report["spectral_gap_col"] == repr(col_gap)
+        assert report["spectral_gap_row"] == repr(row_gap)
 
     @pytest.mark.parametrize("count", [None, 3])
     def test_spectrum(self, fixed_inputs, count):
@@ -511,3 +581,12 @@ def test_package_version_matches_pyproject():
     with open(pyproject, "rb") as fh:
         declared = tomllib.load(fh)["project"]["version"]
     assert __version__ == declared
+
+
+def test_readme_quickstart_runs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], str(readme), "exec"), namespace)
+    assert namespace["result"].X.shape == (120, 120)

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from graphlowrank import (DataError, ParameterError, SolverConfig, SparseGraph,
-                          alignment_report, covariance, dirichlet_energy,
-                          eigendecompose, knn_graph, laplacian, loss_value,
-                          make_lrmg, recovery_bound_check, solve_frpcag,
-                          spectral_gap, subspace_coherence,
-                          weighted_alignment_objective)
-from graphlowrank import build_diagnostics_report as glr_build_report
+                          alignment_report, covariance, eigendecompose,
+                          knn_graph, laplacian, make_lrmg,
+                          recovery_bound_check, solve_frpcag, spectral_gap,
+                          subspace_coherence)
 from graphlowrank.diagnostics import gamma_to_db
 
 from conftest import path_graph_weights, random_graph, two_blob_data
@@ -199,49 +197,7 @@ class TestSubspaceCoherence:
                                instance.col_basis)
 
 
-class TestWeightedAlignmentObjective:
-    def test_zero_matrix(self, rng):
-        instance = make_lrmg(8, 9, 2, 2, seed=4)
-        assert weighted_alignment_objective(np.zeros((8, 9)),
-                                            instance.row_basis,
-                                            instance.col_basis, 1.0, 1.0) == 0.0
-
-    def test_eigenvector_outer_product(self):
-        instance = make_lrmg(8, 9, 2, 2, seed=4)
-        p = instance.row_basis.eigenvectors[:, 2]
-        q = instance.col_basis.eigenvectors[:, 3]
-        value = weighted_alignment_objective(np.outer(p, q),
-                                             instance.row_basis,
-                                             instance.col_basis, 0.7, 1.3)
-        expected = (1.3 * instance.col_basis.eigenvalues[3]
-                    + 0.7 * instance.row_basis.eigenvalues[2])
-        assert value == pytest.approx(expected)
-
-    def test_matches_dirichlet_energies(self, rng):
-        instance = make_lrmg(10, 12, 3, 3, seed=8)
-        X = rng.standard_normal((10, 12))
-        gamma_r, gamma_c = 0.6, 1.9
-        value = weighted_alignment_objective(X, instance.row_basis,
-                                             instance.col_basis,
-                                             gamma_r, gamma_c)
-        direct = (gamma_c * dirichlet_energy(instance.col_laplacian, X.T)
-                  + gamma_r * dirichlet_energy(instance.row_laplacian, X))
-        assert value == pytest.approx(direct, rel=1e-8)
-
-
 class TestDiagnosticsReport:
-    def test_fields_and_gap_ordering(self, rng):
-        instance = make_lrmg(14, 18, 3, 3, seed=13)
-        X = rng.standard_normal((14, 18))
-        report = glr_build_report(X, instance.row_basis, instance.col_basis, 3)
-        assert report.singular_values.shape == (14,)
-        col_gap, row_gap = report.spectral_gaps
-        assert col_gap == pytest.approx(
-            spectral_gap(instance.col_basis.eigenvalues, 3))
-        assert row_gap == pytest.approx(
-            spectral_gap(instance.row_basis.eigenvalues, 3))
-        assert report.bound_lhs is None and report.bound_holds is None
-
     def test_bound_invariant_for_solver_output(self):
         instance = make_lrmg(40, 40, 4, 4, seed=19)
         noise_rng = np.random.default_rng(19)
@@ -254,26 +210,11 @@ class TestDiagnosticsReport:
             loss="l1", max_iters=3000, tol=1e-10)
         result = solve_frpcag(Y, instance.row_laplacian,
                               instance.col_laplacian, config)
-        bound = recovery_bound_check(instance.Y_star, E, result.X,
-                                     instance.row_basis, instance.col_basis,
-                                     4, 4, gamma=gamma, loss_fn=l1)
-        report = glr_build_report(result.X, instance.row_basis,
-                                  instance.col_basis, 4, bound=bound)
-        assert report.bound_holds
-        assert report.bound_lhs <= report.bound_rhs * (1 + 1e-3)
-
-    def test_undefined_gap_becomes_none(self, rng):
-        # sample graph with two components: the k=1 gap has a zero above it
-        W = np.zeros((6, 6))
-        W[0, 1] = W[1, 0] = 1.0
-        W[2, 3] = W[3, 2] = 1.0
-        W[4, 5] = W[5, 4] = 1.0
-        basis = eigendecompose(laplacian(SparseGraph.from_weight_matrix(W),
-                                         "unnormalized"))
-        instance = make_lrmg(6, 6, 1, 1, seed=23)
-        report = glr_build_report(rng.standard_normal((6, 6)),
-                                  instance.row_basis, basis, 1)
-        assert report.spectral_gaps[0] is None
+        lhs, rhs, holds = recovery_bound_check(
+            instance.Y_star, E, result.X, instance.row_basis,
+            instance.col_basis, 4, 4, gamma=gamma, loss_fn=l1)
+        assert holds
+        assert lhs <= rhs * (1 + 1e-3)
 
 
 def test_gamma_db_export_uses_20_log10():

@@ -12,10 +12,10 @@ from scipy.spatial.distance import cdist
 from graphlowrank import graph
 
 from graphlowrank import (DataError, DataMatrix, DegenerateGraphError,
-                          ParameterError, SparseGraph, graph_divergence,
-                          graph_gradient, knn_graph, laplacian, load_edge_list,
-                          load_matrix_csv, num_connected_components,
-                          save_edge_list, save_matrix_csv)
+                          ParameterError, SparseGraph, knn_graph, laplacian,
+                          load_edge_list, load_matrix_csv,
+                          num_connected_components, save_edge_list,
+                          save_matrix_csv)
 from graphlowrank.graph import WEIGHTINGS, format_float
 from graphlowrank.spectral import eigendecompose
 
@@ -348,6 +348,20 @@ class TestLaplacian:
             dense = laplacian(g, kind).dense()
             assert np.all(dense[2, :] == 0) and np.all(dense[:, 2] == 0)
 
+    def test_normalized_matches_the_dense_formula(self, rng):
+        # diag(d > 0) - D^{-1/2} W D^{-1/2}, with D^{-1/2} taken as 0 on the
+        # isolated vertex appended to a random KNN graph
+        W = sparse.block_diag([random_graph(rng, n=12, k=3).weights,
+                               [[0.0]]]).toarray()
+        d = W.sum(axis=1)
+        assert d[-1] == 0 and (d[:-1] > 0).all()
+        inv_sqrt = np.zeros_like(d)
+        inv_sqrt[:-1] = 1.0 / np.sqrt(d[:-1])
+        expected = (np.diag((d > 0).astype(float))
+                    - inv_sqrt[:, None] * W * inv_sqrt[None, :])
+        L = laplacian(SparseGraph.from_weight_matrix(W), "normalized")
+        assert np.abs(L.dense() - expected).max() <= 1e-14
+
     def test_spectral_norm_bound_is_upper_bound(self, rng):
         g = random_graph(rng, n=20, k=4)
         for kind in ("normalized", "unnormalized"):
@@ -376,66 +390,6 @@ class TestLaplacian:
     def test_unknown_kind_rejected(self, rng):
         with pytest.raises(ParameterError):
             laplacian(random_graph(rng), "rw")
-
-
-class TestGradientDivergence:
-    def test_constant_signal_regular_graph(self):
-        # a 4-cycle is 2-regular, so normalized differences cancel exactly
-        W = np.zeros((4, 4))
-        for i in range(4):
-            W[i, (i + 1) % 4] = W[(i + 1) % 4, i] = 1.0
-        g = SparseGraph.from_weight_matrix(W)
-        assert np.allclose(graph_gradient(g, np.ones(4)), 0.0)
-
-    def test_two_vertex_gradient(self):
-        g = SparseGraph.from_weight_matrix([[0.0, 1.0], [1.0, 0.0]])
-        assert np.allclose(graph_gradient(g, np.array([0.0, 1.0])), [1.0])
-
-    def test_two_vertex_divergence(self):
-        g = SparseGraph.from_weight_matrix([[0.0, 1.0], [1.0, 0.0]])
-        assert np.allclose(graph_divergence(g, np.array([1.0])), [-1.0, 1.0])
-
-    def test_zero_edge_signal(self, rng):
-        g = random_graph(rng)
-        assert np.allclose(graph_divergence(g, np.zeros(g.num_edges)), 0.0)
-
-    def test_gradient_norm_equals_normalized_dirichlet(self, rng):
-        for _ in range(5):
-            g = random_graph(rng, n=15, k=3)
-            s = rng.standard_normal(15)
-            Ln = laplacian(g, "normalized").dense()
-            assert np.isclose(np.sum(graph_gradient(g, s) ** 2), s @ Ln @ s,
-                              rtol=1e-10, atol=1e-12)
-
-    def test_adjointness(self, rng):
-        for _ in range(10):
-            g = random_graph(rng, n=13, k=3)
-            s = rng.standard_normal(g.num_vertices)
-            c = rng.standard_normal(g.num_edges)
-            lhs = graph_gradient(g, s) @ c
-            rhs = s @ graph_divergence(g, c)
-            assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(s) * np.linalg.norm(c)
-
-    def test_degree_zero_vertex_with_mass_rejected(self):
-        W = np.zeros((3, 3))
-        W[0, 1] = W[1, 0] = 1.0
-        g = SparseGraph.from_weight_matrix(W)
-        with pytest.raises(DegenerateGraphError):
-            graph_gradient(g, np.array([1.0, 2.0, 3.0]))
-        # zero mass on the isolated vertex is fine
-        out = graph_gradient(g, np.array([1.0, 2.0, 0.0]))
-        assert out.shape == (1,)
-
-
-class TestEigendecomposeNormalizedIdentity:
-    def test_gradient_composes_to_normalized_laplacian(self, rng):
-        # applying divergence after gradient reproduces the normalized
-        # Laplacian action, not the unnormalized one
-        g = random_graph(rng, n=10, k=3)
-        Ln = laplacian(g, "normalized").dense()
-        s = rng.standard_normal(10)
-        composed = graph_divergence(g, graph_gradient(g, s))
-        assert np.allclose(composed, Ln @ s, atol=1e-10)
 
 
 class TestFileFormats:

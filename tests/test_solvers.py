@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -604,6 +606,58 @@ class TestSolveGfrpcag:
                                                      gamma=3.0))
         with pytest.raises(ParameterError, match=f"config.{field}"):
             solve_gfrpcag(Y, Lr, Lc, config)
+
+    @pytest.mark.parametrize("side, gamma_r, gamma_c, field", [
+        # the smooth term's Lipschitz bound overflows
+        ("row_graph", 1.0, 1e308, "gamma_c"),
+        # tau_2 = beta / 2 would overflow the squared norms of the pass
+        ("row_graph", 1.0, 1e154, "gamma_c"),
+        ("column_graph", 1e154, 1.0, "gamma_r"),
+        # the filtered gamma over tau_2 overflows (tau_2 = 1/2 at a zero
+        # smooth gamma, about 2e-300 at a tiny one)
+        ("column_graph", 0.0, 1e308, "gamma_c"),
+        ("row_graph", 1e10, 1e-300, "gamma_r"),
+    ])
+    def test_overflowing_steps_name_the_config_field(self, rng, side,
+                                                      gamma_r, gamma_c,
+                                                      field):
+        Y = rng.standard_normal((8, 12))
+        Lr, Lc = build_laplacians(Y, 3, 3)
+        config = SolverConfig(gamma_r=gamma_r, gamma_c=gamma_c,
+                              filter_spec=FilterSpec("prox_fb", b=0.5),
+                              filtered_side=side)
+        named = f"config.{field}={getattr(config, field)}"
+        with pytest.raises(ParameterError, match="overflow") as refused:
+            solve_gfrpcag(Y, Lr, Lc, config)
+        assert named in str(refused.value)
+
+    @pytest.mark.parametrize("side", ["row_graph", "column_graph"])
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_largest_accepted_smooth_gamma_stays_finite(self, rng, side,
+                                                        scale):
+        # just inside the refusal, 4 tau_2 max(1, max|Y|) sqrt(p n) below
+        # sqrt(float max), every norm and trace value of the pass is finite
+        Y = scale * rng.standard_normal((8, 12))
+        Lr, Lc = build_laplacians(Y, 3, 3)
+        L_smooth = Lc if side == "row_graph" else Lr
+        limit = np.sqrt(np.finfo(np.float64).max) / (
+            4.0 * max(1.0, np.abs(Y).max()) * np.sqrt(Y.size))
+        gamma = 0.99 * limit / L_smooth.spectral_norm_bound
+        smooth = {"gamma_c" if side == "row_graph" else "gamma_r": gamma}
+        config = SolverConfig(**{"gamma_r": 1.0, "gamma_c": 1.0, **smooth},
+                              filter_spec=FilterSpec("prox_fb", b=0.5),
+                              filtered_side=side, max_iters=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = solve_gfrpcag(Y, Lr, Lc, config)
+        assert np.isfinite(result.X).all()
+        assert np.isfinite(result.objective_trace).all()
+        assert np.isfinite(result.change_trace).all()
+        with pytest.raises(ParameterError, match="overflow"):
+            solve_gfrpcag(Y, Lr, Lc, SolverConfig(
+                **{"gamma_r": 1.0, "gamma_c": 1.0,
+                   **{key: 1.02 * value for key, value in smooth.items()}},
+                filter_spec=config.filter_spec, filtered_side=side))
 
     def test_l2_fixed_point_matches_spectral_filtering(self, rng):
         # smooth term off: the minimizer applies the prox response to the

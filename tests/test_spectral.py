@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from graphlowrank import (DataError, DataMatrix, FilterSpec, ParameterError,
                           SparseGraph, apply_filter_chebyshev,
                           apply_filter_exact, dirichlet_energy, eigendecompose,
-                          eval_filter, gft, igft, knn_graph, laplacian)
+                          eval_filter, knn_graph, laplacian)
 from graphlowrank import spectral
 from scipy.sparse.linalg import ArpackNoConvergence
 
@@ -235,40 +235,6 @@ class TestPartialEigenbasis:
         assert np.abs(L.matrix @ Q).max() <= 1e-10
 
 
-class TestFourierTransform:
-    def test_constant_signal_energy_in_dc(self, rng):
-        g = random_graph(rng, n=12, k=4)
-        basis = eigendecompose(laplacian(g, "unnormalized"))
-        xhat = gft(basis, np.ones(12))
-        assert abs(xhat[0]) > 1.0
-        assert np.abs(xhat[1:]).max() <= 1e-10
-
-    def test_eigenvector_maps_to_impulse(self, rng):
-        g = random_graph(rng, n=10, k=3)
-        basis = eigendecompose(laplacian(g, "normalized"))
-        xhat = gft(basis, basis.eigenvectors[:, 3])
-        expected = np.zeros(10)
-        expected[3] = 1.0
-        assert np.allclose(xhat, expected, atol=1e-10)
-
-    def test_parseval_and_inversion(self, rng):
-        g = random_graph(rng, n=15, k=3)
-        basis = eigendecompose(laplacian(g, "normalized"))
-        for _ in range(5):
-            x = rng.standard_normal(15)
-            xhat = gft(basis, x)
-            assert abs(np.linalg.norm(xhat) - np.linalg.norm(x)) <= 1e-10
-            assert np.linalg.norm(igft(basis, xhat) - x) <= 1e-10
-
-    def test_dimension_mismatch(self, rng):
-        g = random_graph(rng, n=8, k=2)
-        basis = eigendecompose(laplacian(g, "normalized"))
-        with pytest.raises(DataError):
-            gft(basis, np.ones(9))
-        with pytest.raises(DataError):
-            igft(basis, np.ones(9))
-
-
 class TestDirichletEnergy:
     def test_constant_columns_zero_on_connected_graph(self, rng):
         g = random_graph(rng, n=12, k=4)
@@ -289,7 +255,8 @@ class TestDirichletEnergy:
         L = laplacian(g, "normalized")
         basis = eigendecompose(L)
         X = rng.standard_normal((13, 5))
-        spectral = np.sum(basis.eigenvalues[:, None] * (gft(basis, X) ** 2))
+        coefficients = basis.eigenvectors.T @ X
+        spectral = np.sum(basis.eigenvalues[:, None] * coefficients ** 2)
         direct = dirichlet_energy(L, X)
         assert np.isclose(direct, spectral, rtol=1e-8)
 
@@ -324,21 +291,19 @@ class TestFilterFamily:
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
         assert np.all(np.diff(vals) <= 1e-12)
 
-    def test_tikhonov_and_identity(self):
-        assert eval_filter(FilterSpec("identity"), 1.7) == 1.0
-        assert eval_filter(FilterSpec("tikhonov", gamma=2.0), 1.0) == pytest.approx(1 / 3)
-
     def test_invalid_specs(self):
         with pytest.raises(ParameterError):
             FilterSpec("prox_fb", b=0.0)
         with pytest.raises(ParameterError):
             FilterSpec("nope")
         with pytest.raises(ParameterError):
-            FilterSpec("tikhonov", gamma=-1.0)
+            FilterSpec("identity")
         with pytest.raises(ParameterError):
-            eval_filter(FilterSpec("identity"), -0.5)
+            FilterSpec("prox_fb", b=0.5, gamma=-1.0)
+        with pytest.raises(ParameterError):
+            eval_filter(FilterSpec("prox_fb", b=0.5), -0.5)
 
-    @pytest.mark.parametrize("family", ["tikhonov", "prox_fb"])
+    @pytest.mark.parametrize("family", ["step_gb", "prox_fb"])
     @pytest.mark.parametrize("field", ["b", "gamma"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_specs(self, family, field, value):
@@ -351,7 +316,9 @@ class TestApplyFilterExact:
         g = random_graph(rng, n=10, k=3)
         basis = eigendecompose(laplacian(g, "normalized"))
         X = rng.standard_normal((10, 4))
-        assert np.allclose(apply_filter_exact(basis, FilterSpec("identity"), X), X)
+        # f_b at gamma = 0 is 1 on the whole spectrum
+        identity = FilterSpec("prox_fb", b=0.5)
+        assert np.allclose(apply_filter_exact(basis, identity, X), X)
 
     def test_wide_band_prox_filter_is_near_noop(self, rng):
         g = random_graph(rng, n=12, k=3)
@@ -366,26 +333,10 @@ class TestApplyFilterExact:
     def test_right_side_application(self, rng):
         g = random_graph(rng, n=9, k=3)
         basis = eigendecompose(laplacian(g, "normalized"))
-        spec = FilterSpec("tikhonov", gamma=1.5)
+        spec = FilterSpec("prox_fb", b=0.6, gamma=1.5)
         X = rng.standard_normal((4, 9))
         out = apply_filter_exact(basis, spec, X, side="right")
         assert np.allclose(out.T, apply_filter_exact(basis, spec, X.T, side="left"))
-
-    def test_tikhonov_filter_matches_closed_form(self, rng):
-        from graphlowrank import tikhonov_closed_form
-        Y = rng.standard_normal((10, 12))
-        data = DataMatrix(Y)
-        Lr = laplacian(knn_graph(data, "rows", 3), "normalized")
-        Lc = laplacian(knn_graph(data, "columns", 3), "normalized")
-        gamma_r, gamma_c = 0.8, 1.7
-        filtered = apply_filter_exact(
-            eigendecompose(Lc), FilterSpec("tikhonov", gamma=gamma_c),
-            apply_filter_exact(eigendecompose(Lr),
-                               FilterSpec("tikhonov", gamma=gamma_r), Y,
-                               side="left"),
-            side="right")
-        oracle = tikhonov_closed_form(Y, Lr, Lc, gamma_r, gamma_c)
-        assert np.linalg.norm(filtered - oracle) <= 1e-8 * np.linalg.norm(oracle)
 
     def test_infinite_filter_rejected(self, rng):
         g = random_graph(rng, n=10, k=3)
@@ -404,7 +355,7 @@ class TestApplyFilterChebyshev:
     def test_constant_filter_exact_at_any_order(self, rng, graph100):
         X = rng.standard_normal((100, 3))
         for order in (1, 2, 7):
-            out = apply_filter_chebyshev(graph100, FilterSpec("identity"),
+            out = apply_filter_chebyshev(graph100, FilterSpec("prox_fb", b=0.5),
                                          order, X)
             assert np.linalg.norm(out - X) <= 1e-10 * np.linalg.norm(X)
 
@@ -431,7 +382,7 @@ class TestApplyFilterChebyshev:
 
     def test_bad_order_rejected(self, rng, graph100):
         with pytest.raises(ParameterError):
-            apply_filter_chebyshev(graph100, FilterSpec("identity"), 0,
+            apply_filter_chebyshev(graph100, FilterSpec("prox_fb", b=0.5), 0,
                                    np.ones((100, 1)))
 
     def test_right_side(self, rng, graph100):
