@@ -59,7 +59,7 @@ def main():
                              glr.SolverConfig(gamma_c=gamma_matched, loss="l2",
                                               max_iters=20000, tol=1e-16))
 
-    Q_low, Q_high = basis.leading(2), basis.trailing(2)
+    Q_low, Q_high = basis.eigenvectors[:, :2], basis.eigenvectors[:, 2:]
     for name, X in (("filtered", filtered.X), ("plain", plain.X)):
         out_ratio = np.linalg.norm(X @ Q_high) / np.linalg.norm(X)
         in_energy = np.linalg.norm(X @ Q_low)

@@ -181,6 +181,8 @@ def _cmd_solve(params):
     Lr, Lc = _load_laplacians(params)
 
     algo = params["algo"]
+    if algo != "gfrpcag" and params["filter_b"] is not None:
+        raise ParameterError(f"--algo {algo} does not read --filter-b")
     if algo == "tikhonov":
         X = solvers.tikhonov_closed_form(Y, Lr, Lc, params["gamma_r"],
                                          params["gamma_c"])
@@ -311,21 +313,30 @@ def _cmd_synth_manifold(params):
     data = synth.make_manifold(params["kind"], params["n"],
                                noise_sigma=params["noise_sigma"],
                                noise_dims=params["noise_dims"], seed=params["seed"])
-    data.to_csv(params["out"])
-    print(f"wrote {params['out']} ({data.num_features} x {data.num_samples})")
+    graphmod.save_matrix_csv(params["out"], data.values)
+    print(f"wrote {params['out']} ({data.values.shape[0]} x {data.values.shape[1]})")
 
 
 def _cmd_spectra(params):
     out = params["out"]
-    if params["graph"] is not None:
+    # a flag the chosen mode does not read is refused, not dropped
+    with_graph = params["graph"] is not None
+    unread = ("filter_b", "filter_gamma", "x_max") if with_graph else ("count",)
+    given = [_flag(name) for name in unread if params[name] is not None]
+    if given:
+        raise ParameterError(f"{', '.join(given)}: not read "
+                             f"{'with' if with_graph else 'without'} --graph")
+    if with_graph:
         g = graphmod.load_edge_list(params["graph"])
         L = graphmod.laplacian(g, params["laplacian"])
         eigenvalues = spectral.eigendecompose(L, params["count"]).eigenvalues
         _write_table(out, "index,eigenvalue", np.arange(eigenvalues.size),
                      eigenvalues)
     elif params["filter_b"] is not None:
-        b, x_max = params["filter_b"], params["x_max"]
-        spec = spectral.FilterSpec("prox_fb", b=b, gamma=params["filter_gamma"])
+        b = params["filter_b"]
+        gamma = 1.0 if params["filter_gamma"] is None else params["filter_gamma"]
+        x_max = 2.0 if params["x_max"] is None else params["x_max"]
+        spec = spectral.FilterSpec("prox_fb", b=b, gamma=gamma)
         if not x_max > 0:
             raise ParameterError(f"x_max must be positive, got {x_max}")
         grid = np.linspace(0.0, x_max, 1000)
@@ -416,8 +427,8 @@ _COMMANDS = {
         _LAPLACIAN,
         ("count", _int, None, None, None),
         ("filter_b", _float, None, None, None),
-        ("filter_gamma", _float, 1.0, None, None),
-        ("x_max", _float, 2.0, None, None),
+        ("filter_gamma", _float, None, None, "default 1"),
+        ("x_max", _float, None, None, "default 2"),
         ("out", str, _REQUIRED, None, None),
     )),
 }

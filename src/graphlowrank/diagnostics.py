@@ -130,8 +130,8 @@ def recovery_bound_check(Y_star: np.ndarray, E: np.ndarray, X_star: np.ndarray,
     gamma_r = gamma / lam_r[k_r]
     gamma_c = gamma / lam_c[k_c]
     Y = Y_star + E
-    out_cols = X_star @ col_basis.trailing(k_c)
-    out_rows = row_basis.trailing(k_r).T @ X_star
+    out_cols = X_star @ col_basis.eigenvectors[:, k_c:]
+    out_rows = row_basis.eigenvectors[:, k_r:].T @ X_star
     lhs = (loss_fn(X_star - Y)
            + gamma_c * float(np.sum(out_cols ** 2))
            + gamma_r * float(np.sum(out_rows ** 2)))

@@ -53,14 +53,6 @@ class DataMatrix:
             raise DataError("data matrix contains NaN or Inf entries")
         object.__setattr__(self, "values", values)
 
-    @property
-    def num_features(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def num_samples(self) -> int:
-        return self.values.shape[1]
-
     @classmethod
     def from_csv(cls, path, orientation: str = "rows") -> "DataMatrix":
         """Load a matrix from CSV, one row per feature by default.
@@ -74,9 +66,6 @@ class DataMatrix:
         elif orientation != "rows":
             raise ParameterError(f"unknown orientation {orientation!r}")
         return cls(values)
-
-    def to_csv(self, path) -> None:
-        save_matrix_csv(path, self.values)
 
 
 @dataclass(frozen=True)
@@ -120,7 +109,6 @@ class SparseGraph:
 class LaplacianMatrix:
     """Symmetric PSD graph Laplacian with a cached spectral-norm bound."""
 
-    kind: str
     matrix: sparse.csr_matrix = field(repr=False)
     spectral_norm_bound: float
 
@@ -306,7 +294,7 @@ def laplacian(g: SparseGraph, kind: str = "normalized") -> LaplacianMatrix:
         bound = 2.0
     mat = mat.tocsr()
     mat.eliminate_zeros()
-    return LaplacianMatrix(kind=kind, matrix=mat, spectral_norm_bound=bound)
+    return LaplacianMatrix(matrix=mat, spectral_norm_bound=bound)
 
 
 def _inv_sqrt_degrees(d: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import DataError, NumericalError, ParameterError
 from .graph import LaplacianMatrix, _row_blocks
 from .spectral import (FilterSpec, eigendecompose, prox_filter_curve,
                        step_penalty_curve)
@@ -168,44 +168,28 @@ def _check_laplacians(X, Lr, Lc):
 
 
 def frpcag_gradient(X: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
-                    gamma_r: float, gamma_c: float,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """Gradient of the two smoothness terms: 2 (gamma_c X Lc + gamma_r Lr X).
+                    gamma_r: float, gamma_c: float) -> np.ndarray:
+    """Gradient of the two smoothness terms: 2 (gamma_r Lr X + gamma_c X Lc).
 
-    With both terms active, X is walked in row blocks of about BLOCK_BYTES:
-    block b of the result needs X[b] Lc and Lr[b] X, which are scaled and
-    summed into it while they are still in cache. With one term there is
-    nothing to combine, and one whole sparse product is cheaper than a
-    sliced one per block. Each output row accumulates its sparse sums in
-    the same order whatever the block width, so both ways give the same
-    bits. The result is written into
-    ``out`` when given (a float64 array of X's shape that does not overlap
-    X) and returned.
+    Lr X is one whole sparse product (zeros when gamma_r is 0), and X Lc is
+    added to it in the row blocks of ``_row_blocks``, the faster form of
+    each. Each output row sums its sparse products in the same order
+    whatever the block width, so the result does not depend on it.
     """
     X = np.asarray(X, dtype=np.float64)
     p, n = _check_laplacians(X, Lr, Lc)
-    if out is None:
-        out = np.empty_like(X)
-    elif (out.shape != X.shape or out.dtype != np.float64
-          or np.may_share_memory(out, X)):
-        raise DataError("out must be a float64 array of X's shape that does "
-                        "not overlap X")
-    LcT = Lc.matrix.T
-    if gamma_r == 0.0 or gamma_c == 0.0:
-        if gamma_c != 0.0:
-            np.multiply(2.0 * gamma_c, (LcT @ X.T).T, out=out)
-        elif gamma_r != 0.0:
-            np.multiply(2.0 * gamma_r, Lr.matrix @ X, out=out)
-        else:
-            out.fill(0.0)
-        return out
-    for rows in _row_blocks(p, n):
-        block = out[rows]
-        np.multiply(2.0 * gamma_c, (LcT @ X[rows].T).T, out=block)
-        row_part = Lr.matrix[rows] @ X
-        row_part *= 2.0 * gamma_r
-        block += row_part
-    return out
+    if gamma_r != 0.0:
+        G = Lr.matrix @ X
+        G *= 2.0 * gamma_r
+    else:
+        G = np.zeros_like(X)
+    if gamma_c != 0.0:
+        LcT = Lc.matrix.T
+        for rows in _row_blocks(p, n):
+            col_part = (LcT @ X[rows].T).T
+            col_part *= 2.0 * gamma_c
+            G[rows] += col_part
+    return G
 
 
 def lipschitz_bound(Lr: LaplacianMatrix, Lc: LaplacianMatrix,
@@ -261,11 +245,15 @@ def _dot(a, b):
 
 def _checked_input(Y: np.ndarray, Lr: LaplacianMatrix,
                    Lc: LaplacianMatrix) -> np.ndarray:
-    """Y as a C-ordered float64 array, once it is finite and Lr is p x p
-    and Lc is n x n."""
+    """Y as a C-ordered float64 array, once it and its squared norm, which
+    the traces and stopping rules sum, are finite, Lr is p x p and Lc is
+    n x n. ``_dot`` overflows to inf without a RuntimeWarning."""
     Y = np.ascontiguousarray(Y, dtype=np.float64)
     if not np.isfinite(Y).all():
         raise DataError("input matrix contains NaN or Inf entries")
+    if not np.isfinite(_dot(Y, Y)):
+        raise DataError("the squared Frobenius norm of the input matrix "
+                        "overflows; rescale the input")
     _check_laplacians(Y, Lr, Lc)
     return Y
 
@@ -277,9 +265,15 @@ def _run(steps, max_iters: int) -> SolverResult:
     A yielded X stays valid only until the next step is taken, because
     FISTA writes later iterates into the same buffers, so the loop stops
     without advancing ``steps`` once it converges or reaches max_iters.
+    A non-finite objective or change is a NumericalError: a comparison with
+    it could not tell whether the run converged.
     """
     trace, changes = [], []
     for X, objective, change, converged in steps:
+        if not (np.isfinite(objective) and np.isfinite(change)):
+            raise NumericalError(
+                f"iteration {len(trace) + 1}: the objective ({objective}) or "
+                f"the relative change ({change}) is not finite")
         trace.append(objective)
         changes.append(change)
         if converged or len(trace) == max_iters:
@@ -323,14 +317,16 @@ def _fista_steps(Y, Lr, Lc, config):
     # S_1 = X_0 = Y; G_prev = grad f(X_0) and Z is the first prox input.
     # The loop keeps four p x n buffers besides Y and the prox output: the
     # post-prox pass turns X_prev into S_next and G_prev into the next Z,
-    # and the gradient of each iterate is written over the spent Z.
+    # and the spent Z is released before the gradient of each iterate is
+    # built, so that the new gradient can take its memory.
     S, X_prev = Y, Y.copy()
     G_prev = frpcag_gradient(Y, Lr, Lc, gamma_r, gamma_c)
     Z = Y - step * G_prev
     t = 1.0
     while True:
         X = prox_loss(Z, Y, step, config.loss)
-        G = frpcag_gradient(X, Lr, Lc, gamma_r, gamma_c, out=Z)
+        del Z
+        G = frpcag_gradient(X, Lr, Lc, gamma_r, gamma_c)
         t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
         diff, ref, inner = _extrapolate(X, X_prev, G, G_prev, S,
                                         (t - 1.0) / t_next, step)
@@ -548,7 +544,7 @@ def _primal_dual_steps(Y, Lr, Lc, config):
             v[...] = D
         if axis == "left":
             energy = (energy ** 2).sum(axis=1)
-        frpcag_gradient(X, Lr, Lc, gamma_r, gamma_c, out=G)
+        G = frpcag_gradient(X, Lr, Lc, gamma_r, gamma_c)
         objective = (_loss_total(loss_sums, loss) + 0.5 * _dot(X, G)
                      + gamma * float(np.sum(finite_curve * energy[finite])))
         dx /= x_ref + STOP_DELTA

@@ -47,18 +47,6 @@ class EigenBasis:
     def count(self) -> int:
         return self.eigenvectors.shape[1]
 
-    def leading(self, k: int) -> np.ndarray:
-        """The k eigenvectors with the smallest eigenvalues (N x k)."""
-        if not 0 <= k <= self.count:
-            raise ParameterError(f"k={k} out of range for basis of {self.count}")
-        return self.eigenvectors[:, :k]
-
-    def trailing(self, k: int) -> np.ndarray:
-        """The complement of ``leading(k)``: columns k onward (N x (count-k))."""
-        if not 0 <= k <= self.count:
-            raise ParameterError(f"k={k} out of range for basis of {self.count}")
-        return self.eigenvectors[:, k:]
-
 
 @dataclass(frozen=True)
 class FilterSpec:

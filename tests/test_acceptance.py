@@ -206,8 +206,8 @@ def test_criterion_6_anti_shrinking_on_two_clusters():
     filtered = glr.solve_gfrpcag(Y, Lr, Lc, config)
     fid_filtered = np.linalg.norm(filtered.X - Y)
 
-    Q_low = col_basis.leading(k)
-    Q_high = col_basis.trailing(k)
+    Q_low = col_basis.eigenvectors[:, :k]
+    Q_high = col_basis.eigenvectors[:, k:]
 
     def energies(X):
         return (np.linalg.norm(X @ Q_high) / np.linalg.norm(X),

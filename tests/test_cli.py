@@ -117,9 +117,11 @@ class TestSolve:
     def test_manifest_reproduces_run(self, tmp_path, solve_setup, algo):
         matrix, row_graph, col_graph, _ = solve_setup
         first = tmp_path / "first"
+        # only gfrpcag reads --filter-b; frpcag refuses it
+        extra = ["--filter-b", 0.8] if algo == "gfrpcag" else []
         assert run(["solve", "--matrix", matrix, "--row-graph", row_graph,
                     "--col-graph", col_graph, "--algo", algo, "--loss", "l2",
-                    "--gamma-r", 0.5, "--gamma-c", 1.0, "--filter-b", 0.8,
+                    "--gamma-r", 0.5, "--gamma-c", 1.0, *extra,
                     "--out-dir", first]) == 0
         manifest = json.loads((first / "manifest.json").read_text())
         replay = tmp_path / "replay"
@@ -228,6 +230,33 @@ SYNTH = ["synth", "lowrank", "--p", "8", "--n", "9", "--k-r", "2", "--k-c",
                   "--gamma-c", "1e308"], None, 2, id="gfrpcag-bound-overflows"),
     pytest.param([*SOLVE, "--algo", "gfrpcag", "--filter-b", "0.8",
                   "--gamma-r", "1"], None, 2, id="gfrpcag-zero-filtered-gamma"),
+    # "huge.csv" is the input times 1e160: its squared norm overflows
+    pytest.param([*SOLVE, "--matrix", "huge.csv", "--gamma-r", "0.3",
+                  "--gamma-c", "0.5"], None, 3, id="frpcag-input-norm-overflows"),
+    pytest.param([*SOLVE, "--matrix", "huge.csv", "--algo", "gfrpcag",
+                  "--filter-b", "0.8", "--gamma-r", "0.3", "--gamma-c", "0.5"],
+                 None, 3, id="gfrpcag-input-norm-overflows"),
+    pytest.param([*SOLVE, "--matrix", "huge.csv", "--algo", "tikhonov",
+                  "--gamma-r", "0.3", "--gamma-c", "0.5"], None, 3,
+                 id="tikhonov-input-norm-overflows"),
+    # the filtered penalty 1e308 * tr(X g_b(L) X^T) overflows in the trace
+    pytest.param([*SOLVE, "--algo", "gfrpcag", "--filter-b", "0.8",
+                  "--gamma-r", "0.3", "--gamma-c", "1e308"], None, 4,
+                 id="gfrpcag-objective-overflows"),
+    pytest.param([*SOLVE, "--filter-b", "0.4"], None, 2,
+                 id="frpcag-reads-no-filter-b"),
+    pytest.param([*SOLVE, "--algo", "tikhonov", "--filter-b", "0.4"], None, 2,
+                 id="tikhonov-reads-no-filter-b"),
+    pytest.param([*SPECTRA, "rows.txt", "--filter-b", "0.4"], None, 2,
+                 id="spectra-graph-reads-no-filter-b"),
+    pytest.param([*SPECTRA, "rows.txt", "--filter-gamma", "1"], None, 2,
+                 id="spectra-graph-reads-no-filter-gamma"),
+    pytest.param([*SPECTRA, "rows.txt", "--x-max", "3"], None, 2,
+                 id="spectra-graph-reads-no-x-max"),
+    pytest.param([*CURVE, "0.4", "--count", "3"], None, 2,
+                 id="curve-reads-no-count"),
+    pytest.param(["spectra", "--out", "s.csv", "--count", "3"], None, 2,
+                 id="spectra-count-without-graph"),
     pytest.param([*SPECTRA, "negative.txt"], None, 3, id="negative-vertex"),
     pytest.param([*SPECTRA, "duplicate.txt"], None, 3, id="duplicate-edge"),
     pytest.param(["graph", "build", "--matrix", "missing.csv", "--k", "3",
@@ -236,6 +265,7 @@ SYNTH = ["synth", "lowrank", "--p", "8", "--n", "9", "--k-r", "2", "--k-c",
 def test_bad_input_exit_code(tmp_path, monkeypatch, solve_setup, argv,
                              config, code):
     monkeypatch.chdir(tmp_path)
+    save_matrix_csv(tmp_path / "huge.csv", 1e160 * solve_setup[3])
     (tmp_path / "negative.txt").write_text("#vertices 3\n-1\t1\t1.0\n")
     (tmp_path / "duplicate.txt").write_text(
         "#vertices 3\n0\t1\t1.0\n0\t1\t1.0\n")
@@ -388,6 +418,21 @@ class TestSpectra:
 
     def test_missing_mode_is_usage_error(self, tmp_path):
         assert run(["spectra", "--out", tmp_path / "x.csv"]) == 2
+
+    def test_manifest_reproduces_run(self, tmp_path, monkeypatch,
+                                     three_points_csv):
+        # the manifest of the graph mode records the curve flags as null,
+        # so replaying it does not give the flags that mode refuses
+        monkeypatch.chdir(tmp_path)
+        assert run(["graph", "build", "--matrix", three_points_csv, "--k", 1,
+                    "--out", "g.txt"]) == 0
+        assert run(["spectra", "--graph", "g.txt", "--out", "a.csv"]) == 0
+        params = json.loads(Path("a.csv.manifest.json").read_text())["params"]
+        assert params["filter_gamma"] is None and params["x_max"] is None
+        params["out"] = "b.csv"
+        Path("config.json").write_text(json.dumps(params))
+        assert run(["spectra", "--config", "config.json"]) == 0
+        assert Path("b.csv").read_bytes() == Path("a.csv").read_bytes()
 
 
 def report_items(path, title):

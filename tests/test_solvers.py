@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphlowrank import (DataError, DataMatrix, FilterSpec, ParameterError,
-                          SolverConfig, SparseGraph, eigendecompose,
-                          eval_filter, frpcag_gradient, knn_graph, laplacian,
-                          lipschitz_bound, loss_value, prox_loss, solve_frpcag,
-                          solve_gfrpcag, tikhonov_closed_form)
+from graphlowrank import (DataError, DataMatrix, FilterSpec, NumericalError,
+                          ParameterError, SolverConfig, SparseGraph,
+                          eigendecompose, eval_filter, frpcag_gradient,
+                          knn_graph, laplacian, lipschitz_bound, loss_value,
+                          prox_loss, solve_frpcag, solve_gfrpcag,
+                          tikhonov_closed_form)
 from graphlowrank import graph, solvers, spectral
 from graphlowrank.spectral import apply_filter_exact
 
@@ -121,8 +122,9 @@ class TestGradient:
         assert np.allclose(grad, expected, rtol=1e-12, atol=1e-12)
 
     def test_row_blocks_do_not_change_the_result(self, rng, monkeypatch):
-        # each output row accumulates its sparse sums in the same order
-        # whatever the block width, so blocking is bit-exact
+        # X Lc is added in row blocks; each output row accumulates its
+        # sparse sums in the same order whatever the block width, so the
+        # blocked sum equals the one-block sum bit for bit
         p, n = 10, 7
         Lr, Lc = random_laplacian(rng, p), random_laplacian(rng, n)
         X = rng.standard_normal((p, n))
@@ -134,8 +136,9 @@ class TestGradient:
     @pytest.mark.parametrize("gamma_r, gamma_c", [(1.3, 0.0), (0.0, 0.7)])
     def test_single_term_is_the_blocked_result(self, rng, monkeypatch,
                                                gamma_r, gamma_c):
-        # one whole product accumulates each output row in the order that
-        # the per-block products of the two-term path do
+        # with one term the result is that term alone: Lr X as one whole
+        # product, or X Lc added to zeros in row blocks, and each output
+        # row holds the same bits as its own block's product
         p, n = 10, 7
         Lr, Lc = random_laplacian(rng, p), random_laplacian(rng, n)
         X = rng.standard_normal((p, n))
@@ -148,21 +151,6 @@ class TestGradient:
                 blocked[rows] = 2.0 * gamma_r * (Lr.matrix[rows] @ X)
         assert np.array_equal(frpcag_gradient(X, Lr, Lc, gamma_r, gamma_c),
                               blocked)
-
-    def test_out_buffer_is_written_and_returned(self, rng):
-        Y = rng.standard_normal((6, 8))
-        Lr, Lc = build_laplacians(Y, 2, 3)
-        buf = np.full_like(Y, np.nan)
-        assert frpcag_gradient(Y, Lr, Lc, 0.4, 0.9, out=buf) is buf
-        assert np.array_equal(buf, frpcag_gradient(Y, Lr, Lc, 0.4, 0.9))
-        assert np.array_equal(frpcag_gradient(Y, Lr, Lc, 0.0, 0.0, out=buf),
-                              np.zeros_like(Y))
-
-    def test_out_buffer_overlapping_x_rejected(self, rng):
-        Y = rng.standard_normal((6, 8))
-        Lr, Lc = build_laplacians(Y, 2, 3)
-        with pytest.raises(DataError):
-            frpcag_gradient(Y, Lr, Lc, 1.0, 1.0, out=Y)
 
 
 class TestLipschitzBound:
@@ -835,6 +823,15 @@ class TestInputCheck:
         with pytest.raises(DataError):
             solve_gfrpcag(Y, Lr, Lc, SolverConfig(
                 gamma_c=1.0, filter_spec=FilterSpec("prox_fb", b=0.5)))
+
+
+class TestRunTraces:
+    def test_non_finite_objective_or_change_names_the_iteration(self):
+        X = np.zeros((2, 2))
+        for bad in ((X, np.inf, 0.5, False), (X, 1.0, np.nan, True)):
+            steps = iter([(X, 1.0, 0.5, False), bad])
+            with pytest.raises(NumericalError, match="^iteration 2: "):
+                solvers._run(steps, 10)
 
 
 class TestSolverConfigValidation:

@@ -64,8 +64,7 @@ class TestEigendecompose:
 
     def test_rejects_asymmetric_matrix(self):
         from graphlowrank.graph import LaplacianMatrix
-        bad = LaplacianMatrix(kind="unnormalized",
-                              matrix=sparse.csr_matrix(np.array([[1.0, 2.0],
+        bad = LaplacianMatrix(matrix=sparse.csr_matrix(np.array([[1.0, 2.0],
                                                                  [0.0, 1.0]])),
                               spectral_norm_bound=3.0)
         with pytest.raises(DataError):
@@ -198,8 +197,7 @@ class TestPartialEigenbasis:
         W = path_graph_weights(300)
         matrix = sparse.csr_matrix(np.diag(W.sum(axis=1)) - W)
         matrix[0, 1] = -2.0
-        bad = LaplacianMatrix(kind="unnormalized", matrix=matrix,
-                              spectral_norm_bound=5.0)
+        bad = LaplacianMatrix(matrix=matrix, spectral_norm_bound=5.0)
         with pytest.raises(DataError):
             eigendecompose(bad, below=0.5)
 

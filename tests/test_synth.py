@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 
-from graphlowrank import (DataMatrix, ParameterError, add_noise, knn_graph,
-                          make_lrmg, make_manifold, save_matrix_csv)
-
-from conftest import two_blob_data
+from graphlowrank import (ParameterError, add_noise, knn_graph, make_lrmg,
+                          make_manifold, save_matrix_csv)
 
 
 class TestMakeLrmg:
     def test_band_limit_invariants(self):
         instance = make_lrmg(25, 30, 4, 3, seed=1)
         Y = instance.Y_star
-        out_rows = instance.row_basis.trailing(4).T @ Y
-        out_cols = Y @ instance.col_basis.trailing(3)
+        out_rows = instance.row_basis.eigenvectors[:, 4:].T @ Y
+        out_cols = Y @ instance.col_basis.eigenvectors[:, 3:]
         scale = np.linalg.norm(Y)
         assert np.linalg.norm(out_rows) <= 1e-8 * scale
         assert np.linalg.norm(out_cols) <= 1e-8 * scale
@@ -41,23 +39,6 @@ class TestMakeLrmg:
             save_matrix_csv(p, instance.Y_star)
             paths.append(p.read_bytes())
         assert paths[0] == paths[1]
-
-    def test_given_graphs_source(self, rng):
-        data = two_blob_data(rng, per_cluster=10)
-        g_cols = knn_graph(data, "columns", 3)
-        g_rows = knn_graph(DataMatrix(rng.standard_normal((3, 8))), "columns", 2)
-        instance = make_lrmg(8, 20, 2, 2, seed=7, graphs=(g_rows, g_cols))
-        assert instance.Y_star.shape == (8, 20)
-        assert instance.row_graph is g_rows and instance.col_graph is g_cols
-        # Y* is band-limited on the given graphs, and the seed draws only
-        # the coefficients: no auxiliary matrix comes first
-        assert np.allclose(instance.row_basis.trailing(2).T @ instance.Y_star, 0)
-        assert np.allclose(instance.Y_star @ instance.col_basis.trailing(2), 0)
-        expected = np.random.default_rng(7).standard_normal((2, 2))
-        assert np.array_equal(instance.coefficients, expected)
-        # swapped graphs would give a 20 x 8 Y*
-        with pytest.raises(ParameterError, match="not 8 and 20"):
-            make_lrmg(8, 20, 2, 2, seed=7, graphs=(g_cols, g_rows))
 
 
 class TestAddNoise:
@@ -131,7 +112,7 @@ class TestMakeManifold:
         sigma = 0.2
         data = make_manifold("circle2d", n=5000, noise_sigma=sigma,
                              noise_dims="extra_dim", seed=12)
-        assert data.num_features == 3
+        assert data.values.shape[0] == 3
         extra = data.values[2]
         assert abs(extra.mean()) <= 0.02
         assert abs(extra.std() - sigma) <= 0.1 * sigma
