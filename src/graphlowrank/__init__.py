@@ -1,6 +1,6 @@
 """Low-rank matrix denoising via dual-graph spectral regularization."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .diagnostics import (AlignmentReport, alignment_report, covariance,
                           recovery_bound_check, spectral_gap,
@@ -9,8 +9,7 @@ from .errors import (DataError, DegenerateGraphError, GraphLowRankError,
                      NumericalError, ParameterError)
 from .graph import (DataMatrix, LaplacianMatrix, SparseGraph, knn_graph,
                     laplacian, load_edge_list, load_matrix_csv,
-                    num_connected_components, save_edge_list,
-                    save_matrix_csv)
+                    save_edge_list, save_matrix_csv)
 from .solvers import (SolverConfig, SolverResult, frpcag_gradient,
                       lipschitz_bound, loss_value, prox_loss, solve_frpcag,
                       solve_gfrpcag, tikhonov_closed_form)
@@ -28,7 +27,7 @@ __all__ = [
     "dirichlet_energy", "eigendecompose", "eval_filter", "frpcag_gradient",
     "knn_graph", "laplacian", "lipschitz_bound", "load_edge_list",
     "load_matrix_csv", "loss_value", "make_lrmg", "make_manifold",
-    "num_connected_components", "prox_loss", "recovery_bound_check",
-    "save_edge_list", "save_matrix_csv", "solve_frpcag", "solve_gfrpcag",
-    "spectral_gap", "subspace_coherence", "tikhonov_closed_form",
+    "prox_loss", "recovery_bound_check", "save_edge_list", "save_matrix_csv",
+    "solve_frpcag", "solve_gfrpcag", "spectral_gap", "subspace_coherence",
+    "tikhonov_closed_form",
 ]

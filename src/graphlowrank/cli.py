@@ -4,6 +4,8 @@ Each command declares its parameters once, in a table that generates its
 flags and checks its ``--config`` values: a config value must pass the same
 converter and choices as the flag, and a config key that names no parameter
 is a usage error. Flags win over config values, which win over defaults.
+A parameter that only some modes read is null in the others, and giving it
+there, as a flag or a non-null config value, is a usage error.
 Every command writes one JSON manifest with the resolved parameters, the
 seed, the tool version and the wall time of the whole command; re-running a
 deterministic command with ``--config manifest.json`` reproduces its outputs
@@ -31,6 +33,7 @@ from .errors import (DataError, DegenerateGraphError, GraphLowRankError,
                      NumericalError, ParameterError)
 
 _REQUIRED = object()  # default of a parameter that has none
+_GIVEN = object()  # read-when value: the earlier parameter has a value
 
 # parameters naming input files, recorded under "inputs" in the manifest
 _INPUT_FILES = ("matrix", "row_graph", "col_graph", "ystar", "noisy", "graph")
@@ -80,17 +83,30 @@ def _resolve(table, flags, config):
     """Typed parameters from flags, then config values, then defaults.
 
     A value given either way passes through the parameter's converter and
-    choices; a null config value counts as not given.
+    choices; a null config value counts as not given. Outside its read-when
+    condition (an earlier parameter's values, None for not given and _GIVEN
+    for any) a row resolves to None, and a value given for it is refused.
     """
     unknown = sorted(set(config) - {row[0] for row in table})
     if unknown:
         raise ParameterError(f"unknown config key(s): {', '.join(unknown)}")
     params = {}
-    for name, convert, default, choices, _ in table:
+    for name, convert, default, choices, _, *when in table:
         value = flags[name] if flags[name] is not None else config.get(name)
+        mode = ""
+        if when:
+            (param, values), = when
+            setting = params[param]
+            mode = (f" with {_flag(param)} {setting}" if setting is not None
+                    else f" without {_flag(param)}")
+            if not (setting in values or (setting is not None and _GIVEN in values)):
+                if value is not None:
+                    raise ParameterError(f"{_flag(name)} is not read{mode}")
+                params[name] = None
+                continue
         if value is None:
             if default is _REQUIRED:
-                raise ParameterError(f"missing required parameter {_flag(name)}")
+                raise ParameterError(f"missing required parameter {_flag(name)}{mode}")
             params[name] = default
             continue
         try:
@@ -181,8 +197,6 @@ def _cmd_solve(params):
     Lr, Lc = _load_laplacians(params)
 
     algo = params["algo"]
-    if algo != "gfrpcag" and params["filter_b"] is not None:
-        raise ParameterError(f"--algo {algo} does not read --filter-b")
     if algo == "tikhonov":
         X = solvers.tikhonov_closed_form(Y, Lr, Lc, params["gamma_r"],
                                          params["gamma_c"])
@@ -190,16 +204,13 @@ def _cmd_solve(params):
                                       converged=True, stop_reason="closed_form",
                                       change_trace=[])
     else:
-        filter_spec = None
-        if algo == "gfrpcag":
-            if params["filter_b"] is None:
-                raise ParameterError("gfrpcag requires --filter-b")
-            filter_spec = spectral.FilterSpec(family="prox_fb", b=params["filter_b"])
+        filtered = {} if algo == "frpcag" else dict(
+            filtered_side=params["filtered_side"],
+            filter_spec=spectral.FilterSpec("prox_fb", b=params["filter_b"]))
         solver_config = solvers.SolverConfig(
             gamma_r=params["gamma_r"], gamma_c=params["gamma_c"],
             loss=params["loss"], max_iters=params["max_iters"],
-            tol=params["tol"], filter_spec=filter_spec,
-            filtered_side=params["filtered_side"])
+            tol=params["tol"], **filtered)
         solve = solvers.solve_frpcag if algo == "frpcag" else solvers.solve_gfrpcag
         result = solve(Y, Lr, Lc, solver_config)
 
@@ -248,7 +259,7 @@ def _cmd_diagnose(params):
                                  diag.gamma_to_db(aligned.Gamma))
 
     bound = None
-    if params["ystar"] is not None and params["noisy"] is not None:
+    if params["ystar"] is not None:
         Y_star = graphmod.DataMatrix.from_csv(params["ystar"],
                                               params["orientation"]).values
         Y = graphmod.DataMatrix.from_csv(params["noisy"],
@@ -319,24 +330,17 @@ def _cmd_synth_manifold(params):
 
 def _cmd_spectra(params):
     out = params["out"]
-    # a flag the chosen mode does not read is refused, not dropped
-    with_graph = params["graph"] is not None
-    unread = ("filter_b", "filter_gamma", "x_max") if with_graph else ("count",)
-    given = [_flag(name) for name in unread if params[name] is not None]
-    if given:
-        raise ParameterError(f"{', '.join(given)}: not read "
-                             f"{'with' if with_graph else 'without'} --graph")
-    if with_graph:
+    if params["graph"] is not None:
         g = graphmod.load_edge_list(params["graph"])
         L = graphmod.laplacian(g, params["laplacian"])
-        eigenvalues = spectral.eigendecompose(L, params["count"]).eigenvalues
-        _write_table(out, "index,eigenvalue", np.arange(eigenvalues.size),
-                     eigenvalues)
-    elif params["filter_b"] is not None:
-        b = params["filter_b"]
-        gamma = 1.0 if params["filter_gamma"] is None else params["filter_gamma"]
-        x_max = 2.0 if params["x_max"] is None else params["x_max"]
-        spec = spectral.FilterSpec("prox_fb", b=b, gamma=gamma)
+        count = params["count"]
+        if count is not None and not 1 <= count <= L.shape[0]:
+            raise ParameterError(f"--count {count} is not in 1..{L.shape[0]}")
+        eigenvalues = spectral.eigendecompose(L).eigenvalues[:count]
+        _write_table(out, "index,eigenvalue", np.arange(eigenvalues.size), eigenvalues)
+    else:
+        b, x_max = params["filter_b"], params["x_max"]
+        spec = spectral.FilterSpec("prox_fb", b=b, gamma=params["filter_gamma"])
         if not x_max > 0:
             raise ParameterError(f"x_max must be positive, got {x_max}")
         grid = np.linspace(0.0, x_max, 1000)
@@ -344,19 +348,22 @@ def _cmd_spectra(params):
                      spectral.eval_filter(spectral.FilterSpec("step_gb", b=b),
                                           grid),
                      spectral.eval_filter(spec, grid))
-    else:
-        raise ParameterError("spectra needs either --graph or --filter-b")
     print(f"wrote {out}")
 
 
 # parameter tables, one row per flag: (name, converter, default or _REQUIRED,
-# choices, help)
+# choices, help[, read-when condition])
 
 _ORIENTATION = ("orientation", str, "rows", ("rows", "columns"), None)
 _GRAPHS = (("row_graph", str, _REQUIRED, None, None),
            ("col_graph", str, _REQUIRED, None, None))
 _LAPLACIAN = ("laplacian", str, "normalized", graphmod.LAPLACIAN_KINDS, None)
 _LOSS = ("loss", str, "l1", solvers.LOSSES, None)
+_ITERATIVE = ("algo", ("frpcag", "gfrpcag"))
+_FILTERED = ("algo", ("gfrpcag",))
+_BOUND = ("ystar", (_GIVEN,))
+_SPECTRUM = ("graph", (_GIVEN,))
+_CURVE = ("graph", (None,))
 _OUT_DIR = ("out_dir", str, _REQUIRED, None, None)
 
 _COMMANDS = {
@@ -367,7 +374,8 @@ _COMMANDS = {
          "which vectors become vertices (default columns)"),
         ("k", _int, _REQUIRED, None, "number of nearest neighbors"),
         ("weighting", str, "gaussian", graphmod.WEIGHTINGS, None),
-        ("sigma", _sigma, "auto", None, "gaussian width, or 'auto'"),
+        ("sigma", _sigma, "auto", None, "gaussian width, or 'auto'",
+         ("weighting", ("gaussian",))),
         ("metric", str, "euclidean", ("euclidean", "cityblock"), None),
         ("out", str, _REQUIRED, None, "output edge-list file"),
     )),
@@ -376,14 +384,15 @@ _COMMANDS = {
         _ORIENTATION,
         *_GRAPHS,
         ("algo", str, "frpcag", ("frpcag", "gfrpcag", "tikhonov"), None),
-        _LOSS,
+        (*_LOSS, _ITERATIVE),
         ("gamma_r", _float, 0.0, None, None),
         ("gamma_c", _float, 0.0, None, None),
         _LAPLACIAN,
-        ("max_iters", _int, 1000, None, None),
-        ("tol", _float, 1e-6, None, None),
-        ("filter_b", _float, None, None, None),
-        ("filtered_side", str, "column_graph", solvers.FILTERED_SIDES, None),
+        ("max_iters", _int, 1000, None, None, _ITERATIVE),
+        ("tol", _float, 1e-6, None, None, _ITERATIVE),
+        ("filter_b", _float, _REQUIRED, None, None, _FILTERED),
+        ("filtered_side", str, "column_graph", solvers.FILTERED_SIDES, None,
+         _FILTERED),
         _OUT_DIR,
     )),
     "diagnose": ("alignment and bound diagnostics", _cmd_diagnose, (
@@ -393,11 +402,12 @@ _COMMANDS = {
         ("k", _int, _REQUIRED, None, None),
         _LAPLACIAN,
         ("ystar", str, None, None, "clean matrix CSV for the bound check"),
-        ("noisy", str, None, None, "noisy matrix CSV for the bound check"),
-        ("gamma", _float, 1.0, None, None),
-        _LOSS,
-        ("k_r", _int, None, None, None),
-        ("k_c", _int, None, None, None),
+        ("noisy", str, _REQUIRED, None, "noisy matrix CSV for the bound check",
+         _BOUND),
+        ("gamma", _float, 1.0, None, None, _BOUND),
+        (*_LOSS, _BOUND),
+        ("k_r", _int, None, None, "default --k", _BOUND),
+        ("k_c", _int, None, None, "default --k", _BOUND),
         _OUT_DIR,
     )),
     "synth lowrank": ("band-limited matrix plus graphs", _cmd_synth_lowrank, (
@@ -409,9 +419,10 @@ _COMMANDS = {
         ("k_neighbors", _int, 10, None, None),
         _LAPLACIAN,
         ("noise", str, "none", ("none", *synth.NOISE_MODELS), None),
-        ("sigma", _float, 0.1, None, None),
-        ("fraction", _float, 0.1, None, None),
-        ("amplitude", _float, 1.0, None, None),
+        ("sigma", _float, 0.1, None, None, ("noise", ("gaussian",))),
+        ("fraction", _float, 0.1, None, None,
+         ("noise", ("sparse", "column_outliers"))),
+        ("amplitude", _float, 1.0, None, None, ("noise", ("sparse",))),
         _OUT_DIR,
     )),
     "synth manifold": ("parametric manifold samples", _cmd_synth_manifold, (
@@ -424,11 +435,11 @@ _COMMANDS = {
     )),
     "spectra": ("export eigenvalues or filter curves", _cmd_spectra, (
         ("graph", str, None, None, "edge-list file to decompose"),
-        _LAPLACIAN,
-        ("count", _int, None, None, None),
-        ("filter_b", _float, None, None, None),
-        ("filter_gamma", _float, None, None, "default 1"),
-        ("x_max", _float, None, None, "default 2"),
+        (*_LAPLACIAN, _SPECTRUM),
+        ("count", _int, None, None, "leading eigenvalues to write", _SPECTRUM),
+        ("filter_b", _float, _REQUIRED, None, None, _CURVE),
+        ("filter_gamma", _float, 1.0, None, None, _CURVE),
+        ("x_max", _float, 2.0, None, None, _CURVE),
         ("out", str, _REQUIRED, None, None),
     )),
 }
@@ -463,7 +474,7 @@ def _build_parser():
                     dest=f"{group[0]}_command", required=True)
             parent = groups[group[0]]
         cmd = parent.add_parser(name, help=help_text)
-        for param, _, _, choices, param_help in table:
+        for param, _, _, choices, param_help, *_ in table:
             cmd.add_argument(_flag(param), choices=choices, help=param_help)
         cmd.add_argument("--config", help="JSON parameter file (flags win)")
         cmd.set_defaults(spec=(command, handler, table))

@@ -305,15 +305,6 @@ def _inv_sqrt_degrees(d: np.ndarray) -> np.ndarray:
     return inv_sqrt
 
 
-def num_connected_components(g: SparseGraph) -> int:
-    """Number of connected components; isolated vertices count as one each."""
-    # imported here: scipy.sparse.csgraph adds 45 modules (15-30 ms on a
-    # 2-core x86 VM) to every import of the package; only this needs it
-    from scipy.sparse.csgraph import connected_components
-    count, _ = connected_components(g.weights, directed=False)
-    return int(count)
-
-
 # ---------------------------------------------------------------------------
 # file formats
 # ---------------------------------------------------------------------------

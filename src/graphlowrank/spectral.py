@@ -73,9 +73,8 @@ class FilterSpec:
             raise ParameterError(f"gamma must be nonnegative, got {self.gamma}")
 
 
-def eigendecompose(L: LaplacianMatrix, count: int | None = None,
-                   below: float | None = None) -> EigenBasis:
-    """Full (or leading-``count``) eigendecomposition of a Laplacian.
+def eigendecompose(L: LaplacianMatrix, below: float | None = None) -> EigenBasis:
+    """Full eigendecomposition of a Laplacian.
 
     With ``below=theta`` the basis holds only the eigenpairs with eigenvalue
     below theta. From DENSE_EIGH_BELOW vertices on they come from Lanczos on
@@ -83,10 +82,6 @@ def eigendecompose(L: LaplacianMatrix, count: int | None = None,
     are (see ``_sparse_eigenpairs_below``); below that size, and whenever
     the certificate or Lanczos fails, the dense basis is computed and cut.
     """
-    if count is not None and below is not None:
-        raise ParameterError("give count or below, not both")
-    if count is not None and not 1 <= count <= L.shape[0]:
-        raise ParameterError(f"count={count} out of range")
     scale = _symmetric_scale(L)
     if below is not None and L.shape[0] >= DENSE_EIGH_BELOW:
         basis = _sparse_eigenpairs_below(L, below, scale)
@@ -96,7 +91,6 @@ def eigendecompose(L: LaplacianMatrix, count: int | None = None,
                                                   scale)
     if below is not None:
         count = int(np.searchsorted(eigenvalues, below, side="left"))
-    if count is not None:
         eigenvalues = eigenvalues[:count]
         eigenvectors = eigenvectors[:, :count]
     return EigenBasis(eigenvalues=eigenvalues, eigenvectors=eigenvectors)

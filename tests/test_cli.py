@@ -7,12 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from graphlowrank import (FilterSpec, SolverConfig, eigendecompose,
                           laplacian, load_edge_list, load_matrix_csv,
-                          num_connected_components, save_matrix_csv,
-                          solve_gfrpcag, spectral_gap)
+                          save_matrix_csv, solve_gfrpcag, spectral_gap)
 from graphlowrank import __version__
+from graphlowrank import cli
 from graphlowrank.cli import main
 
 
@@ -54,7 +55,8 @@ class TestGraphBuild:
         out = tmp_path / "spiral_graph.txt"
         assert run(["graph", "build", "--matrix", matrix, "--k", 3,
                     "--out", out]) == 0
-        assert num_connected_components(load_edge_list(out)) == 1
+        weights = load_edge_list(out).weights
+        assert connected_components(weights, directed=False)[0] == 1
 
     def test_malformed_csv_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -113,17 +115,24 @@ class TestSolve:
                     "--col-graph", row_graph, "--out-dir", tmp_path / "x"])
         assert code == 3
 
-    @pytest.mark.parametrize("algo", ["frpcag", "gfrpcag"])
-    def test_manifest_reproduces_run(self, tmp_path, solve_setup, algo):
+    @pytest.mark.parametrize("algo, extra", [
+        pytest.param("frpcag", ["--loss", "l2"], id="frpcag"),
+        pytest.param("gfrpcag", ["--loss", "l2", "--filter-b", 0.8],
+                     id="gfrpcag"),
+        # the closed form reads neither --loss nor --filter-b; its manifest
+        # records them and the other unread parameters as null
+        pytest.param("tikhonov", [], id="tikhonov")])
+    def test_manifest_reproduces_run(self, tmp_path, solve_setup, algo, extra):
         matrix, row_graph, col_graph, _ = solve_setup
         first = tmp_path / "first"
-        # only gfrpcag reads --filter-b; frpcag refuses it
-        extra = ["--filter-b", 0.8] if algo == "gfrpcag" else []
         assert run(["solve", "--matrix", matrix, "--row-graph", row_graph,
-                    "--col-graph", col_graph, "--algo", algo, "--loss", "l2",
+                    "--col-graph", col_graph, "--algo", algo,
                     "--gamma-r", 0.5, "--gamma-c", 1.0, *extra,
                     "--out-dir", first]) == 0
         manifest = json.loads((first / "manifest.json").read_text())
+        if algo == "tikhonov":
+            assert all(manifest["params"][name] is None for name in
+                       ("loss", "max_iters", "tol", "filter_b", "filtered_side"))
         replay = tmp_path / "replay"
         manifest["params"]["out_dir"] = str(replay)
         config = tmp_path / "config.json"
@@ -257,6 +266,16 @@ SYNTH = ["synth", "lowrank", "--p", "8", "--n", "9", "--k-r", "2", "--k-c",
                  id="curve-reads-no-count"),
     pytest.param(["spectra", "--out", "s.csv", "--count", "3"], None, 2,
                  id="spectra-count-without-graph"),
+    pytest.param([*SOLVE, "--algo", "tikhonov"], {"loss": "l2"}, 2,
+                 id="config-tikhonov-reads-no-loss"),
+    pytest.param([*SOLVE, "--algo", "gfrpcag", "--gamma-c", "1"], None, 2,
+                 id="gfrpcag-needs-filter-b"),
+    pytest.param([*DIAGNOSE, "--ystar", "y.csv", "--gamma", "5", "--loss",
+                  "l21", "--k-r", "2"], None, 2, id="ystar-needs-noisy"),
+    pytest.param([*SPECTRA, "rows.txt", "--count", "0"], None, 2,
+                 id="spectra-count-zero"),
+    pytest.param([*SPECTRA, "rows.txt", "--count", "13"], None, 2,
+                 id="spectra-count-above-vertices"),
     pytest.param([*SPECTRA, "negative.txt"], None, 3, id="negative-vertex"),
     pytest.param([*SPECTRA, "duplicate.txt"], None, 3, id="duplicate-edge"),
     pytest.param(["graph", "build", "--matrix", "missing.csv", "--k", "3",
@@ -273,6 +292,77 @@ def test_bad_input_exit_code(tmp_path, monkeypatch, solve_setup, argv,
         (tmp_path / "config.json").write_text(json.dumps(config))
         argv = [*argv, "--config", "config.json"]
     assert run(argv) == code
+
+
+def conditional_rows():
+    """Every table row that carries a read-when condition."""
+    for command, (_, _, table) in cli._COMMANDS.items():
+        for row in table:
+            if len(row) > 5:
+                yield pytest.param(command, table, row,
+                                   id=f"{command.replace(' ', '-')}-{row[0]}")
+
+
+@pytest.mark.parametrize("command, table, row", conditional_rows())
+def test_unread_flag_is_refused(capsys, command, table, row):
+    # the flag is given in a mode that does not read it: the mode parameter
+    # is left out, given, or set to a choice outside the row's values; the
+    # refusal comes before any file is read, so the paths need not exist
+    name, _, _, choices, _, (param, values) = row
+    argv = command.split()
+    for other in table:
+        if other[2] is cli._REQUIRED and len(other) == 5:
+            argv += [cli._flag(other[0]), other[3][0] if other[3] else "1"]
+    if values == (None,):
+        argv += [cli._flag(param), "x"]
+    elif cli._GIVEN not in values:
+        param_choices = next(r[3] for r in table if r[0] == param)
+        argv += [cli._flag(param),
+                 next(c for c in param_choices if c not in values)]
+    argv += [cli._flag(name), choices[0] if choices else "1"]
+    assert run(argv) == 2
+    assert f"{cli._flag(name)} is not read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, out, unread", [
+    pytest.param([*BUILD[:4], "--k", "3", "--weighting", "binary"], "out",
+                 ["sigma"], id="graph-build-binary"),
+    pytest.param([*SYNTH[:-2], "--noise", "none"], "out_dir",
+                 ["sigma", "fraction", "amplitude"], id="synth-lowrank-no-noise"),
+    pytest.param(DIAGNOSE[:-2], "out_dir",
+                 ["noisy", "gamma", "loss", "k_r", "k_c"],
+                 id="diagnose-without-ystar"),
+])
+def test_manifest_with_unread_parameters_replays(tmp_path, monkeypatch,
+                                                 solve_setup, argv, out,
+                                                 unread):
+    # unread parameters are recorded as null, so the replay gives none of
+    # them and writes the same bytes
+    monkeypatch.chdir(tmp_path)
+    assert run([*argv, cli._flag(out), "first"]) == 0
+    manifest = Path("first/manifest.json" if out == "out_dir"
+                    else "first.manifest.json")
+    params = json.loads(manifest.read_text())["params"]
+    assert all(params[name] is None for name in unread)
+    params[out] = "replay"
+    Path("config.json").write_text(json.dumps(params))
+    assert run([*manifest_command(argv), "--config", "config.json"]) == 0
+    assert outputs("replay") == outputs("first")
+
+
+def manifest_command(argv):
+    """The command words at the head of argv, up to its first flag."""
+    return argv[:next(i for i, a in enumerate(argv) if a.startswith("--"))]
+
+
+def outputs(path):
+    """The bytes a command wrote to an output file, or to each file of an
+    output directory but its manifest."""
+    path = Path(path)
+    if path.is_file():
+        return path.read_bytes()
+    return {f.name: f.read_bytes() for f in path.iterdir()
+            if f.name != "manifest.json"}
 
 
 @pytest.mark.parametrize("side, gammas, named", [
@@ -416,8 +506,10 @@ class TestSpectra:
                     "--out", out]) == 0
         assert out.read_text().splitlines()[0] == "x,g(x),f(x)"
 
-    def test_missing_mode_is_usage_error(self, tmp_path):
+    def test_missing_mode_is_usage_error(self, tmp_path, capsys):
         assert run(["spectra", "--out", tmp_path / "x.csv"]) == 2
+        err = capsys.readouterr().err
+        assert "--filter-b" in err and "--graph" in err
 
     def test_manifest_reproduces_run(self, tmp_path, monkeypatch,
                                      three_points_csv):
@@ -490,20 +582,27 @@ class TestArtifactFormats:
 
     @pytest.mark.parametrize("algo", ["frpcag", "tikhonov"])
     def test_solve_report_and_trace(self, fixed_inputs, algo):
+        # only the iterative solvers read --max-iters and --tol; the report
+        # lists the parameters the run read
+        iterative = algo == "frpcag"
+        extra = ["--max-iters", 3, "--tol", 1e-16] if iterative else []
         assert run(["solve", "--matrix", "y.csv", *fixed_inputs,
                     "--algo", algo, "--gamma-r", 0.5, "--gamma-c", 0.7,
-                    "--max-iters", 3, "--tol", 1e-16, "--out-dir", "run"]) == 0
+                    *extra, "--out-dir", "run"]) == 0
         items = report_items(Path("run/report.txt"), "solver report")
         assert [key for key, _ in items] == [
-            "algo", "col_graph", "filtered_side", "gamma_c", "gamma_r",
-            "laplacian", "loss", "matrix", "max_iters", "orientation",
-            "out_dir", "row_graph", "tol", "iterations", "converged",
-            "stop_reason",
-            *(["final_objective"] if algo == "frpcag" else []),
+            "algo", "col_graph", "gamma_c", "gamma_r", "laplacian",
+            *(["loss"] if iterative else []), "matrix",
+            *(["max_iters"] if iterative else []), "orientation",
+            "out_dir", "row_graph", *(["tol"] if iterative else []),
+            "iterations", "converged", "stop_reason",
+            *(["final_objective"] if iterative else []),
             "wall_time_s"]
         report = dict(items)
-        assert report["gamma_c"] == "0.7" and report["tol"] == "1e-16"
-        assert report["max_iters"] == "3" and report["loss"] == "l1"
+        assert report["gamma_c"] == "0.7"
+        if iterative:
+            assert report["tol"] == "1e-16"
+            assert report["max_iters"] == "3" and report["loss"] == "l1"
         assert report["converged"] in ("true", "false")
         assert re.fullmatch(r"\d+\.\d{3}", report["wall_time_s"])
         rows = table_rows(Path("run/trace.csv"),
@@ -573,6 +672,10 @@ class TestArtifactFormats:
         rows = table_rows(Path("s.csv"), "index,eigenvalue")
         assert [row[0] for row in rows] == [str(i) for i in range(count or 5)]
         assert all(is_float_form(row[1]) for row in rows)
+        # --count keeps the leading eigenvalues of the full spectrum
+        L = laplacian(load_edge_list("cols.txt"), "normalized")
+        assert [row[1] for row in rows] == [
+            repr(v) for v in eigendecompose(L).eigenvalues[:count].tolist()]
 
     def test_filter_curve(self, tmp_path):
         out = tmp_path / "curve.csv"

@@ -53,15 +53,6 @@ class TestEigendecompose:
         assert np.linalg.norm(rebuilt - dense) <= 1e-8 * np.linalg.norm(dense)
         assert basis.eigenvalues[0] <= 1e-8
 
-    def test_count_slices_leading_pairs(self, rng):
-        g = random_graph(rng, n=10, k=3)
-        L = laplacian(g, "normalized")
-        full = eigendecompose(L)
-        partial = eigendecompose(L, count=4)
-        assert partial.count == 4
-        assert np.allclose(partial.eigenvalues, full.eigenvalues[:4])
-        assert np.allclose(partial.eigenvectors, full.eigenvectors[:, :4])
-
     def test_rejects_asymmetric_matrix(self):
         from graphlowrank.graph import LaplacianMatrix
         bad = LaplacianMatrix(matrix=sparse.csr_matrix(np.array([[1.0, 2.0],
@@ -200,11 +191,6 @@ class TestPartialEigenbasis:
         bad = LaplacianMatrix(matrix=matrix, spectral_norm_bound=5.0)
         with pytest.raises(DataError):
             eigendecompose(bad, below=0.5)
-
-    def test_count_and_below_are_exclusive(self, rng):
-        L = laplacian(random_graph(rng, n=10, k=3), "normalized")
-        with pytest.raises(ParameterError):
-            eigendecompose(L, count=2, below=0.5)
 
     @settings(max_examples=25, deadline=None)
     @given(sizes=st.lists(st.integers(8, 40), min_size=1, max_size=6),
