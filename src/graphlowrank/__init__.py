@@ -1,12 +1,12 @@
 """Low-rank matrix denoising via dual-graph spectral regularization."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .diagnostics import (AlignmentReport, alignment_report, covariance,
                           recovery_bound_check, spectral_gap,
                           subspace_coherence)
-from .errors import (DataError, DegenerateGraphError, GraphLowRankError,
-                     NumericalError, ParameterError)
+from .errors import (DataError, GraphLowRankError, NumericalError,
+                     ParameterError)
 from .graph import (DataMatrix, LaplacianMatrix, SparseGraph, knn_graph,
                     laplacian, load_edge_list, load_matrix_csv,
                     save_edge_list, save_matrix_csv)
@@ -19,15 +19,14 @@ from .spectral import (EigenBasis, FilterSpec, apply_filter_chebyshev,
 from .synth import LrmgInstance, add_noise, make_lrmg, make_manifold
 
 __all__ = [
-    "AlignmentReport", "DataError", "DataMatrix", "DegenerateGraphError",
-    "EigenBasis", "FilterSpec", "GraphLowRankError", "LaplacianMatrix",
-    "LrmgInstance", "NumericalError", "ParameterError", "SolverConfig",
-    "SolverResult", "SparseGraph", "add_noise", "alignment_report",
-    "apply_filter_chebyshev", "apply_filter_exact", "covariance",
-    "dirichlet_energy", "eigendecompose", "eval_filter", "frpcag_gradient",
-    "knn_graph", "laplacian", "lipschitz_bound", "load_edge_list",
-    "load_matrix_csv", "loss_value", "make_lrmg", "make_manifold",
-    "prox_loss", "recovery_bound_check", "save_edge_list", "save_matrix_csv",
-    "solve_frpcag", "solve_gfrpcag", "spectral_gap", "subspace_coherence",
-    "tikhonov_closed_form",
+    "AlignmentReport", "DataError", "DataMatrix", "EigenBasis", "FilterSpec",
+    "GraphLowRankError", "LaplacianMatrix", "LrmgInstance", "NumericalError",
+    "ParameterError", "SolverConfig", "SolverResult", "SparseGraph",
+    "add_noise", "alignment_report", "apply_filter_chebyshev",
+    "apply_filter_exact", "covariance", "dirichlet_energy", "eigendecompose",
+    "eval_filter", "frpcag_gradient", "knn_graph", "laplacian",
+    "lipschitz_bound", "load_edge_list", "load_matrix_csv", "loss_value",
+    "make_lrmg", "make_manifold", "prox_loss", "recovery_bound_check",
+    "save_edge_list", "save_matrix_csv", "solve_frpcag", "solve_gfrpcag",
+    "spectral_gap", "subspace_coherence", "tikhonov_closed_form",
 ]

@@ -6,8 +6,9 @@ converter and choices as the flag, and a config key that names no parameter
 is a usage error. Flags win over config values, which win over defaults.
 A parameter that only some modes read is null in the others, and giving it
 there, as a flag or a non-null config value, is a usage error.
-Every command writes one JSON manifest with the resolved parameters, the
-seed, the tool version and the wall time of the whole command; re-running a
+Every command writes one JSON manifest with the resolved parameters (the
+seed among them), the tool version and the wall time of the whole command;
+``--help`` shows each flag's default and read-when condition. Re-running a
 deterministic command with ``--config manifest.json`` reproduces its outputs
 byte for byte. Exit codes: 0 success, 2 usage error, 3 data error, 4
 numerical failure. Hitting the iteration cap is not a failure; it is
@@ -29,14 +30,10 @@ from . import __version__
 from . import diagnostics as diag
 from . import graph as graphmod
 from . import solvers, spectral, synth
-from .errors import (DataError, DegenerateGraphError, GraphLowRankError,
-                     NumericalError, ParameterError)
+from .errors import DataError, GraphLowRankError, NumericalError, ParameterError
 
 _REQUIRED = object()  # default of a parameter that has none
 _GIVEN = object()  # read-when value: the earlier parameter has a value
-
-# parameters naming input files, recorded under "inputs" in the manifest
-_INPUT_FILES = ("matrix", "row_graph", "col_graph", "ystar", "noisy", "graph")
 
 
 def _int(value):
@@ -133,9 +130,7 @@ def _write_manifest(command, params, wall_time_s):
         path = out.with_name(out.name + ".manifest.json")
     manifest = {
         "command": command,
-        "inputs": {name: params[name] for name in _INPUT_FILES if name in params},
         "params": params,
-        "seed": params.get("seed"),
         "version": __version__,
         "wall_time_s": wall_time_s,
     }
@@ -251,10 +246,6 @@ def _cmd_diagnose(params):
     row_report = diag.alignment_report(row_basis, diag.covariance(X, "rows"), k)
     col_report = diag.alignment_report(col_basis, diag.covariance(X, "columns"), k)
     for side, aligned in (("rows", row_report), ("columns", col_report)):
-        _write_report(out_dir / f"alignment_{side}.txt", "alignment report", {
-            "label": side, "k": aligned.k,
-            "alignment_order": aligned.alignment_order,
-            "rank_k_alignment": aligned.rank_k_alignment})
         graphmod.save_matrix_csv(out_dir / f"gamma_{side}_db.csv",
                                  diag.gamma_to_db(aligned.Gamma))
 
@@ -266,10 +257,8 @@ def _cmd_diagnose(params):
                                          params["orientation"]).values
         k_r = params["k_r"] if params["k_r"] is not None else k
         k_c = params["k_c"] if params["k_c"] is not None else k
-        bound = diag.recovery_bound_check(
-            Y_star, Y - Y_star, X, row_basis, col_basis, k_r, k_c,
-            params["gamma"],
-            lambda R: solvers.loss_value(R, np.zeros_like(R), params["loss"]))
+        bound = diag.recovery_bound_check(Y_star, Y, X, row_basis, col_basis,
+                                          k_r, k_c, params["gamma"], params["loss"])
 
     coherence_right, coherence_left, sigma = diag.subspace_coherence(
         X, row_basis, col_basis)
@@ -371,7 +360,7 @@ _COMMANDS = {
         ("matrix", str, _REQUIRED, None, "input matrix CSV"),
         _ORIENTATION,
         ("axis", str, "columns", ("rows", "columns"),
-         "which vectors become vertices (default columns)"),
+         "which vectors become vertices"),
         ("k", _int, _REQUIRED, None, "number of nearest neighbors"),
         ("weighting", str, "gaussian", graphmod.WEIGHTINGS, None),
         ("sigma", _sigma, "auto", None, "gaussian width, or 'auto'",
@@ -436,7 +425,7 @@ _COMMANDS = {
     "spectra": ("export eigenvalues or filter curves", _cmd_spectra, (
         ("graph", str, None, None, "edge-list file to decompose"),
         (*_LAPLACIAN, _SPECTRUM),
-        ("count", _int, None, None, "leading eigenvalues to write", _SPECTRUM),
+        ("count", _int, None, None, "leading eigenvalues, default all", _SPECTRUM),
         ("filter_b", _float, _REQUIRED, None, None, _CURVE),
         ("filter_gamma", _float, 1.0, None, None, _CURVE),
         ("x_max", _float, 2.0, None, None, _CURVE),
@@ -457,6 +446,20 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(f"{self.prog}: {message}")
 
 
+def _help(text, default, when):
+    """A flag's help from its table row: the row's text, then its default or
+    "required", then its read-when condition."""
+    parts = [text] if text else []
+    if default is not None:
+        parts.append("required" if default is _REQUIRED else f"default {default}")
+    if when:
+        (param, values), = when
+        named = " or ".join(value for value in values if isinstance(value, str))
+        parts.append(f"read only {'without' if values == (None,) else 'with'} "
+                     f"{_flag(param)} {named}".rstrip())
+    return "; ".join(parts)
+
+
 def _build_parser():
     parser = _Parser(
         prog="graphlowrank",
@@ -474,8 +477,9 @@ def _build_parser():
                     dest=f"{group[0]}_command", required=True)
             parent = groups[group[0]]
         cmd = parent.add_parser(name, help=help_text)
-        for param, _, _, choices, param_help, *_ in table:
-            cmd.add_argument(_flag(param), choices=choices, help=param_help)
+        for param, _, default, choices, text, *when in table:
+            cmd.add_argument(_flag(param), choices=choices,
+                             help=_help(text, default, when))
         cmd.add_argument("--config", help="JSON parameter file (flags win)")
         cmd.set_defaults(spec=(command, handler, table))
     return parser
@@ -492,7 +496,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, DegenerateGraphError) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except (NumericalError, np.linalg.LinAlgError) as exc:

@@ -14,10 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError
+from .solvers import loss_value
 from .spectral import EigenBasis, _column_signs
 
 # eigenvalues below this threshold count as zero when validating gaps
 ZERO_EIGENVALUE_TOL = 1e-12
+FLOOR_DB = -200.0  # gamma_to_db's value for zero entries and its floor
 
 
 @dataclass(frozen=True)
@@ -33,7 +35,6 @@ class AlignmentReport:
     Gamma: np.ndarray
     alignment_order: float
     rank_k_alignment: float
-    k: int
 
 
 def covariance(Y: np.ndarray, axis: str = "rows") -> np.ndarray:
@@ -78,8 +79,7 @@ def alignment_report(basis: EigenBasis, C: np.ndarray, k: int) -> AlignmentRepor
     diag_sq = diag ** 2
     diag_total = diag_sq.sum()
     s_k = float(diag_sq[:k].sum() / diag_total) if diag_total > 0 else 0.0
-    return AlignmentReport(Gamma=Gamma, alignment_order=s,
-                           rank_k_alignment=s_k, k=k)
+    return AlignmentReport(Gamma=Gamma, alignment_order=s, rank_k_alignment=s_k)
 
 
 def spectral_gap(eigenvalues: np.ndarray, k: int) -> float:
@@ -97,25 +97,29 @@ def spectral_gap(eigenvalues: np.ndarray, k: int) -> float:
     return float(eigenvalues[k - 1] / upper)
 
 
-def recovery_bound_check(Y_star: np.ndarray, E: np.ndarray, X_star: np.ndarray,
+def recovery_bound_check(Y_star: np.ndarray, Y: np.ndarray, X_star: np.ndarray,
                          row_basis: EigenBasis, col_basis: EigenBasis,
                          k_r: int, k_c: int, gamma: float,
-                         loss_fn) -> tuple[float, float, bool]:
+                         loss: str) -> tuple[float, float, bool]:
     """Evaluate both sides of the band-limited recovery bound.
 
     With gamma_c = gamma / lambda_{k_c+1} and gamma_r = gamma / lambda_{k_r+1},
-    any minimizer X* of the dual-graph objective on Y = Y* + E satisfies
+    any minimizer X* of the dual-graph objective on the noisy Y = Y* + E
+    satisfies
 
         phi(X* - Y) + gamma_c ||X* Qbar||_F^2 + gamma_r ||Pbar^T X*||_F^2
             <= phi(E) + gamma ||Y*||_F^2 (gap_c + gap_r)
 
-    where the gaps are the 1-indexed eigenvalue ratios at k_c and k_r.
-    ``loss_fn`` maps a residual matrix to phi(residual). Returns
-    (lhs, rhs, holds) with a 1e-3 relative slack on the comparison.
+    where the gaps are the 1-indexed eigenvalue ratios at k_c and k_r and
+    phi is ``loss``, one of ``solvers.LOSSES``. Returns (lhs, rhs, holds)
+    with a 1e-3 relative slack on the comparison.
     """
     Y_star = np.asarray(Y_star, dtype=np.float64)
-    E = np.asarray(E, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
     X_star = np.asarray(X_star, dtype=np.float64)
+    for name, matrix in (("Y", Y), ("X_star", X_star)):
+        if matrix.shape != Y_star.shape:
+            raise DataError(f"{name} is {matrix.shape}, Y_star is {Y_star.shape}")
     p, n = Y_star.shape
     if row_basis.size != p or col_basis.size != n:
         raise DataError("bases do not match the matrix shape")
@@ -129,14 +133,13 @@ def recovery_bound_check(Y_star: np.ndarray, E: np.ndarray, X_star: np.ndarray,
         raise ParameterError("the (k+1)-th eigenvalue is zero; weights are undefined")
     gamma_r = gamma / lam_r[k_r]
     gamma_c = gamma / lam_c[k_c]
-    Y = Y_star + E
     out_cols = X_star @ col_basis.eigenvectors[:, k_c:]
     out_rows = row_basis.eigenvectors[:, k_r:].T @ X_star
-    lhs = (loss_fn(X_star - Y)
+    lhs = (loss_value(X_star, Y, loss)
            + gamma_c * float(np.sum(out_cols ** 2))
            + gamma_r * float(np.sum(out_rows ** 2)))
     gap_sum = lam_c[k_c - 1] / lam_c[k_c] + lam_r[k_r - 1] / lam_r[k_r]
-    rhs = loss_fn(E) + gamma * float(np.sum(Y_star ** 2)) * gap_sum
+    rhs = loss_value(Y, Y_star, loss) + gamma * float(np.sum(Y_star ** 2)) * gap_sum
     holds = lhs <= rhs * (1.0 + 1e-3)
     return lhs, rhs, holds
 
@@ -162,11 +165,11 @@ def subspace_coherence(X: np.ndarray, row_basis: EigenBasis,
     return weighted_vq, weighted_up, sigma
 
 
-def gamma_to_db(Gamma: np.ndarray, floor_db: float = -200.0) -> np.ndarray:
-    """20 * log10 |Gamma|, floored so zero entries stay plottable."""
+def gamma_to_db(Gamma: np.ndarray) -> np.ndarray:
+    """20 * log10 |Gamma|, floored at FLOOR_DB so zero entries stay plottable."""
     mag = np.abs(Gamma)
-    out = np.full_like(mag, floor_db)
+    out = np.full_like(mag, FLOOR_DB)
     positive = mag > 0
-    out[positive] = np.maximum(20.0 * np.log10(mag[positive]), floor_db)
+    out[positive] = np.maximum(20.0 * np.log10(mag[positive]), FLOOR_DB)
     return out
 

@@ -18,9 +18,5 @@ class DataError(GraphLowRankError):
     """Input data is malformed, non-finite, or shape-inconsistent."""
 
 
-class DegenerateGraphError(GraphLowRankError):
-    """A graph operation hit a degree-zero vertex or empty structure."""
-
-
 class NumericalError(GraphLowRankError):
     """An internal numerical routine failed to produce a usable result."""

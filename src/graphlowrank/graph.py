@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sparse
 
-from .errors import DataError, DegenerateGraphError, ParameterError
+from .errors import DataError, ParameterError
 
 WEIGHTINGS = ("gaussian", "binary", "correlation")
 LAPLACIAN_KINDS = ("normalized", "unnormalized")
@@ -208,8 +208,7 @@ def knn_graph(data: DataMatrix, axis: str, k: int, weighting: str = "gaussian",
     else:  # correlation
         norms = np.linalg.norm(vectors, axis=1)
         if (norms == 0).any():
-            raise DegenerateGraphError(
-                "correlation weighting is undefined for zero-norm vectors")
+            raise DataError("correlation weighting is undefined for zero-norm vectors")
         inner = np.einsum("ij,ij->i", vectors[rows], vectors[cols])
         vals = inner / (norms[rows] * norms[cols])
         vals = np.maximum(vals, 0.0)  # negative correlations carry no edge
@@ -390,10 +389,15 @@ def load_edge_list(path) -> SparseGraph:
             if not stripped:
                 continue
             if stripped.startswith("#vertices"):
+                if num_vertices is not None:
+                    raise DataError(f"{path}: line {lineno}: second '#vertices' header")
                 try:
                     num_vertices = int(stripped.split()[1])
                 except (IndexError, ValueError):
                     raise DataError(f"{path}: bad header at line {lineno}")
+                if num_vertices < 1:
+                    raise DataError(f"{path}: line {lineno}: vertex count "
+                                    f"{num_vertices} is below 1")
                 continue
             parts = stripped.split("\t")
             if len(parts) != 3:

@@ -372,8 +372,7 @@ def solve_gfrpcag(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
     term, whose gradient is ``frpcag_gradient`` with the filtered side's
     gamma set to 0. The prox needs only the filtered graph's eigenpairs
     below 3b/2, which ``eigendecompose`` finds once per solve with Lanczos
-    on the sparse Laplacian (dense ``eigh`` below
-    ``spectral.DENSE_EIGH_BELOW`` vertices or when the sparse result cannot
+    on the sparse Laplacian (dense ``eigh`` when the sparse result cannot
     be certified). Time steps are tau_1 = 1/beta, tau_2 = beta/2,
     tau_3 = 0.99, with beta the ``lipschitz_bound`` of that smooth term,
     and tau_1 = 1, tau_2 = 1/2 when it vanishes. Stops once the relative

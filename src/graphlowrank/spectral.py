@@ -20,12 +20,6 @@ from .graph import LaplacianMatrix
 
 FILTER_FAMILIES = ("step_gb", "prox_fb")
 
-# Below this many vertices the dense eigh beats the inertia count plus
-# Lanczos, so ``eigendecompose(L, below=...)`` stays dense there. Measured
-# on KNN Laplacians (k = 10) on a 2-core x86 VM: 7.9 against 9.2 ms at
-# n = 200, 16.5 against 12.7 ms at n = 300.
-DENSE_EIGH_BELOW = 250
-
 
 @dataclass(frozen=True)
 class EigenBasis:
@@ -77,13 +71,13 @@ def eigendecompose(L: LaplacianMatrix, below: float | None = None) -> EigenBasis
     """Full eigendecomposition of a Laplacian.
 
     With ``below=theta`` the basis holds only the eigenpairs with eigenvalue
-    below theta. From DENSE_EIGH_BELOW vertices on they come from Lanczos on
-    the sparse matrix, once an inertia count has certified how many there
-    are (see ``_sparse_eigenpairs_below``); below that size, and whenever
-    the certificate or Lanczos fails, the dense basis is computed and cut.
+    below theta. They come from Lanczos on the sparse matrix, once an
+    inertia count has certified how many there are (see
+    ``_sparse_eigenpairs_below``); whenever the certificate or Lanczos
+    fails, the dense basis is computed and cut.
     """
     scale = _symmetric_scale(L)
-    if below is not None and L.shape[0] >= DENSE_EIGH_BELOW:
+    if below is not None:
         basis = _sparse_eigenpairs_below(L, below, scale)
         if basis is not None:
             return basis
@@ -207,8 +201,6 @@ def _column_signs(Q: np.ndarray) -> np.ndarray:
 def dirichlet_energy(L: LaplacianMatrix, X: np.ndarray) -> float:
     """Graph smoothness energy tr(X^T L X) of the column signals of X."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
     if X.shape[0] != L.shape[0]:
         raise DataError(f"X has {X.shape[0]} rows, Laplacian is {L.shape[0]} wide")
     return float(np.sum(X * (L.matrix @ X)))
@@ -317,11 +309,6 @@ def apply_filter_chebyshev(L: LaplacianMatrix, spec: FilterSpec, order: int,
         raise ParameterError(f"unknown side {side!r}")
     X = np.asarray(X, dtype=np.float64)
     work = X if side == "left" else X.T
-    if work.ndim == 1:
-        work = work[:, None]
-        squeeze = True
-    else:
-        squeeze = False
     if work.shape[0] != L.shape[0]:
         raise DataError(f"operand has {work.shape[0]} rows, Laplacian is {L.shape[0]}")
 
@@ -344,7 +331,5 @@ def apply_filter_chebyshev(L: LaplacianMatrix, spec: FilterSpec, order: int,
             t_next = 2.0 * shifted(t_curr) - t_prev
             result = result + c * t_next
             t_prev, t_curr = t_curr, t_next
-    if squeeze:
-        result = result[:, 0]
     return result if side == "left" else result.T
 

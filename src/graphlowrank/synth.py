@@ -35,10 +35,6 @@ class LrmgInstance:
     col_laplacian: LaplacianMatrix
     row_basis: EigenBasis
     col_basis: EigenBasis
-    coefficients: np.ndarray
-    k_r: int
-    k_c: int
-    seed: int
 
 
 def make_lrmg(p: int, n: int, k_r: int, k_c: int, seed: int,
@@ -71,8 +67,7 @@ def make_lrmg(p: int, n: int, k_r: int, k_c: int, seed: int,
     Y_star = row_basis.eigenvectors[:, :k_r] @ C @ col_basis.eigenvectors[:, :k_c].T
     return LrmgInstance(Y_star=Y_star, row_graph=row_graph, col_graph=col_graph,
                         row_laplacian=row_laplacian, col_laplacian=col_laplacian,
-                        row_basis=row_basis, col_basis=col_basis,
-                        coefficients=C, k_r=k_r, k_c=k_c, seed=seed)
+                        row_basis=row_basis, col_basis=col_basis)
 
 
 def add_noise(Y: np.ndarray, model: str, seed: int, sigma: float = 0.0,

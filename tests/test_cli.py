@@ -278,6 +278,14 @@ SYNTH = ["synth", "lowrank", "--p", "8", "--n", "9", "--k-r", "2", "--k-c",
                  id="spectra-count-above-vertices"),
     pytest.param([*SPECTRA, "negative.txt"], None, 3, id="negative-vertex"),
     pytest.param([*SPECTRA, "duplicate.txt"], None, 3, id="duplicate-edge"),
+    pytest.param([*SPECTRA, "minus_one.txt"], None, 3,
+                 id="negative-vertex-count"),
+    pytest.param([*SPECTRA, "no_vertices.txt"], None, 3, id="zero-vertex-count"),
+    pytest.param([*SPECTRA, "two_headers.txt"], None, 3, id="second-header"),
+    pytest.param([*DIAGNOSE, "--ystar", "y.csv", "--noisy", "one_row.csv"],
+                 None, 3, id="noisy-one-row"),
+    pytest.param([*DIAGNOSE, "--ystar", "y.csv", "--noisy", "wide.csv"],
+                 None, 3, id="noisy-extra-column"),
     pytest.param(["graph", "build", "--matrix", "missing.csv", "--k", "3",
                   "--out", "g.txt"], None, 3, id="missing-matrix"),
 ])
@@ -288,6 +296,13 @@ def test_bad_input_exit_code(tmp_path, monkeypatch, solve_setup, argv,
     (tmp_path / "negative.txt").write_text("#vertices 3\n-1\t1\t1.0\n")
     (tmp_path / "duplicate.txt").write_text(
         "#vertices 3\n0\t1\t1.0\n0\t1\t1.0\n")
+    (tmp_path / "minus_one.txt").write_text("#vertices -1\n")
+    (tmp_path / "no_vertices.txt").write_text("#vertices 0\n")
+    (tmp_path / "two_headers.txt").write_text(
+        "#vertices 2\n#vertices 3\n0\t2\t1.0\n")
+    Y = solve_setup[3]
+    save_matrix_csv(tmp_path / "one_row.csv", Y[:1])
+    save_matrix_csv(tmp_path / "wide.csv", np.hstack([Y, Y[:, :1]]))
     if config is not None:
         (tmp_path / "config.json").write_text(json.dumps(config))
         argv = [*argv, "--config", "config.json"]
@@ -483,8 +498,7 @@ class TestDiagnose:
                     "--loss", "l1", "--out-dir", diag_dir]) == 0
         text = (diag_dir / "diagnostics.txt").read_text()
         assert "bound_holds: true" in text
-        for name in ("alignment_rows.txt", "alignment_columns.txt",
-                     "gamma_rows_db.csv", "singular_values.csv",
+        for name in ("gamma_rows_db.csv", "singular_values.csv",
                      "coherence_right.csv", "manifest.json"):
             assert (diag_dir / name).exists()
 
@@ -640,13 +654,6 @@ class TestArtifactFormats:
         assert all(is_float_form(report[key]) for key in floats)
         if bound:
             assert report["bound_holds"] in ("true", "false")
-        for side in ("rows", "columns"):
-            items = report_items(Path(f"diag/alignment_{side}.txt"),
-                                 "alignment report")
-            assert [key for key, _ in items] == [
-                "label", "k", "alignment_order", "rank_k_alignment"]
-            assert items[0][1] == side and items[1][1] == "1"
-            assert is_float_form(items[2][1]) and is_float_form(items[3][1])
         rows = table_rows(Path("diag/singular_values.csv"),
                           "index,singular_value")
         assert [row[0] for row in rows] == ["0", "1", "2", "3"]
@@ -698,6 +705,16 @@ class TestArtifactFormats:
         assert run(["spectra", "--filter-b", b, "--filter-gamma", gamma,
                     "--x-max", x_max, "--out", out]) == 2
         assert list(tmp_path.iterdir()) == []
+
+
+def test_help_states_defaults_and_read_when(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["solve", "--help"])
+    assert done.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--filter-b FILTER_B required; read only with --algo gfrpcag" in text
+    assert ("--loss {l1,l2,l21} default l1; read only with --algo frpcag "
+            "or gfrpcag") in text
 
 
 def test_cli_import_leaves_out_scipy_spatial():

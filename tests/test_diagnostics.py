@@ -115,18 +115,17 @@ class TestRecoveryBound:
     def test_noiseless_bandlimited_input(self):
         instance = make_lrmg(20, 24, 3, 3, seed=5)
         lhs, rhs, holds = recovery_bound_check(
-            instance.Y_star, np.zeros_like(instance.Y_star), instance.Y_star,
-            instance.row_basis, instance.col_basis, 3, 3, gamma=1.0, loss_fn=l1)
+            instance.Y_star, instance.Y_star, instance.Y_star,
+            instance.row_basis, instance.col_basis, 3, 3, gamma=1.0, loss="l1")
         assert lhs == pytest.approx(0.0, abs=1e-12)
         assert holds
 
     def test_zero_matrix_negative_control(self, rng):
         instance = make_lrmg(18, 18, 3, 3, seed=6)
-        E = 0.05 * rng.standard_normal(instance.Y_star.shape)
-        Y = instance.Y_star + E
+        Y = instance.Y_star + 0.05 * rng.standard_normal(instance.Y_star.shape)
         lhs, rhs, _ = recovery_bound_check(
-            instance.Y_star, E, np.zeros_like(Y), instance.row_basis,
-            instance.col_basis, 3, 3, gamma=1.0, loss_fn=l1)
+            instance.Y_star, Y, np.zeros_like(Y), instance.row_basis,
+            instance.col_basis, 3, 3, gamma=1.0, loss="l1")
         assert lhs == pytest.approx(l1(Y))
         assert rhs > 0
 
@@ -135,15 +134,26 @@ class TestRecoveryBound:
         instance = make_lrmg(12, 12, 3, 3, seed=5)
         with pytest.raises(ParameterError):
             recovery_bound_check(
-                instance.Y_star, np.zeros_like(instance.Y_star),
-                instance.Y_star, instance.row_basis, instance.col_basis, 3, 3,
-                gamma=gamma, loss_fn=l1)
+                instance.Y_star, instance.Y_star, instance.Y_star,
+                instance.row_basis, instance.col_basis, 3, 3, gamma=gamma,
+                loss="l1")
+
+    @pytest.mark.parametrize("which", ["Y", "X_star"])
+    @pytest.mark.parametrize("shape", [(1, 24), (20, 25), (24, 20)])
+    def test_shape_other_than_y_star_rejected(self, which, shape):
+        instance = make_lrmg(20, 24, 3, 3, seed=5)
+        matrices = {"Y": instance.Y_star, "X_star": instance.Y_star,
+                    which: np.zeros(shape)}
+        with pytest.raises(DataError, match=f"^{which} is"):
+            recovery_bound_check(
+                instance.Y_star, matrices["Y"], matrices["X_star"],
+                instance.row_basis, instance.col_basis, 3, 3, gamma=1.0,
+                loss="l1")
 
     def test_solver_output_satisfies_bound(self):
         instance = make_lrmg(60, 60, 5, 5, seed=11)
         rng = np.random.default_rng(11)
-        E = 0.1 * rng.standard_normal((60, 60))
-        Y = instance.Y_star + E
+        Y = instance.Y_star + 0.1 * rng.standard_normal((60, 60))
         gamma = 1.0
         lam_r = instance.row_basis.eigenvalues
         lam_c = instance.col_basis.eigenvalues
@@ -152,8 +162,8 @@ class TestRecoveryBound:
         result = solve_frpcag(Y, instance.row_laplacian, instance.col_laplacian,
                               config)
         lhs, rhs, holds = recovery_bound_check(
-            instance.Y_star, E, result.X, instance.row_basis,
-            instance.col_basis, 5, 5, gamma=gamma, loss_fn=l1)
+            instance.Y_star, Y, result.X, instance.row_basis,
+            instance.col_basis, 5, 5, gamma=gamma, loss="l1")
         assert holds, f"lhs={lhs} rhs={rhs}"
 
 
@@ -201,8 +211,7 @@ class TestDiagnosticsReport:
     def test_bound_invariant_for_solver_output(self):
         instance = make_lrmg(40, 40, 4, 4, seed=19)
         noise_rng = np.random.default_rng(19)
-        E = 0.1 * noise_rng.standard_normal((40, 40))
-        Y = instance.Y_star + E
+        Y = instance.Y_star + 0.1 * noise_rng.standard_normal((40, 40))
         gamma = 1.0
         config = SolverConfig(
             gamma_r=gamma / instance.row_basis.eigenvalues[4],
@@ -211,8 +220,8 @@ class TestDiagnosticsReport:
         result = solve_frpcag(Y, instance.row_laplacian,
                               instance.col_laplacian, config)
         lhs, rhs, holds = recovery_bound_check(
-            instance.Y_star, E, result.X, instance.row_basis,
-            instance.col_basis, 4, 4, gamma=gamma, loss_fn=l1)
+            instance.Y_star, Y, result.X, instance.row_basis,
+            instance.col_basis, 4, 4, gamma=gamma, loss="l1")
         assert holds
         assert lhs <= rhs * (1 + 1e-3)
 

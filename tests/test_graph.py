@@ -11,10 +11,9 @@ from scipy.spatial.distance import cdist
 
 from graphlowrank import graph
 
-from graphlowrank import (DataError, DataMatrix, DegenerateGraphError,
-                          ParameterError, SparseGraph, knn_graph, laplacian,
-                          load_edge_list, load_matrix_csv, save_edge_list,
-                          save_matrix_csv)
+from graphlowrank import (DataError, DataMatrix, ParameterError, SparseGraph,
+                          knn_graph, laplacian, load_edge_list,
+                          load_matrix_csv, save_edge_list, save_matrix_csv)
 from graphlowrank.graph import WEIGHTINGS, format_float
 from graphlowrank.spectral import eigendecompose
 
@@ -97,7 +96,7 @@ class TestKnnGraph:
 
     def test_correlation_zero_vector_rejected(self):
         values = np.array([[1.0, 0.0, 2.0], [1.0, 0.0, 1.0]])
-        with pytest.raises(DegenerateGraphError):
+        with pytest.raises(DataError):
             knn_graph(DataMatrix(values), axis="columns", k=1,
                       weighting="correlation")
 
@@ -158,7 +157,7 @@ def full_matrix_knn_graph(data, axis, k, weighting="gaussian", sigma="auto",
     else:
         norms = np.linalg.norm(vectors, axis=1)
         if (norms == 0).any():
-            raise DegenerateGraphError(
+            raise DataError(
                 "correlation weighting is undefined for zero-norm vectors")
         inner = np.einsum("ij,ij->i", vectors[rows], vectors[cols])
         vals = np.maximum(inner / (norms[rows] * norms[cols]), 0.0)
@@ -176,7 +175,7 @@ def assert_same_as_full_matrix(data, axis, k, **kwargs):
             warnings.simplefilter("ignore", RuntimeWarning)
             try:
                 outcomes.append(build(data, axis, k, **kwargs).edge_arrays())
-            except (DataError, DegenerateGraphError) as exc:
+            except DataError as exc:
                 outcomes.append((type(exc), str(exc)))
     got, expected = outcomes
     if isinstance(expected[0], type):

@@ -753,9 +753,9 @@ class TestGfrpcagMatchesReference:
 
 
 class TestGfrpcagPartialBasis:
-    """Above the dense cutoff the filtered side's eigenpairs below 3b/2 come
-    from Lanczos on the sparse Laplacian: the solve matches the one on the
-    cut dense basis to rounding, and repeats bit for bit."""
+    """The filtered side's eigenpairs below 3b/2 come from Lanczos on the
+    sparse Laplacian: the solve matches the one on the cut dense basis to
+    rounding, and repeats bit for bit."""
 
     @pytest.mark.parametrize("side", ["column_graph", "row_graph"])
     def test_sparse_basis_matches_dense_basis(self, rng, monkeypatch, side):
@@ -772,9 +772,10 @@ class TestGfrpcagPartialBasis:
         config = SolverConfig(gamma_r=gamma_r, gamma_c=gamma_c, loss="l2",
                               filter_spec=FilterSpec("prox_fb", b=b),
                               filtered_side=side, max_iters=500, tol=1e-8)
-        assert n >= spectral.DENSE_EIGH_BELOW
         with monkeypatch.context() as patch:
-            patch.setattr(spectral, "DENSE_EIGH_BELOW", n + 1)
+            # without a sparse result eigendecompose cuts the dense basis
+            patch.setattr(spectral, "_sparse_eigenpairs_below",
+                          lambda *args: None)
             dense = solve_gfrpcag(Y, Lr, Lc, config)
 
         refuse_dense_eigh(monkeypatch)

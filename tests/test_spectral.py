@@ -94,7 +94,7 @@ def test_column_signs_match_the_loop(data, rows, cols, scale):
 
 def blob_laplacian(rng, clusters=5, per_cluster=80):
     """Normalized 5-NN Laplacian of well-separated planar blobs: one
-    component per blob, and n = 400 is above the dense cutoff."""
+    component per blob."""
     angles = 2.0 * np.pi * np.arange(clusters) / clusters
     centers = 20.0 * np.vstack([np.cos(angles), np.sin(angles)])
     points = (np.repeat(centers, per_cluster, axis=1)
@@ -114,7 +114,6 @@ class TestPartialEigenbasis:
 
     def test_null_space_of_separated_blobs(self, rng, monkeypatch):
         L = blob_laplacian(rng)
-        assert L.shape[0] >= spectral.DENSE_EIGH_BELOW
         assert spectral._count_below(L, 1e-9) == 5
         refuse_dense_eigh(monkeypatch)
         basis = eigendecompose(L, below=1e-9)
@@ -147,6 +146,22 @@ class TestPartialEigenbasis:
         again = eigendecompose(L, below=0.1)
         assert np.array_equal(again.eigenvalues, basis.eigenvalues)
         assert np.array_equal(again.eigenvectors, Q)
+
+    @pytest.mark.parametrize("theta", [1e-9, 0.1, 0.3])
+    def test_small_graph_takes_the_sparse_route(self, rng, monkeypatch,
+                                                theta):
+        # n = 60: any size takes the certified route, here with 3 to 9
+        # eigenvalues below theta, at most a quarter of the vertices
+        L = blob_laplacian(rng, clusters=3, per_cluster=20)
+        eigenvalues, eigenvectors = dense_below(L, theta)
+        assert 1 <= eigenvalues.size <= L.shape[0] // 4
+        refuse_dense_eigh(monkeypatch)
+        basis = eigendecompose(L, below=theta)
+        np.testing.assert_allclose(basis.eigenvalues, eigenvalues, rtol=0,
+                                   atol=1e-12)
+        Q = basis.eigenvectors
+        assert (np.abs(Q @ Q.T - eigenvectors @ eigenvectors.T).max()
+                <= 1e-9)
 
     # at 1.0 SuperLU pivots off the diagonal, so the count is uncertified;
     # at 1.2 the count (223) exceeds a quarter of the 400 vertices
@@ -196,8 +211,7 @@ class TestPartialEigenbasis:
     @given(sizes=st.lists(st.integers(8, 40), min_size=1, max_size=6),
            seed=st.integers(0, 2**32 - 1))
     def test_null_space_of_disconnected_graphs(self, sizes, seed):
-        # rings with random chords and weights, one per component; the
-        # cutoff is lowered so that these small graphs take the sparse path
+        # rings with random chords and weights, one per component
         rng = np.random.default_rng(seed)
         blocks = []
         for size in sizes:
@@ -210,9 +224,7 @@ class TestPartialEigenbasis:
         L = laplacian(SparseGraph.from_weight_matrix(sparse.block_diag(blocks)),
                       "normalized")
         assert spectral._count_below(L, 1e-9) in (None, len(sizes))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(spectral, "DENSE_EIGH_BELOW", 0)
-            basis = eigendecompose(L, below=1e-9)
+        basis = eigendecompose(L, below=1e-9)
         Q = basis.eigenvectors
         assert basis.count == len(sizes)
         assert np.abs(Q.T @ Q - np.eye(len(sizes))).max() <= 1e-10
