@@ -1,6 +1,6 @@
 """Low-rank matrix denoising via dual-graph spectral regularization."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .diagnostics import (AlignmentReport, alignment_report, covariance,
                           recovery_bound_check, spectral_gap,
@@ -11,7 +11,7 @@ from .graph import (DataMatrix, LaplacianMatrix, SparseGraph, knn_graph,
                     laplacian, load_edge_list, load_matrix_csv,
                     save_edge_list, save_matrix_csv)
 from .solvers import (SolverConfig, SolverResult, frpcag_gradient,
-                      lipschitz_bound, loss_value, prox_loss, solve_frpcag,
+                      lipschitz_bound, loss_value, solve_frpcag,
                       solve_gfrpcag, tikhonov_closed_form)
 from .spectral import (EigenBasis, FilterSpec, apply_filter_chebyshev,
                        apply_filter_exact, dirichlet_energy, eigendecompose,
@@ -26,7 +26,7 @@ __all__ = [
     "apply_filter_exact", "covariance", "dirichlet_energy", "eigendecompose",
     "eval_filter", "frpcag_gradient", "knn_graph", "laplacian",
     "lipschitz_bound", "load_edge_list", "load_matrix_csv", "loss_value",
-    "make_lrmg", "make_manifold", "prox_loss", "recovery_bound_check",
+    "make_lrmg", "make_manifold", "recovery_bound_check",
     "save_edge_list", "save_matrix_csv", "solve_frpcag", "solve_gfrpcag",
     "spectral_gap", "subspace_coherence", "tikhonov_closed_form",
 ]

@@ -116,45 +116,35 @@ def _loss_total(sums, loss: str) -> float:
     return float(np.sqrt(sums).sum()) if loss == "l21" else sums
 
 
-def prox_loss(X: np.ndarray, Y: np.ndarray, lam: float, loss: str) -> np.ndarray:
-    """Proximal operator of lam * phi(. - Y) evaluated at X.
+def _prox_loss(X, Y, lam, loss, norms):
+    """Proximal operator of lam * phi(. - Y) evaluated at X, a row block.
 
     l1 is the shifted soft threshold, l2 the shrinkage toward Y of the
     squared Frobenius loss (no 1/2 factor), and l21 a per-column block
-    shrinkage; a column exactly at the anchor stays at the anchor.
+    shrinkage; a column exactly at the anchor stays at the anchor. For
+    l21, ``norms`` gives the column norms of the whole X - Y, which a row
+    block cannot compute alone (``_column_norms``); l1 and l2 ignore it.
     """
-    if lam < 0:
-        raise ParameterError(f"prox step must be nonnegative, got {lam}")
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if X.shape != Y.shape:
-        raise DataError(f"shape mismatch {X.shape} vs {Y.shape}")
-    return _prox_loss(X, Y, lam, loss)
-
-
-def _prox_loss(X, Y, lam, loss, norms=None):
-    """``prox_loss`` without its checks. For l21, ``norms`` may give the
-    column norms of X - Y, which a row block of X cannot compute alone."""
     if loss == "l2":
         return (X + 2.0 * lam * Y) / (1.0 + 2.0 * lam)
     R = X - Y
     if loss == "l1":
-        # Y + (R - clip(R, -lam, lam)), in row blocks so that the clipped
-        # copy stays block-sized
-        R2, Y2 = np.atleast_2d(R, Y)
-        for rows in _row_blocks(*R2.shape):
-            block = R2[rows]
-            block -= np.clip(block, -lam, lam)
-            block += Y2[rows]
+        # Y + (R - clip(R, -lam, lam))
+        R -= np.clip(R, -lam, lam)
+        R += Y
         return R
+    scale = np.zeros_like(norms)
+    nonzero = norms > 0
+    scale[nonzero] = np.maximum(0.0, 1.0 - lam / norms[nonzero])
+    return Y + R * scale[None, :]
+
+
+def _column_norms(loss, blocks, block):
+    """For l21, the column norms of the matrix whose rows ``block(rows)``
+    returns as a fresh array for each row block, their squares summed in
+    block order; None for l1 and l2, whose prox needs none."""
     if loss == "l21":
-        if norms is None:
-            norms = np.linalg.norm(np.atleast_2d(R), axis=0)
-        scale = np.zeros_like(norms)
-        nonzero = norms > 0
-        scale[nonzero] = np.maximum(0.0, 1.0 - lam / norms[nonzero])
-        return Y + R * scale[None, :]
-    raise ParameterError(f"unknown loss {loss!r}")
+        return np.sqrt(sum(_loss_sums(block(rows), loss) for rows in blocks))
 
 
 def _check_laplacians(X, Lr, Lc):
@@ -291,8 +281,8 @@ def solve_frpcag(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
     Starts from S_1 = X_0 = Y with momentum t_1 = 1 and stops once
     ||S_{j+1} - S_j||_F^2 <= tol * ||S_j||_F^2 or max_iters is reached.
     A zero Lipschitz bound gets a unit step. The gradient is then 0, so the
-    first iterate is prox_loss(Y, Y, 1, loss), and the loop stops there
-    unless tol is below the rounding error of that prox.
+    first iterate is the loss prox of Y at Y with a unit step, and the loop
+    stops there unless tol is below the rounding error of that prox.
 
     The graph products are computed once per iteration, at the new iterate
     X_j, and serve three uses. The extrapolation S_{j+1} = X_j
@@ -301,7 +291,8 @@ def solve_frpcag(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
     the first step takes the gradient at Y. Because grad f(X) =
     2 (gamma_c X Lc + gamma_r Lr X), the smooth energy gamma_c tr(X Lc X^T)
     + gamma_r tr(X^T Lr X) equals <X, grad f(X)> / 2, which gives the
-    objective trace without further products.
+    objective trace without further products. The loss prox and the loss
+    value are computed per row block, with the helpers of solve_gfrpcag.
     """
     Y = _checked_input(Y, Lr, Lc)
     if config.filter_spec is not None:
@@ -322,16 +313,21 @@ def _fista_steps(Y, Lr, Lc, config):
     S, X_prev = Y, Y.copy()
     G_prev = frpcag_gradient(Y, Lr, Lc, gamma_r, gamma_c)
     Z = Y - step * G_prev
-    t = 1.0
+    t, loss, blocks = 1.0, config.loss, _row_blocks(*Y.shape)
     while True:
-        X = prox_loss(Z, Y, step, config.loss)
+        norms = _column_norms(loss, blocks, lambda rows: Z[rows] - Y[rows])
+        X = np.empty_like(Y)
+        loss_sums = 0.0
+        for rows in blocks:
+            X[rows] = _prox_loss(Z[rows], Y[rows], step, loss, norms)
+            loss_sums = loss_sums + _loss_sums(X[rows] - Y[rows], loss)
         del Z
         G = frpcag_gradient(X, Lr, Lc, gamma_r, gamma_c)
         t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
         diff, ref, inner = _extrapolate(X, X_prev, G, G_prev, S,
                                         (t - 1.0) / t_next, step)
         S, Z, X_prev, G_prev, t = X_prev, G_prev, X, G, t_next
-        yield (X, loss_value(X, Y, config.loss) + 0.5 * inner,
+        yield (X, _loss_total(loss_sums, loss) + 0.5 * inner,
                diff / (ref + STOP_DELTA), diff <= config.tol * ref)
 
 
@@ -496,14 +492,9 @@ def _primal_dual_steps(Y, Lr, Lc, config):
         return P, T
 
     while True:
-        norms = coeffs = None
-        if loss == "l21":
-            squares = np.zeros(n)
-            for rows in blocks:
-                R = prox_input(rows)
-                R -= Y[rows]
-                squares += _loss_sums(R, loss)
-            norms = np.sqrt(squares)
+        norms = _column_norms(loss, blocks,
+                              lambda rows: prox_input(rows) - Y[rows])
+        coeffs = None
         if axis == "left":
             coeffs = np.zeros((m, n))
             for rows in blocks:

@@ -46,6 +46,8 @@ def make_lrmg(p: int, n: int, k_r: int, k_c: int, seed: int,
     of rank max(k_r, k_c), so their leading spectra reflect a genuine
     low-dimensional structure. The coefficient block is standard normal.
     """
+    if p < 2 or n < 2:
+        raise ParameterError(f"p and n must be at least 2, got p={p}, n={n}")
     if not (1 <= k_r <= p and 1 <= k_c <= n):
         raise ParameterError(f"k_r={k_r}, k_c={k_c} out of range for {p}x{n}")
     rng = np.random.default_rng(seed)

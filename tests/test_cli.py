@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,20 @@ SYNTH = ["synth", "lowrank", "--p", "8", "--n", "9", "--k-r", "2", "--k-c",
          "2", "--out-dir", "syn"]
 
 
+BAD_EDGE_LISTS = {
+    "negative.txt": "#vertices 3\n-1\t1\t1.0\n",
+    "duplicate.txt": "#vertices 3\n0\t1\t1.0\n0\t1\t1.0\n",
+    "minus_one.txt": "#vertices -1\n",
+    "no_vertices.txt": "#vertices 0\n",
+    "two_headers.txt": "#vertices 2\n#vertices 3\n0\t2\t1.0\n",
+    "count_x.txt": "#vertices x\n",
+    "two_fields.txt": "#vertices 3\n0\t1\n",
+    "word_weight.txt": "#vertices 3\n0\t1\theavy\n",
+    "negative_weight.txt": "#vertices 3\n0\t1\t-1.0\n",
+    "inf_weight.txt": "#vertices 3\n0\t1\tinf\n",
+}
+
+
 @pytest.mark.parametrize("argv, config, code", [
     pytest.param([*BUILD, "--k", "3", "--sigma", "abc"], None, 2,
                  id="flag-sigma-abc"),
@@ -288,18 +303,38 @@ SYNTH = ["synth", "lowrank", "--p", "8", "--n", "9", "--k-r", "2", "--k-c",
                  None, 3, id="noisy-extra-column"),
     pytest.param(["graph", "build", "--matrix", "missing.csv", "--k", "3",
                   "--out", "g.txt"], None, 3, id="missing-matrix"),
+    pytest.param([*SYNTH[:2], "--p", "1", "--n", "3", "--k-r", "1", "--k-c",
+                  "1", "--out-dir", "syn"], None, 2, id="synth-one-row"),
+    pytest.param([*SYNTH[:2], "--p", "3", "--n", "1", "--k-r", "1", "--k-c",
+                  "1", "--out-dir", "syn"], None, 2, id="synth-one-column"),
+    pytest.param([*BUILD, "--k", "3", "--config", "missing.json"], None, 3,
+                 id="config-missing-file"),
+    pytest.param([*BUILD, "--k", "3", "--config", "invalid.json"], None, 3,
+                 id="config-invalid-json"),
+    pytest.param([*BUILD, "--k", "3"], [3], 3, id="config-json-list"),
+    pytest.param([*BUILD, "--k", "3"], {"params": 5}, 3,
+                 id="config-params-not-object"),
+    pytest.param(BUILD, {"k": True}, 2, id="config-k-true"),
+    pytest.param([*DIAGNOSE[:4], "cols.txt", "--col-graph", "rows.txt",
+                  *DIAGNOSE[7:]], None, 3, id="diagnose-graphs-swapped"),
+    pytest.param([*SPECTRA, "count_x.txt"], None, 3, id="vertex-count-x"),
+    pytest.param([*SPECTRA, "two_fields.txt"], None, 3, id="two-field-edge"),
+    pytest.param([*SPECTRA, "word_weight.txt"], None, 3, id="word-weight"),
+    pytest.param([*SPECTRA, "negative_weight.txt"], None, 3,
+                 id="negative-weight"),
+    pytest.param([*SPECTRA, "inf_weight.txt"], None, 3, id="inf-weight"),
+    pytest.param([*SYNTH, "--noise", "column_outliers", "--fraction", "2"],
+                 None, 2, id="synth-fraction-above-one"),
+    pytest.param([*DIAGNOSE, "--ystar", "y.csv", "--noisy", "y.csv",
+                  "--k-r", "40"], None, 2, id="diagnose-k-r-above-rows"),
 ])
 def test_bad_input_exit_code(tmp_path, monkeypatch, solve_setup, argv,
                              config, code):
     monkeypatch.chdir(tmp_path)
     save_matrix_csv(tmp_path / "huge.csv", 1e160 * solve_setup[3])
-    (tmp_path / "negative.txt").write_text("#vertices 3\n-1\t1\t1.0\n")
-    (tmp_path / "duplicate.txt").write_text(
-        "#vertices 3\n0\t1\t1.0\n0\t1\t1.0\n")
-    (tmp_path / "minus_one.txt").write_text("#vertices -1\n")
-    (tmp_path / "no_vertices.txt").write_text("#vertices 0\n")
-    (tmp_path / "two_headers.txt").write_text(
-        "#vertices 2\n#vertices 3\n0\t2\t1.0\n")
+    for name, text in BAD_EDGE_LISTS.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "invalid.json").write_text("{\"k\": 3")
     Y = solve_setup[3]
     save_matrix_csv(tmp_path / "one_row.csv", Y[:1])
     save_matrix_csv(tmp_path / "wide.csv", np.hstack([Y, Y[:, :1]]))
@@ -519,6 +554,17 @@ class TestSpectra:
         assert run(["spectra", "--filter-b", 0.4, "--filter-gamma", 1.0,
                     "--out", out]) == 0
         assert out.read_text().splitlines()[0] == "x,g(x),f(x)"
+
+    def test_blank_line_between_edges_is_skipped(self, tmp_path):
+        spectra = []
+        for name, blank in (("plain.txt", ""), ("blank.txt", "\n")):
+            graph_file = tmp_path / name
+            graph_file.write_text(
+                f"#vertices 3\n0\t1\t1.0\n{blank}1\t2\t0.5\n")
+            out = tmp_path / f"{name}.csv"
+            assert run(["spectra", "--graph", graph_file, "--out", out]) == 0
+            spectra.append(out.read_bytes())
+        assert spectra[0] == spectra[1]
 
     def test_missing_mode_is_usage_error(self, tmp_path, capsys):
         assert run(["spectra", "--out", tmp_path / "x.csv"]) == 2
@@ -741,11 +787,17 @@ def test_cli_import_leaves_out_scipy_linalg():
 
 
 def test_package_version_matches_pyproject():
+    # the version is written once, in the package; pyproject.toml reads it
     tomllib = pytest.importorskip("tomllib")
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as fh:
-        declared = tomllib.load(fh)["project"]["version"]
-    assert __version__ == declared
+        project = tomllib.load(fh)["project"]
+    assert "version" not in project and "version" in project["dynamic"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # setuptools' beta-feature notice
+        declared = pyprojecttoml.read_configuration(pyproject)
+    assert __version__ == declared["project"]["version"]
 
 
 def test_readme_quickstart_runs():

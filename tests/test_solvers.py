@@ -9,8 +9,7 @@ from graphlowrank import (DataError, DataMatrix, FilterSpec, NumericalError,
                           ParameterError, SolverConfig, SparseGraph,
                           eigendecompose, eval_filter, frpcag_gradient,
                           knn_graph, laplacian, lipschitz_bound, loss_value,
-                          prox_loss, solve_frpcag, solve_gfrpcag,
-                          tikhonov_closed_form)
+                          solve_frpcag, solve_gfrpcag, tikhonov_closed_form)
 from graphlowrank import graph, solvers, spectral
 from graphlowrank.spectral import apply_filter_exact
 
@@ -27,6 +26,12 @@ def random_laplacian(rng, size):
     W = np.triu(rng.uniform(0.1, 1.0, (size, size))
                 * (rng.random((size, size)) < 0.4), k=1)
     return laplacian(SparseGraph.from_weight_matrix(W + W.T), "normalized")
+
+
+def prox_loss(X, Y, lam, loss):
+    """The solvers' loss prox on whole arrays: the l21 column norms are
+    those of the whole X - Y."""
+    return solvers._prox_loss(X, Y, lam, loss, np.linalg.norm(X - Y, axis=0))
 
 
 def use_row_blocks(monkeypatch, n, rows):
@@ -259,11 +264,6 @@ class TestProxLoss:
         R = X - Y
         expected = Y + np.sign(R) * np.maximum(np.abs(R) - 0.6, 0.0)
         assert np.array_equal(prox_loss(X, Y, 0.6, "l1"), expected)
-
-    def test_negative_step_rejected(self, rng):
-        X = rng.standard_normal((3, 3))
-        with pytest.raises(ParameterError):
-            prox_loss(X, X, -0.1, "l1")
 
     @settings(max_examples=60, deadline=None)
     @given(x=st.floats(-5.0, 5.0), y=st.floats(-5.0, 5.0),
@@ -519,6 +519,26 @@ class TestFistaMatchesReference:
         # square root, so its square roots are compared to 1e-12
         np.testing.assert_allclose(np.sqrt(result.change_trace),
                                    np.sqrt(changes), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("gamma_r, gamma_c", [(0.7, 1.3), (0.0, 1.3),
+                                                  (0.7, 0.0)])
+    @pytest.mark.parametrize("loss", ["l1", "l2"])
+    def test_row_blocks_do_not_change_the_iterates(self, rng, monkeypatch,
+                                                   loss, gamma_r, gamma_c):
+        # the l1 and l2 proxes are elementwise and each gradient row sums
+        # in the same order whatever the block height, so X holds the same
+        # bits; l21 sums its column norms per block (checked to 1e-12 above)
+        p, n = 20, 26
+        Y = rng.standard_normal((p, n))
+        Lr, Lc = build_laplacians(Y, 4, 4)
+        config = SolverConfig(gamma_r=gamma_r, gamma_c=gamma_c, loss=loss,
+                              max_iters=500, tol=1e-8)
+        whole = solve_frpcag(Y, Lr, Lc, config)
+        use_row_blocks(monkeypatch, n, 3)
+        assert len(solvers._row_blocks(p, n)) == 7
+        blocked = solve_frpcag(Y, Lr, Lc, config)
+        assert blocked.iterations == whole.iterations
+        assert np.array_equal(blocked.X, whole.X)
 
 
 class TestTikhonovClosedForm:

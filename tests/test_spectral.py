@@ -123,6 +123,18 @@ class TestPartialEigenbasis:
         assert np.abs(Q.T @ Q - np.eye(5)).max() <= 1e-10
         assert np.abs(L.matrix @ Q).max() <= 1e-10
 
+    def test_singular_pivot_falls_back_to_the_dense_cut(self):
+        # 1 is an eigenvalue of the 3-vertex path's normalized Laplacian,
+        # so L - I has a zero diagonal and SuperLU finds an exactly
+        # singular pivot: there is no count, and the dense basis is cut
+        L = laplacian(SparseGraph.from_weight_matrix(path_graph_weights(3)),
+                      "normalized")
+        assert spectral._count_below(L, 1.0) is None
+        eigenvalues, eigenvectors = dense_below(L, 1.0)
+        basis = eigendecompose(L, below=1.0)
+        assert np.array_equal(basis.eigenvalues, eigenvalues)
+        assert np.array_equal(basis.eigenvectors, eigenvectors)
+
     @pytest.mark.parametrize("theta", [1e-9, 0.05, 0.3, 0.6, 1.2])
     def test_inertia_count_matches_dense_spectrum(self, rng, theta):
         L = blob_laplacian(rng)
