@@ -22,6 +22,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -191,23 +192,20 @@ def _cmd_solve(params):
     Y = graphmod.DataMatrix.from_csv(params["matrix"], params["orientation"]).values
     Lr, Lc = _load_laplacians(params)
 
+    # the read-when rows leave null every parameter the algo does not read
+    settings = {f.name: params[f.name] for f in fields(solvers.SolverConfig)
+                if params.get(f.name) is not None}
+    if params["filter_b"] is not None:
+        settings["filter_spec"] = spectral.FilterSpec("prox_fb", b=params["filter_b"])
+    config = solvers.SolverConfig(**settings)
     algo = params["algo"]
     if algo == "tikhonov":
-        X = solvers.tikhonov_closed_form(Y, Lr, Lc, params["gamma_r"],
-                                         params["gamma_c"])
+        X = solvers.tikhonov_closed_form(Y, Lr, Lc, config.gamma_r, config.gamma_c)
         result = solvers.SolverResult(X=X, iterations=1, objective_trace=[],
-                                      converged=True, stop_reason="closed_form",
-                                      change_trace=[])
+                                      stop_reason="closed_form", change_trace=[])
     else:
-        filtered = {} if algo == "frpcag" else dict(
-            filtered_side=params["filtered_side"],
-            filter_spec=spectral.FilterSpec("prox_fb", b=params["filter_b"]))
-        solver_config = solvers.SolverConfig(
-            gamma_r=params["gamma_r"], gamma_c=params["gamma_c"],
-            loss=params["loss"], max_iters=params["max_iters"],
-            tol=params["tol"], **filtered)
         solve = solvers.solve_frpcag if algo == "frpcag" else solvers.solve_gfrpcag
-        result = solve(Y, Lr, Lc, solver_config)
+        result = solve(Y, Lr, Lc, config)
 
     out_dir = Path(params["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -243,8 +241,8 @@ def _cmd_diagnose(params):
     out_dir = Path(params["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    row_report = diag.alignment_report(row_basis, diag.covariance(X, "rows"), k)
-    col_report = diag.alignment_report(col_basis, diag.covariance(X, "columns"), k)
+    row_report = diag.alignment_report(row_basis, diag.covariance(X), k)
+    col_report = diag.alignment_report(col_basis, diag.covariance(X.T), k)
     for side, aligned in (("rows", row_report), ("columns", col_report)):
         graphmod.save_matrix_csv(out_dir / f"gamma_{side}_db.csv",
                                  diag.gamma_to_db(aligned.Gamma))
@@ -343,7 +341,7 @@ def _cmd_spectra(params):
 # parameter tables, one row per flag: (name, converter, default or _REQUIRED,
 # choices, help[, read-when condition])
 
-_ORIENTATION = ("orientation", str, "rows", ("rows", "columns"), None)
+_ORIENTATION = ("orientation", str, "rows", graphmod.AXES, None)
 _GRAPHS = (("row_graph", str, _REQUIRED, None, None),
            ("col_graph", str, _REQUIRED, None, None))
 _LAPLACIAN = ("laplacian", str, "normalized", graphmod.LAPLACIAN_KINDS, None)
@@ -359,13 +357,13 @@ _COMMANDS = {
     "graph build": ("build a KNN graph from a matrix", _cmd_graph_build, (
         ("matrix", str, _REQUIRED, None, "input matrix CSV"),
         _ORIENTATION,
-        ("axis", str, "columns", ("rows", "columns"),
+        ("axis", str, "columns", graphmod.AXES,
          "which vectors become vertices"),
         ("k", _int, _REQUIRED, None, "number of nearest neighbors"),
         ("weighting", str, "gaussian", graphmod.WEIGHTINGS, None),
         ("sigma", _sigma, "auto", None, "gaussian width, or 'auto'",
          ("weighting", ("gaussian",))),
-        ("metric", str, "euclidean", ("euclidean", "cityblock"), None),
+        ("metric", str, "euclidean", graphmod.METRICS, None),
         ("out", str, _REQUIRED, None, "output edge-list file"),
     )),
     "solve": ("run a recovery solver", _cmd_solve, (
@@ -418,7 +416,7 @@ _COMMANDS = {
         ("kind", str, _REQUIRED, synth.MANIFOLD_KINDS, None),
         ("n", _int, _REQUIRED, None, None),
         ("noise_sigma", _float, 0.0, None, None),
-        ("noise_dims", str, "ambient", ("ambient", "extra_dim"), None),
+        ("noise_dims", str, "ambient", synth.NOISE_DIMS, None),
         ("seed", _int, 0, None, None),
         ("out", str, _REQUIRED, None, None),
     )),

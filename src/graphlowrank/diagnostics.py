@@ -37,28 +37,20 @@ class AlignmentReport:
     rank_k_alignment: float
 
 
-def covariance(Y: np.ndarray, axis: str = "rows") -> np.ndarray:
-    """Centered experimental covariance of the rows or columns of Y.
+def covariance(Y: np.ndarray) -> np.ndarray:
+    """Centered experimental covariance of the rows of Y.
 
-    rows: each feature is centered by its mean over samples and
-    C = Yc Yc^T / n. columns mirrors this with column means over features
-    and C = Yc^T Yc / p.
+    Each feature is centered by its mean over samples and C = Yc Yc^T / n.
+    The covariance of the columns is ``covariance(Y.T)``.
     """
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2:
         raise DataError(f"expected a 2-D matrix, got shape {Y.shape}")
-    p, n = Y.shape
-    if axis == "rows":
-        if n < 2:
-            raise ParameterError("row covariance needs at least 2 samples")
-        centered = Y - Y.mean(axis=1, keepdims=True)
-        return (centered @ centered.T) / n
-    if axis == "columns":
-        if p < 2:
-            raise ParameterError("column covariance needs at least 2 features")
-        centered = Y - Y.mean(axis=0, keepdims=True)
-        return (centered.T @ centered) / p
-    raise ParameterError(f"unknown axis {axis!r}")
+    n = Y.shape[1]
+    if n < 2:
+        raise ParameterError(f"covariance needs at least 2 columns, got {n}")
+    centered = Y - Y.mean(axis=1, keepdims=True)
+    return (centered @ centered.T) / n
 
 
 def alignment_report(basis: EigenBasis, C: np.ndarray, k: int) -> AlignmentReport:
@@ -123,22 +115,17 @@ def recovery_bound_check(Y_star: np.ndarray, Y: np.ndarray, X_star: np.ndarray,
     p, n = Y_star.shape
     if row_basis.size != p or col_basis.size != n:
         raise DataError("bases do not match the matrix shape")
-    if not (1 <= k_r < row_basis.count and 1 <= k_c < col_basis.count):
-        raise ParameterError("k_r and k_c must leave at least one eigenvalue above")
+    gap_sum = (spectral_gap(col_basis.eigenvalues, k_c)
+               + spectral_gap(row_basis.eigenvalues, k_r))
     if not 0 <= gamma < np.inf:
         raise ParameterError(f"gamma must be finite and nonnegative, got {gamma}")
-    lam_r = row_basis.eigenvalues
-    lam_c = col_basis.eigenvalues
-    if lam_r[k_r] <= ZERO_EIGENVALUE_TOL or lam_c[k_c] <= ZERO_EIGENVALUE_TOL:
-        raise ParameterError("the (k+1)-th eigenvalue is zero; weights are undefined")
-    gamma_r = gamma / lam_r[k_r]
-    gamma_c = gamma / lam_c[k_c]
+    gamma_r = gamma / row_basis.eigenvalues[k_r]
+    gamma_c = gamma / col_basis.eigenvalues[k_c]
     out_cols = X_star @ col_basis.eigenvectors[:, k_c:]
     out_rows = row_basis.eigenvectors[:, k_r:].T @ X_star
     lhs = (loss_value(X_star, Y, loss)
            + gamma_c * float(np.sum(out_cols ** 2))
            + gamma_r * float(np.sum(out_rows ** 2)))
-    gap_sum = lam_c[k_c - 1] / lam_c[k_c] + lam_r[k_r - 1] / lam_r[k_r]
     rhs = loss_value(Y, Y_star, loss) + gamma * float(np.sum(Y_star ** 2)) * gap_sum
     holds = lhs <= rhs * (1.0 + 1e-3)
     return lhs, rhs, holds

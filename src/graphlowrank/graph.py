@@ -18,6 +18,8 @@ import scipy.sparse as sparse
 
 from .errors import DataError, ParameterError
 
+AXES = ("rows", "columns")
+METRICS = ("euclidean", "cityblock")
 WEIGHTINGS = ("gaussian", "binary", "correlation")
 LAPLACIAN_KINDS = ("normalized", "unnormalized")
 
@@ -60,12 +62,10 @@ class DataMatrix:
         With orientation="columns" the file stores one row per sample and
         the result is transposed back to feature-major form.
         """
-        values = load_matrix_csv(path)
-        if orientation == "columns":
-            values = values.T
-        elif orientation != "rows":
+        if orientation not in AXES:
             raise ParameterError(f"unknown orientation {orientation!r}")
-        return cls(values)
+        values = load_matrix_csv(path)
+        return cls(values.T if orientation == "columns" else values)
 
 
 @dataclass(frozen=True)
@@ -134,14 +134,12 @@ def knn_graph(data: DataMatrix, axis: str, k: int, weighting: str = "gaussian",
     * correlation: cosine of the two vectors, clamped below at 0 so weights
       stay nonnegative.
     """
-    if axis == "rows":
-        vectors = data.values
-    elif axis == "columns":
-        # the GEMM, the row gathers and the per-row cdist calls below all
-        # read whole vectors; a contiguous copy keeps them fast
-        vectors = np.ascontiguousarray(data.values.T)
-    else:
+    if axis not in AXES:
         raise ParameterError(f"unknown axis {axis!r}")
+    # the GEMM, the row gathers and the per-row cdist calls below all read
+    # whole vectors; for columns a contiguous copy keeps them fast
+    vectors = (data.values if axis == "rows"
+               else np.ascontiguousarray(data.values.T))
     count = vectors.shape[0]
     if count < 2:
         raise DataError(f"need at least 2 vectors along {axis}, got {count}")
@@ -151,7 +149,7 @@ def knn_graph(data: DataMatrix, axis: str, k: int, weighting: str = "gaussian",
         raise ParameterError(f"k={k} must be smaller than the vector count {count}")
     if weighting not in WEIGHTINGS:
         raise ParameterError(f"unknown weighting {weighting!r}")
-    if metric not in ("euclidean", "cityblock"):
+    if metric not in METRICS:
         raise ParameterError(f"unknown metric {metric!r}")
 
     # imported here: scipy.spatial loads scipy.special with it, about 0.1 s

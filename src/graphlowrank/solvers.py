@@ -34,6 +34,13 @@ FILTERED_SIDES = ("row_graph", "column_graph")
 STOP_DELTA = 1e-12
 
 
+def _check_gammas(gamma_r, gamma_c):
+    """The rule for the graph weights: both finite and nonnegative."""
+    if not (0 <= gamma_r < np.inf and 0 <= gamma_c < np.inf):
+        raise ParameterError("gamma_r and gamma_c must be finite and "
+                             "nonnegative")
+
+
 @dataclass
 class SolverConfig:
     """Hyperparameters shared by both solvers.
@@ -61,9 +68,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.loss not in LOSSES:
             raise ParameterError(f"unknown loss {self.loss!r}")
-        if not (0 <= self.gamma_r < np.inf and 0 <= self.gamma_c < np.inf):
-            raise ParameterError("gamma_r and gamma_c must be finite and "
-                                 "nonnegative")
+        _check_gammas(self.gamma_r, self.gamma_c)
         if self.max_iters < 1:
             raise ParameterError("max_iters must be at least 1")
         if not 0 < self.tol < np.inf:
@@ -79,14 +84,18 @@ class SolverConfig:
 
 @dataclass
 class SolverResult:
-    """Recovered matrix plus the convergence trace of the run."""
+    """Recovered matrix plus the convergence trace of the run; it
+    converged unless it stopped at max_iters."""
 
     X: np.ndarray
     iterations: int
     objective_trace: list = field(default_factory=list)
-    converged: bool = False
     stop_reason: str = "max_iters"
     change_trace: list = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason != "max_iters"
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +196,7 @@ def lipschitz_bound(Lr: LaplacianMatrix, Lc: LaplacianMatrix,
     """Upper bound 2 gamma_c ||Lc|| + 2 gamma_r ||Lr|| on the gradient's
     Lipschitz constant. A bound that overflows is refused: its step 1/beta
     would be 0, and 0 times the infinite gradient is NaN."""
+    _check_gammas(gamma_r, gamma_c)
     with np.errstate(over="ignore"):
         beta = (2.0 * gamma_c * Lc.spectral_norm_bound
                 + 2.0 * gamma_r * Lr.spectral_norm_bound)
@@ -269,7 +279,6 @@ def _run(steps, max_iters: int) -> SolverResult:
         if converged or len(trace) == max_iters:
             break
     return SolverResult(X=X, iterations=len(trace), objective_trace=trace,
-                        converged=converged,
                         stop_reason="tolerance" if converged else "max_iters",
                         change_trace=changes)
 
@@ -342,6 +351,7 @@ def tikhonov_closed_form(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix
     # imported here: scipy.linalg is about 0.14 s of every import of the
     # package, paid by each CLI process; only this needs it
     import scipy.linalg
+    _check_gammas(gamma_r, gamma_c)
     Y = _checked_input(Y, Lr, Lc)
     p, n = Y.shape
     X = Y

@@ -74,8 +74,10 @@ def eigendecompose(L: LaplacianMatrix, below: float | None = None) -> EigenBasis
     below theta. They come from Lanczos on the sparse matrix, once an
     inertia count has certified how many there are (see
     ``_sparse_eigenpairs_below``); whenever the certificate or Lanczos
-    fails, the dense basis is computed and cut.
+    fails, the dense basis is computed and cut. A NaN theta is refused.
     """
+    if below is not None and np.isnan(below):
+        raise ParameterError(f"below must not be NaN, got {below}")
     scale = _symmetric_scale(L)
     if below is not None:
         basis = _sparse_eigenpairs_below(L, below, scale)

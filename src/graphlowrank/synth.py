@@ -17,6 +17,7 @@ from .spectral import EigenBasis, eigendecompose
 
 NOISE_MODELS = ("gaussian", "sparse", "column_outliers")
 MANIFOLD_KINDS = ("circle2d", "spiral2d", "swissroll3d")
+NOISE_DIMS = ("ambient", "extra_dim")
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,7 @@ def make_manifold(kind: str, n: int, noise_sigma: float = 0.0,
     if not 0 <= noise_sigma < np.inf:
         raise ParameterError("noise_sigma must be finite and nonnegative, "
                              f"got {noise_sigma}")
-    if noise_dims not in ("ambient", "extra_dim"):
+    if noise_dims not in NOISE_DIMS:
         raise ParameterError(f"unknown noise_dims {noise_dims!r}")
     rng = np.random.default_rng(seed)
     if kind == "circle2d":

@@ -238,7 +238,7 @@ def _usps_alignment(csv_path, k):
     data = glr.DataMatrix.from_csv(csv_path, "rows")
     feature_graph = glr.knn_graph(data, "rows", 10)
     basis = eigendecompose(glr.laplacian(feature_graph, "normalized"))
-    C = glr.covariance(data.values, "rows")
+    C = glr.covariance(data.values)
     return glr.alignment_report(basis, C, k)
 
 

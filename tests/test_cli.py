@@ -283,6 +283,12 @@ BAD_EDGE_LISTS = {
                  id="spectra-count-without-graph"),
     pytest.param([*SOLVE, "--algo", "tikhonov"], {"loss": "l2"}, 2,
                  id="config-tikhonov-reads-no-loss"),
+    # the closed form's gammas pass the iterative solvers' check; unchecked,
+    # -0.1 writes an X and -5 ends as a singular matrix (exit 4)
+    pytest.param([*SOLVE, "--algo", "tikhonov", "--gamma-r", "-0.1"], None, 2,
+                 id="tikhonov-negative-gamma"),
+    pytest.param([*SOLVE, "--algo", "tikhonov", "--gamma-r", "-5"], None, 2,
+                 id="tikhonov-singular-gamma"),
     pytest.param([*SOLVE, "--algo", "gfrpcag", "--gamma-c", "1"], None, 2,
                  id="gfrpcag-needs-filter-b"),
     pytest.param([*DIAGNOSE, "--ystar", "y.csv", "--gamma", "5", "--loss",

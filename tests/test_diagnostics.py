@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from graphlowrank import (DataError, ParameterError, SolverConfig, SparseGraph,
-                          alignment_report, covariance, eigendecompose,
-                          knn_graph, laplacian, make_lrmg,
+from graphlowrank import (DataError, EigenBasis, ParameterError, SolverConfig,
+                          SparseGraph, alignment_report, covariance,
+                          eigendecompose, knn_graph, laplacian, make_lrmg,
                           recovery_bound_check, solve_frpcag, spectral_gap,
                           subspace_coherence)
 from graphlowrank.diagnostics import gamma_to_db
@@ -18,27 +18,29 @@ def l1(residual):
 class TestCovariance:
     def test_identical_columns_center_to_zero(self):
         Y = np.tile(np.array([[1.0], [2.0], [-0.5]]), (1, 6))
-        assert np.allclose(covariance(Y, "rows"), 0.0)
+        assert np.allclose(covariance(Y), 0.0)
 
     def test_hand_computed_2x2(self):
         Y = np.array([[1.0, -1.0], [1.0, -1.0]])
-        assert np.allclose(covariance(Y, "rows"), [[1.0, 1.0], [1.0, 1.0]])
+        assert np.allclose(covariance(Y), [[1.0, 1.0], [1.0, 1.0]])
 
     def test_positive_semidefinite(self, rng):
         Y = rng.standard_normal((10, 25))
-        for axis in ("rows", "columns"):
-            eigs = np.linalg.eigvalsh(covariance(Y, axis))
+        for matrix in (Y, Y.T):
+            eigs = np.linalg.eigvalsh(covariance(matrix))
             assert eigs.min() >= -1e-10
 
     def test_columns_axis_shape(self, rng):
         Y = rng.standard_normal((7, 12))
-        assert covariance(Y, "columns").shape == (12, 12)
+        assert covariance(Y.T).shape == (12, 12)
 
     def test_single_vector_rejected(self):
         with pytest.raises(ParameterError):
-            covariance(np.ones((3, 1)), "rows")
+            covariance(np.ones((3, 1)))
         with pytest.raises(ParameterError):
-            covariance(np.ones((1, 3)), "columns")
+            covariance(np.ones((1, 3)).T)
+        with pytest.raises(DataError):
+            covariance(np.ones(3))
 
 
 class TestAlignmentReport:
@@ -78,6 +80,14 @@ class TestAlignmentReport:
                                          "normalized"))
         with pytest.raises(ParameterError):
             alignment_report(basis, np.eye(6), k=7)
+
+    @pytest.mark.parametrize("C", [np.eye(5), np.zeros((6, 6))],
+                             ids=["mis-sized", "zero"])
+    def test_bad_covariance_rejected(self, rng, C):
+        basis = eigendecompose(laplacian(random_graph(rng, n=6, k=2),
+                                         "normalized"))
+        with pytest.raises(DataError):
+            alignment_report(basis, C, k=2)
 
 
 class TestSpectralGap:
@@ -149,6 +159,32 @@ class TestRecoveryBound:
                 instance.Y_star, matrices["Y"], matrices["X_star"],
                 instance.row_basis, instance.col_basis, 3, 3, gamma=1.0,
                 loss="l1")
+
+    @pytest.mark.parametrize("which", ["row_basis", "col_basis"])
+    def test_basis_of_another_size_rejected(self, which):
+        instance = make_lrmg(20, 24, 3, 3, seed=5)
+        bases = {"row_basis": instance.row_basis,
+                 "col_basis": instance.col_basis}
+        bases[which] = (instance.col_basis if which == "row_basis"
+                        else instance.row_basis)
+        with pytest.raises(DataError):
+            recovery_bound_check(
+                instance.Y_star, instance.Y_star, instance.Y_star,
+                bases["row_basis"], bases["col_basis"], 3, 3, gamma=1.0,
+                loss="l1")
+
+    # the weights gamma / lambda_{k+1} need a (k+1)-th eigenvalue above 0
+    @pytest.mark.parametrize("k_r, zero_rows", [(0, False), (20, False),
+                                                (3, True)])
+    def test_no_gap_at_k_rejected(self, k_r, zero_rows):
+        instance = make_lrmg(20, 24, 3, 3, seed=5)
+        row_basis = instance.row_basis
+        if zero_rows:
+            row_basis = EigenBasis(np.zeros(20), row_basis.eigenvectors)
+        with pytest.raises(ParameterError):
+            recovery_bound_check(
+                instance.Y_star, instance.Y_star, instance.Y_star,
+                row_basis, instance.col_basis, k_r, 3, gamma=1.0, loss="l1")
 
     def test_solver_output_satisfies_bound(self):
         instance = make_lrmg(60, 60, 5, 5, seed=11)

@@ -100,6 +100,16 @@ class TestKnnGraph:
             knn_graph(DataMatrix(values), axis="columns", k=1,
                       weighting="correlation")
 
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"axis": "diagonal"}, ParameterError),
+        ({"weighting": "cosine"}, ParameterError),
+        ({"metric": "chebyshev"}, ParameterError),
+        ({"axis": "rows"}, DataError)])  # a single vector
+    def test_bad_arguments_rejected(self, rng, kwargs, error):
+        data = DataMatrix(rng.standard_normal((1, 6)))
+        with pytest.raises(error):
+            knn_graph(data, **{"axis": "columns", "k": 2, **kwargs})
+
     def test_k_too_large_rejected(self, rng):
         data = DataMatrix(rng.standard_normal((2, 5)))
         with pytest.raises(ParameterError):
@@ -483,6 +493,19 @@ class TestFileFormats:
         with pytest.raises(DataError):
             DataMatrix(np.array([[np.inf, 1.0]]))
 
+    @pytest.mark.parametrize("values", [np.ones((2, 2, 2)), np.ones(3)],
+                             ids=["3-D", "1-D"])
+    def test_data_matrix_rejects_other_dimensions(self, values):
+        with pytest.raises(DataError, match="2-D"):
+            DataMatrix(values)
+
+    @pytest.mark.parametrize("weights", [
+        np.zeros((2, 3)), [[0.0, -1.0], [-1.0, 0.0]],
+        [[0.0, 1.0], [2.0, 0.0]]], ids=["non-square", "negative", "asymmetric"])
+    def test_weight_matrix_refusals(self, weights):
+        with pytest.raises(DataError):
+            SparseGraph.from_weight_matrix(weights)
+
     def test_orientation_flag(self, tmp_path):
         path = tmp_path / "m.csv"
         save_matrix_csv(path, np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
@@ -491,6 +514,8 @@ class TestFileFormats:
         assert rows.values.shape == (2, 3)
         assert cols.values.shape == (3, 2)
         assert np.array_equal(rows.values.T, cols.values)
+        with pytest.raises(ParameterError, match="orientation"):
+            DataMatrix.from_csv(path, "diagonal")
 
 
 def test_eigendecompose_agrees_with_components(rng):

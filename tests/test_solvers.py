@@ -158,6 +158,11 @@ class TestGradient:
                               blocked)
 
 
+# negative, NaN and infinite graph weights, refused wherever a gamma is read
+BAD_GAMMAS = [(-0.1, 0.0), (-5.0, 0.0), (0.0, -1.0), (np.nan, 0.5),
+              (0.5, np.inf)]
+
+
 class TestLipschitzBound:
     def test_zero_gammas(self, rng):
         Lr, Lc = build_laplacians(rng.standard_normal((8, 9)), 2, 2)
@@ -186,6 +191,13 @@ class TestLipschitzBound:
                               filtered_side="row_graph")
         with pytest.raises(ParameterError, match="overflow"):
             solve(Y, Lr, Lc, config)
+
+    @pytest.mark.parametrize("gamma_r, gamma_c", BAD_GAMMAS)
+    def test_bad_gamma_rejected(self, rng, gamma_r, gamma_c):
+        # unchecked, (-1, 0) gives the bound -4.0
+        Lr, Lc = build_laplacians(rng.standard_normal((6, 7)), 2, 2)
+        with pytest.raises(ParameterError, match="finite and nonnegative"):
+            lipschitz_bound(Lr, Lc, gamma_r, gamma_c)
 
     def test_sampled_lipschitz_inequality(self, rng):
         Y = rng.standard_normal((7, 9))
@@ -253,17 +265,18 @@ class TestProxLoss:
             probe = out + rng.standard_normal((5, 7)) * rng.uniform(1e-4, 1.0)
             assert base <= prox_objective(probe) + 1e-12
 
-    @pytest.mark.parametrize("block_rows", [None, 2])
-    def test_l1_clip_form_equals_soft_threshold(self, rng, monkeypatch,
-                                                block_rows):
+    def test_l1_clip_form_equals_soft_threshold(self, rng):
         X = rng.standard_normal((7, 9))
         Y = rng.standard_normal((7, 9))
         X[0, :3] = Y[0, :3] + np.array([0.6, -0.6, 0.0])  # |R| = lam and 0
-        if block_rows is not None:
-            use_row_blocks(monkeypatch, 9, block_rows)
         R = X - Y
         expected = Y + np.sign(R) * np.maximum(np.abs(R) - 0.6, 0.0)
         assert np.array_equal(prox_loss(X, Y, 0.6, "l1"), expected)
+
+    def test_unknown_loss_rejected(self, rng):
+        X = rng.standard_normal((3, 4))
+        with pytest.raises(ParameterError, match="l3"):
+            loss_value(X, X, "l3")
 
     @settings(max_examples=60, deadline=None)
     @given(x=st.floats(-5.0, 5.0), y=st.floats(-5.0, 5.0),
@@ -556,6 +569,15 @@ class TestTikhonovClosedForm:
         out = tikhonov_closed_form(Y0, Lr, Lc, 2.0, 3.0)
         assert np.linalg.norm(out - Y0) <= 1e-10
 
+    @pytest.mark.parametrize("gamma_r, gamma_c", BAD_GAMMAS)
+    def test_bad_gamma_rejected(self, rng, gamma_r, gamma_c):
+        # unchecked, -0.1 gives a result, -5 a LinAlgError and NaN a
+        # ValueError with a RuntimeWarning
+        Y = rng.standard_normal((7, 9))
+        Lr, Lc = build_laplacians(Y, 2, 3)
+        with pytest.raises(ParameterError, match="finite and nonnegative"):
+            tikhonov_closed_form(Y, Lr, Lc, gamma_r, gamma_c)
+
     def test_direct_solve_matches_spectral_formula(self, rng):
         Y = rng.standard_normal((12, 15))
         Lr, Lc = build_laplacians(Y, 3, 3)
@@ -601,6 +623,14 @@ class TestSolveGfrpcag:
         Lr, Lc = build_laplacians(Y, 2, 2)
         with pytest.raises(ParameterError):
             solve_gfrpcag(Y, Lr, Lc, SolverConfig())
+
+    def test_step_filter_rejected(self, rng):
+        Y = rng.standard_normal((6, 6))
+        Lr, Lc = build_laplacians(Y, 2, 2)
+        config = SolverConfig(gamma_c=1.0,
+                              filter_spec=FilterSpec("step_gb", b=0.5))
+        with pytest.raises(ParameterError, match="prox_fb"):
+            solve_gfrpcag(Y, Lr, Lc, config)
 
     @pytest.mark.parametrize("side, field", [("column_graph", "gamma_c"),
                                              ("row_graph", "gamma_r")])

@@ -210,6 +210,19 @@ class TestPartialEigenbasis:
         assert np.array_equal(basis.eigenvalues, eigenvalues)
         assert np.array_equal(basis.eigenvectors, eigenvectors)
 
+    @pytest.mark.parametrize("theta, count", [(np.inf, 400), (-np.inf, 0)])
+    def test_infinite_thresholds(self, rng, theta, count):
+        assert eigendecompose(blob_laplacian(rng), below=theta).count == count
+
+    def test_nan_threshold_rejected(self, rng, monkeypatch):
+        # the dense cut's searchsorted would place NaN above every
+        # eigenvalue; the refusal comes before any factorization
+        L = blob_laplacian(rng)
+        monkeypatch.setattr(spectral, "_count_below", None)
+        refuse_dense_eigh(monkeypatch)
+        with pytest.raises(ParameterError, match="below"):
+            eigendecompose(L, below=np.nan)
+
     def test_rejects_asymmetric_matrix_above_dense_cutoff(self):
         from graphlowrank.graph import LaplacianMatrix
         W = path_graph_weights(300)
@@ -353,6 +366,16 @@ class TestApplyFilterExact:
         with pytest.raises(ParameterError):
             apply_filter_exact(basis, spec, np.ones((10, 2)))
 
+    @pytest.mark.parametrize("shape, side, error", [
+        ((9, 2), "left", DataError), ((2, 9), "right", DataError),
+        ((10, 2), "up", ParameterError)])
+    def test_bad_operand_or_side_rejected(self, rng, shape, side, error):
+        basis = eigendecompose(laplacian(random_graph(rng, n=10, k=3),
+                                         "normalized"))
+        with pytest.raises(error):
+            apply_filter_exact(basis, FilterSpec("prox_fb", b=0.5),
+                               np.ones(shape), side=side)
+
 
 class TestApplyFilterChebyshev:
     @pytest.fixture
@@ -392,6 +415,31 @@ class TestApplyFilterChebyshev:
         with pytest.raises(ParameterError):
             apply_filter_chebyshev(graph100, FilterSpec("prox_fb", b=0.5), 0,
                                    np.ones((100, 1)))
+
+    @pytest.mark.parametrize("family, shape, side, error", [
+        ("prox_fb", (100, 1), "up", ParameterError),
+        ("prox_fb", (99, 1), "left", DataError),
+        ("prox_fb", (1, 99), "right", DataError),
+        # g_b is infinite from 3b/2 = 0.15 on, inside [0, 2]
+        ("step_gb", (100, 1), "left", ParameterError)])
+    def test_bad_operand_side_or_filter_rejected(self, graph100, family,
+                                                 shape, side, error):
+        with pytest.raises(error):
+            apply_filter_chebyshev(graph100, FilterSpec(family, b=0.1), 5,
+                                   np.ones(shape), side=side)
+
+    # an edgeless unnormalized Laplacian has the norm bound 0: the filter
+    # is its value at 0, 1 for f_b and 0 for g_b
+    @pytest.mark.parametrize("family, value", [("prox_fb", 1.0),
+                                               ("step_gb", 0.0)])
+    def test_edgeless_graph_takes_the_value_at_zero(self, rng, family, value):
+        L = laplacian(SparseGraph.from_weight_matrix(np.zeros((5, 5))),
+                      "unnormalized")
+        assert L.spectral_norm_bound == 0.0
+        X = rng.standard_normal((5, 3))
+        out = apply_filter_chebyshev(L, FilterSpec(family, b=0.5, gamma=1.0),
+                                     4, X)
+        assert np.array_equal(out, value * X)
 
     def test_right_side(self, rng, graph100):
         basis = eigendecompose(graph100)

@@ -119,6 +119,13 @@ class TestMakeManifold:
         # the clean coordinates are untouched
         assert np.abs(np.linalg.norm(data.values[:2], axis=0) - 1.0).max() <= 1e-12
 
+    @pytest.mark.parametrize("kind", ["circle2d", "swissroll3d"])
+    def test_noiseless_extra_dim_is_a_zero_row(self, kind):
+        plain = make_manifold(kind, n=40, seed=4).values
+        data = make_manifold(kind, n=40, noise_sigma=0.0,
+                             noise_dims="extra_dim", seed=4).values
+        assert np.array_equal(data, np.vstack([plain, np.zeros((1, 40))]))
+
     def test_spiral_consecutive_points_are_neighbors(self):
         data = make_manifold("spiral2d", n=500)
         g = knn_graph(data, "columns", k=2)
