@@ -48,7 +48,7 @@ def covariance(Y: np.ndarray) -> np.ndarray:
         raise DataError(f"expected a 2-D matrix, got shape {Y.shape}")
     n = Y.shape[1]
     if n < 2:
-        raise ParameterError(f"covariance needs at least 2 columns, got {n}")
+        raise DataError(f"covariance needs at least 2 columns, got {n}")
     centered = Y - Y.mean(axis=1, keepdims=True)
     return (centered @ centered.T) / n
 

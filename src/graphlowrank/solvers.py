@@ -18,6 +18,8 @@ squared Frobenius norms without a 1/2 factor.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +34,22 @@ FILTERED_SIDES = ("row_graph", "column_graph")
 
 # guard against division by zero in the relative-change stopping rule
 STOP_DELTA = 1e-12
+
+
+def _new_pool():
+    """Set up the two worker threads, shared by every solve, on which the
+    row blocks of each primal-dual pass run; numpy's kernels release the
+    GIL. The threads start with the first task, not here. A forked child
+    gets a pool of its own: the copy it inherits has no threads and would
+    wait forever on its first task."""
+    global _POOL
+    _POOL = ThreadPoolExecutor(max_workers=2,
+                               thread_name_prefix="graphlowrank")
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):  # POSIX only
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 def _check_gammas(gamma_r, gamma_c):
@@ -148,12 +166,14 @@ def _prox_loss(X, Y, lam, loss, norms):
     return Y + R * scale[None, :]
 
 
-def _column_norms(loss, blocks, block):
+def _column_norms(loss, blocks, block, walk=map):
     """For l21, the column norms of the matrix whose rows ``block(rows)``
     returns as a fresh array for each row block, their squares summed in
-    block order; None for l1 and l2, whose prox needs none."""
+    block order; None for l1 and l2, whose prox needs none. ``walk`` maps
+    over the blocks, in order: the builtin ``map``, or the pool's."""
     if loss == "l21":
-        return np.sqrt(sum(_loss_sums(block(rows), loss) for rows in blocks))
+        return np.sqrt(sum(walk(lambda rows: _loss_sums(block(rows), loss),
+                                blocks)))
 
 
 def _check_laplacians(X, Lr, Lc):
@@ -378,11 +398,13 @@ def solve_gfrpcag(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
     term, whose gradient is ``frpcag_gradient`` with the filtered side's
     gamma set to 0. The prox needs only the filtered graph's eigenpairs
     below 3b/2, which ``eigendecompose`` finds once per solve with Lanczos
-    on the sparse Laplacian (dense ``eigh`` when the sparse result cannot
-    be certified). Time steps are tau_1 = 1/beta, tau_2 = beta/2,
-    tau_3 = 0.99, with beta the ``lipschitz_bound`` of that smooth term,
-    and tau_1 = 1, tau_2 = 1/2 when it vanishes. Stops once the relative
-    changes of both the primal and the dual iterate fall below tol.
+    on the sparse Laplacian (dense ``eigh`` when that route fails). The
+    row blocks of each iteration run on the module's pool of two worker
+    threads, with the bits of a serial walk. Time steps are
+    tau_1 = 1/beta, tau_2 = beta/2, tau_3 = 0.99, with beta the
+    ``lipschitz_bound`` of that smooth term, and tau_1 = 1, tau_2 = 1/2
+    when it vanishes. Stops once the relative changes of both the primal
+    and the dual iterate fall below tol.
 
     Refused before the first iteration, naming the config field: a smooth
     side's gamma for which 4 tau_2 max(1, max|Y|) sqrt(p n) is not below
@@ -425,7 +447,11 @@ def _primal_dual_steps(Y, Lr, Lc, config):
     ``below``), an n x m matrix with m often far below n, so the prox and
     the penalty cost O(p n m) per iteration. g_b is also infinite on a
     band about b/745 wide just below 3b/2, where the bump in its
-    denominator underflows, so the penalty still masks non-finite values.
+    denominator underflows, and finite up to about 1e53 below that band.
+    The trace also leaves out the frequencies where g_b exceeds 1/eps (g_b
+    is 1 at b): the prox scales them by f_b < tau_2 eps / gamma, and g_b
+    would multiply the rounding of their energy (with them, the trace
+    moved by up to 1.6e-10 between block heights on 14 x 18 test graphs).
 
     Each iteration walks X, V, G and Y once, in the row blocks of
     ``_row_blocks``, and finishes a block while its rows are in cache: the
@@ -436,9 +462,13 @@ def _primal_dual_steps(Y, Lr, Lc, config):
     that recomputes the row-local values and keeps only the reduction: the
     column norms of the l21 prox input, and on the row side the m x n
     coefficients Q^T (T / tau_2) of the filtered prox. The column side
-    with l1 or l2 needs neither. After the pass one ``frpcag_gradient``
-    at X_next serves the objective and the next iteration's step. With
-    one block every operation is the whole-array one, in the same order.
+    with l1 or l2 needs neither. With more than one block, the blocks of
+    the pass and of the pre-sweeps run as tasks on the module's pool of
+    two worker threads; each task returns its block's parts, which are
+    summed in block order, so X and the traces have the same bits as in a
+    serial walk. After the pass one ``frpcag_gradient`` at X_next serves
+    the objective and the next iteration's step. With one block every
+    operation is the whole-array one, in the same order.
     """
     if config.filtered_side == "column_graph":
         L, axis, filtered, smooth = Lc, "right", "gamma_c", "gamma_r"
@@ -476,9 +506,11 @@ def _primal_dual_steps(Y, Lr, Lc, config):
     m, n = Q.shape[1], Y.shape[1]
     response = prox_filter_curve(basis.eigenvalues, b, filter_gamma)
     curve = step_penalty_curve(basis.eigenvalues, b)
-    finite = np.isfinite(curve)
-    finite_curve = curve[finite]
+    traced = curve <= 1.0 / np.finfo(np.float64).eps
+    traced_curve = curve[traced]
     loss, blocks = config.loss, _row_blocks(*Y.shape)
+    # one task gains nothing from the pool but its hand-offs
+    walk = _POOL.map if len(blocks) > 1 else map
 
     X = Y.copy()
     V = Y.copy()
@@ -501,52 +533,63 @@ def _primal_dual_steps(Y, Lr, Lc, config):
         T += V[rows]
         return P, T
 
+    def step(rows, norms, coeffs):
+        # one block of the pass: writes X_next and V_next over its rows of
+        # X and V, and returns its parts of the energy and of the sums
+        x, v = X[rows], V[rows]
+        P, T = primal_dual(rows, norms)
+        if axis == "right":
+            D = ((T / tau2) @ Q * response[None, :]) @ Q.T
+        else:
+            D = Q[rows] @ coeffs
+        # D = T - tau_2 prox(T / tau_2), then V_next = V + tau_3 (D - V)
+        D *= tau2
+        np.subtract(T, D, out=D)
+        D -= v
+        D *= tau3
+        D += v
+        # P becomes X_next = X + tau_3 (P - X)
+        P -= x
+        P *= tau3
+        P += x
+        if axis == "right":
+            energy = ((P @ Q) ** 2).sum(axis=0)
+        else:
+            energy = Q[rows].T @ P
+        sums = (_loss_sums(P - Y[rows], loss), _squared_change(P, x),
+                float(np.sum(x * x)), _squared_change(D, v),
+                float(np.sum(v * v)))
+        x[...] = P
+        v[...] = D
+        return energy, sums
+
     while True:
         norms = _column_norms(loss, blocks,
-                              lambda rows: prox_input(rows) - Y[rows])
+                              lambda rows: prox_input(rows) - Y[rows], walk)
         coeffs = None
         if axis == "left":
             coeffs = np.zeros((m, n))
-            for rows in blocks:
-                coeffs += Q[rows].T @ (primal_dual(rows, norms)[1] / tau2)
+            for part in walk(lambda rows: Q[rows].T @ (
+                    primal_dual(rows, norms)[1] / tau2), blocks):
+                coeffs += part
             coeffs = response[:, None] * coeffs
         loss_sums = dx = x_ref = dv = v_ref = 0.0
         # the energy of each frequency; on the row side the coefficients
         # Q^T X_next, squared once every block is in
         energy = np.zeros(m if axis == "right" else (m, n))
-        for rows in blocks:
-            x, v = X[rows], V[rows]
-            P, T = primal_dual(rows, norms)
-            if axis == "right":
-                D = ((T / tau2) @ Q * response[None, :]) @ Q.T
-            else:
-                D = Q[rows] @ coeffs
-            # D = T - tau_2 prox(T / tau_2), then V_next = V + tau_3 (D - V)
-            D *= tau2
-            np.subtract(T, D, out=D)
-            D -= v
-            D *= tau3
-            D += v
-            # P becomes X_next = X + tau_3 (P - X)
-            P -= x
-            P *= tau3
-            P += x
-            if axis == "right":
-                energy += ((P @ Q) ** 2).sum(axis=0)
-            else:
-                energy += Q[rows].T @ P
-            loss_sums = loss_sums + _loss_sums(P - Y[rows], loss)
-            dx += _squared_change(P, x)
-            x_ref += float(np.sum(x * x))
-            dv += _squared_change(D, v)
-            v_ref += float(np.sum(v * v))
-            x[...] = P
-            v[...] = D
+        for part, sums in walk(lambda rows: step(rows, norms, coeffs),
+                               blocks):
+            energy += part
+            loss_sums = loss_sums + sums[0]
+            dx += sums[1]
+            x_ref += sums[2]
+            dv += sums[3]
+            v_ref += sums[4]
         if axis == "left":
             energy = (energy ** 2).sum(axis=1)
         G = frpcag_gradient(X, Lr, Lc, gamma_r, gamma_c)
         objective = (_loss_total(loss_sums, loss) + 0.5 * _dot(X, G)
-                     + gamma * float(np.sum(finite_curve * energy[finite])))
+                     + gamma * float(np.sum(traced_curve * energy[traced])))
         dx /= x_ref + STOP_DELTA
         dv /= v_ref + STOP_DELTA
         yield X, objective, max(dx, dv), dx < config.tol and dv < config.tol
@@ -554,5 +597,6 @@ def _primal_dual_steps(Y, Lr, Lc, config):
 
 def _squared_change(new, old):
     d = new - old
-    return float(np.sum(d * d))
+    d *= d
+    return float(np.sum(d))
 

@@ -71,9 +71,10 @@ def eigendecompose(L: LaplacianMatrix, below: float | None = None) -> EigenBasis
     """Full eigendecomposition of a Laplacian.
 
     With ``below=theta`` the basis holds only the eigenpairs with eigenvalue
-    below theta. They come from Lanczos on the sparse matrix, once an
-    inertia count has certified how many there are (see
-    ``_sparse_eigenpairs_below``); whenever the certificate or Lanczos
+    below theta. They come from Lanczos rounds on the sparse matrix, with
+    the zero eigenvalue's exact multiplicity taken from the graph's
+    connected components; any other pair is missed only with small
+    probability (see ``_sparse_eigenpairs_below``). Whenever that route
     fails, the dense basis is computed and cut. A NaN theta is refused.
     """
     if below is not None and np.isnan(below):
@@ -110,58 +111,47 @@ def _normalized_pairs(eigenvalues, eigenvectors, scale):
     return eigenvalues, eigenvectors * _column_signs(eigenvectors)
 
 
-def _count_below(L: LaplacianMatrix, theta: float) -> int | None:
-    """The number of eigenvalues of L below theta, by Sylvester's law of
-    inertia, or None when the factorization cannot certify it.
-
-    L - theta I is factored with a symmetric fill-reducing ordering and no
-    off-diagonal pivoting. When SuperLU keeps the row and column orders
-    equal, the factors are P (L - theta I) P^T = Lo U with U = D Lo^T, so
-    the count of negative pivots on U's diagonal is the count of negative
-    eigenvalues of L - theta I.
-    """
-    from scipy.sparse.linalg import splu
-
-    identity = sparse.identity(L.shape[0], format="csr")
-    shifted = (L.matrix - theta * identity).tocsc()
-    try:
-        lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                  options={"SymmetricMode": True})
-    except RuntimeError:  # an exactly singular pivot
-        return None
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        return None
-    return int(np.count_nonzero(lu.U.diagonal() < 0))
-
-
 def _sparse_eigenpairs_below(L: LaplacianMatrix, theta: float,
                              scale: float) -> EigenBasis | None:
     """The eigenpairs of L below theta from sparse products only, or None
-    when they cannot be certified.
+    when the dense basis should be cut instead.
 
-    ``_count_below`` fixes how many there are. Lanczos (ARPACK) then finds
-    the largest eigenvalues of beta I - L, beta the Laplacian's norm bound,
-    which are the smallest of L, asking for two more than are missing.
-    From one start vector Lanczos may find fewer copies of a repeated
-    eigenvalue than its multiplicity (0 is repeated once per connected
-    component), so each further round runs on the complement of the
-    eigenvectors found so far until the count is met. None when the count
-    is uncertified or exceeds a quarter of the vertices (where the dense
-    eigh is the cheaper route), when a round finds nothing new below theta
-    or more than the count, or when ARPACK does not converge.
+    Lanczos (ARPACK) finds the largest eigenvalues of beta I - L, beta the
+    Laplacian's norm bound, which are the smallest of L. From one start
+    vector it may find fewer copies of a repeated eigenvalue than its
+    multiplicity, so each further round runs on the complement of the
+    eigenvectors found so far, until a round finds nothing new below
+    theta. The one eigenvalue known to repeat is 0, once per connected
+    component (an isolated vertex is a component of its own), and that
+    multiplicity comes exactly from ``connected_components``. Any other
+    eigenpair below theta is missed only when the seeded random start is
+    nearly orthogonal to it, which happens with small probability
+    (Kuczynski and Wozniakowski, SIAM J. Matrix Anal. Appl. 13(4), 1992).
+    No factorization is made, so the memory stays of the order of the
+    non-zeros and the pairs found.
+
+    theta <= 0 gives an empty basis. None, for the dense cut, when more
+    than a quarter of the vertices lie below theta (where the dense eigh
+    is the cheaper route; known in advance when the components alone are
+    that many or theta reaches beta), when the rounds end with fewer pairs
+    than components, or when ARPACK does not converge.
     """
+    from scipy.sparse.csgraph import connected_components
     from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
                                      eigsh)
 
     n = L.shape[0]
-    count = _count_below(L, theta)
-    if count is None or count > n // 4:
-        return None
+    eigenvalues, eigenvectors = np.empty(0), np.empty((n, 0))
+    if theta <= 0:
+        return EigenBasis(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    components = connected_components(L.matrix, directed=False,
+                                      return_labels=False)
     beta = L.spectral_norm_bound
+    if not 0 < components <= n // 4 or theta >= beta:
+        return None
     shifted = beta * sparse.identity(n, format="csr") - L.matrix
     # a fixed start vector makes repeated calls return the same bits
     start = np.random.default_rng(0).standard_normal(n)
-    eigenvalues, eigenvectors = np.empty(0), np.empty((n, 0))
 
     def complement(x):
         # x less its components along the eigenvectors found so far
@@ -169,18 +159,25 @@ def _sparse_eigenpairs_below(L: LaplacianMatrix, theta: float,
 
     operator = LinearOperator((n, n), dtype=np.float64,
                               matvec=lambda x: complement(shifted @ complement(x)))
-    while eigenvalues.size < count:
+    while True:
+        # found eigenvectors sit at 0 in the operator, at beta >= theta in
+        # L, so no round finds them again
         try:
-            values, vectors = eigsh(operator, k=count - eigenvalues.size + 2,
-                                    which="LA", v0=complement(start))
+            values, vectors = eigsh(
+                operator, k=max(components, eigenvalues.size) + 2,
+                which="LA", v0=complement(start))
         except ArpackNoConvergence:
             return None
         found = beta - values
         new = found < theta
-        if not new.any() or eigenvalues.size + np.count_nonzero(new) > count:
-            return None
+        if not new.any():
+            break
         eigenvalues = np.concatenate([eigenvalues, found[new]])
         eigenvectors = np.hstack([eigenvectors, vectors[:, new]])
+        if eigenvalues.size > n // 4:
+            return None
+    if eigenvalues.size < components:
+        return None
     order = np.argsort(eigenvalues, kind="stable")
     eigenvalues, eigenvectors = _normalized_pairs(
         eigenvalues[order], eigenvectors[:, order], scale)

@@ -333,6 +333,13 @@ BAD_EDGE_LISTS = {
                  None, 2, id="synth-fraction-above-one"),
     pytest.param([*DIAGNOSE, "--ystar", "y.csv", "--noisy", "y.csv",
                   "--k-r", "40"], None, 2, id="diagnose-k-r-above-rows"),
+    # one sample has no covariance: the file's shape is at fault
+    pytest.param(["diagnose", "--matrix", "one_column.csv", "--row-graph",
+                  "rows.txt", "--col-graph", "one_vertex.txt", "--k", "1",
+                  "--out-dir", "diag"], None, 3, id="diagnose-one-column"),
+    pytest.param(["diagnose", "--matrix", "one_row.csv", "--row-graph",
+                  "one_vertex.txt", "--col-graph", "cols.txt", "--k", "1",
+                  "--out-dir", "diag"], None, 3, id="diagnose-one-row"),
 ])
 def test_bad_input_exit_code(tmp_path, monkeypatch, solve_setup, argv,
                              config, code):
@@ -343,6 +350,8 @@ def test_bad_input_exit_code(tmp_path, monkeypatch, solve_setup, argv,
     (tmp_path / "invalid.json").write_text("{\"k\": 3")
     Y = solve_setup[3]
     save_matrix_csv(tmp_path / "one_row.csv", Y[:1])
+    save_matrix_csv(tmp_path / "one_column.csv", Y[:, :1])
+    (tmp_path / "one_vertex.txt").write_text("#vertices 1\n")
     save_matrix_csv(tmp_path / "wide.csv", np.hstack([Y, Y[:, :1]]))
     if config is not None:
         (tmp_path / "config.json").write_text(json.dumps(config))

@@ -35,9 +35,10 @@ class TestCovariance:
         assert covariance(Y.T).shape == (12, 12)
 
     def test_single_vector_rejected(self):
-        with pytest.raises(ParameterError):
+        # one sample is the input's shape, a data error
+        with pytest.raises(DataError):
             covariance(np.ones((3, 1)))
-        with pytest.raises(ParameterError):
+        with pytest.raises(DataError):
             covariance(np.ones((1, 3)).T)
         with pytest.raises(DataError):
             covariance(np.ones(3))

@@ -1,4 +1,9 @@
+import multiprocessing
+import os
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -800,6 +805,122 @@ class TestGfrpcagMatchesReference:
                 <= 1e-10 * np.linalg.norm(rows.X))
         np.testing.assert_allclose(rows.objective_trace, cols.objective_trace,
                                    rtol=1e-10)
+
+
+class TestGfrpcagPool:
+    """The row blocks of the primal-dual pass run on a pool of two worker
+    threads; each returns its parts of the sums, added in block order."""
+
+    @pytest.mark.parametrize("side", ["column_graph", "row_graph"])
+    @pytest.mark.parametrize("loss", ["l1", "l2", "l21"])
+    def test_pooled_walk_is_the_serial_walk(self, rng, monkeypatch, loss,
+                                            side):
+        p, n = 14, 18
+        Y = rng.standard_normal((p, n))
+        Lr, Lc = build_laplacians(Y, 3, 4)
+        use_row_blocks(monkeypatch, n, 3)
+        assert len(solvers._row_blocks(p, n)) == 5
+        config = SolverConfig(gamma_r=0.7, gamma_c=1.3, loss=loss,
+                              filter_spec=FilterSpec("prox_fb", b=0.6),
+                              filtered_side=side, max_iters=300, tol=1e-8)
+        threads = set()
+        loss_sums = solvers._loss_sums
+
+        def spy(R, loss):
+            threads.add(threading.current_thread().name)
+            return loss_sums(R, loss)
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_loss_sums", spy)
+            pooled = solve_gfrpcag(Y, Lr, Lc, config)
+        assert threads and all(name.startswith("graphlowrank")
+                               for name in threads)
+        monkeypatch.setattr(solvers._POOL, "map", map)
+        serial = solve_gfrpcag(Y, Lr, Lc, config)
+        assert pooled.iterations == serial.iterations
+        assert np.array_equal(pooled.X, serial.X)
+        assert pooled.objective_trace == serial.objective_trace
+        assert pooled.change_trace == serial.change_trace
+
+    def test_pooled_walk_under_thread_switches(self, rng, monkeypatch):
+        # one-row blocks on four workers, more than the cores, switching
+        # threads every microsecond: a lost or misplaced row write or an
+        # out-of-order sum would change X or a trace
+        p, n = 14, 18
+        Y = rng.standard_normal((p, n))
+        Lr, Lc = build_laplacians(Y, 3, 4)
+        use_row_blocks(monkeypatch, n, 1)
+        config = SolverConfig(gamma_r=1.3, gamma_c=0.7, loss="l21",
+                              filter_spec=FilterSpec("prox_fb", b=0.6),
+                              filtered_side="row_graph", max_iters=40,
+                              tol=1e-12)
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers._POOL, "map", map)
+            serial = solve_gfrpcag(Y, Lr, Lc, config)
+        interval = sys.getswitchinterval()
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            monkeypatch.setattr(solvers, "_POOL", pool)
+            sys.setswitchinterval(1e-6)
+            try:
+                pooled = solve_gfrpcag(Y, Lr, Lc, config)
+            finally:
+                sys.setswitchinterval(interval)
+        assert pooled.iterations == serial.iterations == 40
+        assert np.array_equal(pooled.X, serial.X)
+        assert pooled.objective_trace == serial.objective_trace
+        assert pooled.change_trace == serial.change_trace
+
+    @pytest.mark.skipif(not hasattr(os, "register_at_fork"),
+                        reason="needs fork")
+    def test_forked_child_gets_its_own_pool(self, rng, monkeypatch):
+        # the parent's workers do not survive a fork; on the pool it
+        # inherits, the child's first pooled pass would wait forever
+        p, n = 14, 18
+        Y = rng.standard_normal((p, n))
+        Lr, Lc = build_laplacians(Y, 3, 4)
+        use_row_blocks(monkeypatch, n, 3)
+        config = SolverConfig(gamma_r=0.7, gamma_c=1.3,
+                              filter_spec=FilterSpec("prox_fb", b=0.6),
+                              max_iters=20)
+        solve_gfrpcag(Y, Lr, Lc, config)  # starts the parent's workers
+        child = multiprocessing.get_context("fork").Process(
+            target=solve_gfrpcag, args=(Y, Lr, Lc, config))
+        child.start()
+        child.join(timeout=60)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join()
+        assert not hung
+        assert child.exitcode == 0
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_block_height_keeps_the_objective_trace(self, monkeypatch,
+                                                     seed):
+        # the set-up of TestGfrpcagMatchesReference over 25 seeds. The
+        # traced penalty leaves out frequencies where g_b exceeds 1/eps:
+        # with them, values up to 1.95e53 multiplied rounding and the trace
+        # moved by up to 1.6e-10 between block heights. Below 1/eps, g_b
+        # (up to 2.7e13 here) still magnifies the rounding-level changes of
+        # X that the block-ordered sums make, so the bound is 1e-10
+        monkeypatch.setattr(solvers._POOL, "map", map)  # same bits, faster
+        p, n = 14, 18
+        rng = np.random.default_rng(seed)
+        Y = rng.standard_normal((p, n))
+        Lr, Lc = build_laplacians(Y, 3, 4)
+        for loss in ("l1", "l2", "l21"):
+            for gamma_r, gamma_c, side in FILTERED_GAMMAS:
+                config = SolverConfig(
+                    gamma_r=gamma_r, gamma_c=gamma_c, loss=loss,
+                    filter_spec=FilterSpec("prox_fb", b=0.6),
+                    filtered_side=side, max_iters=300, tol=1e-8)
+                with monkeypatch.context() as patch:
+                    one = solve_gfrpcag(Y, Lr, Lc, config)
+                    use_row_blocks(patch, n, 3)
+                    blocked = solve_gfrpcag(Y, Lr, Lc, config)
+                assert one.iterations == blocked.iterations
+                np.testing.assert_allclose(blocked.objective_trace,
+                                           one.objective_trace, rtol=1e-10,
+                                           atol=0)
 
 
 class TestGfrpcagPartialBasis:

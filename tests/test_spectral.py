@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,12 +112,12 @@ def dense_below(L, theta):
 
 
 class TestPartialEigenbasis:
-    """eigendecompose(L, below=theta): Lanczos on the sparse Laplacian,
-    certified by an inertia count, with the dense basis as the fallback."""
+    """eigendecompose(L, below=theta): Lanczos rounds on the sparse
+    Laplacian, with the zero eigenvalue's multiplicity taken from the
+    connected components and the dense basis as the fallback."""
 
     def test_null_space_of_separated_blobs(self, rng, monkeypatch):
         L = blob_laplacian(rng)
-        assert spectral._count_below(L, 1e-9) == 5
         refuse_dense_eigh(monkeypatch)
         basis = eigendecompose(L, below=1e-9)
         Q = basis.eigenvectors
@@ -122,24 +125,6 @@ class TestPartialEigenbasis:
         assert np.abs(basis.eigenvalues).max() <= 1e-12
         assert np.abs(Q.T @ Q - np.eye(5)).max() <= 1e-10
         assert np.abs(L.matrix @ Q).max() <= 1e-10
-
-    def test_singular_pivot_falls_back_to_the_dense_cut(self):
-        # 1 is an eigenvalue of the 3-vertex path's normalized Laplacian,
-        # so L - I has a zero diagonal and SuperLU finds an exactly
-        # singular pivot: there is no count, and the dense basis is cut
-        L = laplacian(SparseGraph.from_weight_matrix(path_graph_weights(3)),
-                      "normalized")
-        assert spectral._count_below(L, 1.0) is None
-        eigenvalues, eigenvectors = dense_below(L, 1.0)
-        basis = eigendecompose(L, below=1.0)
-        assert np.array_equal(basis.eigenvalues, eigenvalues)
-        assert np.array_equal(basis.eigenvectors, eigenvectors)
-
-    @pytest.mark.parametrize("theta", [1e-9, 0.05, 0.3, 0.6, 1.2])
-    def test_inertia_count_matches_dense_spectrum(self, rng, theta):
-        L = blob_laplacian(rng)
-        eigenvalues, _ = dense_below(L, theta)
-        assert spectral._count_below(L, theta) == eigenvalues.size
 
     def test_sparse_pairs_match_dense_pairs(self, rng, monkeypatch):
         L = blob_laplacian(rng)
@@ -162,7 +147,7 @@ class TestPartialEigenbasis:
     @pytest.mark.parametrize("theta", [1e-9, 0.1, 0.3])
     def test_small_graph_takes_the_sparse_route(self, rng, monkeypatch,
                                                 theta):
-        # n = 60: any size takes the certified route, here with 3 to 9
+        # n = 60: any size takes the sparse route, here with 3 to 9
         # eigenvalues below theta, at most a quarter of the vertices
         L = blob_laplacian(rng, clusters=3, per_cluster=20)
         eigenvalues, eigenvectors = dense_below(L, theta)
@@ -175,13 +160,11 @@ class TestPartialEigenbasis:
         assert (np.abs(Q @ Q.T - eigenvectors @ eigenvectors.T).max()
                 <= 1e-9)
 
-    # at 1.0 SuperLU pivots off the diagonal, so the count is uncertified;
-    # at 1.2 the count (223) exceeds a quarter of the 400 vertices
-    @pytest.mark.parametrize("theta", [1.0, 1.2])
+    # at 1.2 the rounds find more than a quarter of the 400 vertices (223
+    # eigenvalues lie below it)
+    @pytest.mark.parametrize("theta", [1.2])
     def test_dense_fallback_is_the_cut_dense_basis(self, rng, theta):
         L = blob_laplacian(rng)
-        if theta == 1.0:
-            assert spectral._count_below(L, theta) is None
         eigenvalues, eigenvectors = dense_below(L, theta)
         basis = eigendecompose(L, below=theta)
         assert np.array_equal(basis.eigenvalues, eigenvalues)
@@ -201,12 +184,15 @@ class TestPartialEigenbasis:
 
     def test_lanczos_disagreeing_with_the_count_falls_back(self, rng,
                                                            monkeypatch):
+        # one component more than the 5 blobs: the rounds find the 5 null
+        # vectors and nothing else below theta, fewer pairs than components
         L = blob_laplacian(rng)
-        eigenvalues, eigenvectors = dense_below(L, 0.1)
-        count_below = spectral._count_below
-        monkeypatch.setattr(spectral, "_count_below",
-                            lambda L, theta: count_below(L, theta) + 1)
-        basis = eigendecompose(L, below=0.1)
+        eigenvalues, eigenvectors = dense_below(L, 1e-9)
+        count = scipy.sparse.csgraph.connected_components
+        monkeypatch.setattr(
+            scipy.sparse.csgraph, "connected_components",
+            lambda *args, **kwargs: count(*args, **kwargs) + 1)
+        basis = eigendecompose(L, below=1e-9)
         assert np.array_equal(basis.eigenvalues, eigenvalues)
         assert np.array_equal(basis.eigenvectors, eigenvectors)
 
@@ -215,10 +201,14 @@ class TestPartialEigenbasis:
         assert eigendecompose(blob_laplacian(rng), below=theta).count == count
 
     def test_nan_threshold_rejected(self, rng, monkeypatch):
-        # the dense cut's searchsorted would place NaN above every
-        # eigenvalue; the refusal comes before any factorization
+        # no Lanczos round finds a pair below NaN, and the dense cut's
+        # searchsorted would place NaN above every eigenvalue; the refusal
+        # comes before either
         L = blob_laplacian(rng)
-        monkeypatch.setattr(spectral, "_count_below", None)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Lanczos was called")
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", refuse)
         refuse_dense_eigh(monkeypatch)
         with pytest.raises(ParameterError, match="below"):
             eigendecompose(L, below=np.nan)
@@ -231,6 +221,41 @@ class TestPartialEigenbasis:
         bad = LaplacianMatrix(matrix=matrix, spectral_norm_bound=5.0)
         with pytest.raises(DataError):
             eigendecompose(bad, below=0.5)
+
+    @pytest.mark.parametrize("theta", [0.0, -1.0])
+    def test_non_positive_threshold_gives_an_empty_basis(self, rng,
+                                                         monkeypatch, theta):
+        L = blob_laplacian(rng)
+        refuse_dense_eigh(monkeypatch)
+        basis = eigendecompose(L, below=theta)
+        assert basis.eigenvalues.shape == (0,)
+        assert basis.eigenvectors.shape == (L.shape[0], 0)
+
+    def test_basis_never_factors(self, rng, monkeypatch):
+        # sparse products only: no LU factor of L - theta I, no dense eigh
+        L = blob_laplacian(rng)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sparse LU factor was made")
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
+        refuse_dense_eigh(monkeypatch)
+        assert eigendecompose(L, below=0.1).count == 27
+
+    def test_memory_stays_far_below_a_dense_matrix(self):
+        # rank-10 data fills an LU factor of L - theta I to about a third
+        # of a dense matrix; the basis holds O(n m) and the sparse matrix
+        n = 3000
+        rng = np.random.default_rng(0)
+        Y = rng.standard_normal((30, 10)) @ rng.standard_normal((10, n))
+        L = laplacian(knn_graph(DataMatrix(Y), "columns", 10), "normalized")
+        tracemalloc.start()
+        try:
+            basis = eigendecompose(L, below=0.075)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert basis.count >= 1
+        assert peak < n * n * 8 / 4
 
     @settings(max_examples=25, deadline=None)
     @given(sizes=st.lists(st.integers(8, 40), min_size=1, max_size=6),
@@ -248,7 +273,6 @@ class TestPartialEigenbasis:
             blocks.append(W + W.T)
         L = laplacian(SparseGraph.from_weight_matrix(sparse.block_diag(blocks)),
                       "normalized")
-        assert spectral._count_below(L, 1e-9) in (None, len(sizes))
         basis = eigendecompose(L, below=1e-9)
         Q = basis.eigenvectors
         assert basis.count == len(sizes)
