@@ -228,9 +228,24 @@ def _cmd_solve(params):
           f"converged={str(result.converged).lower()})")
 
 
+def _alignment(out_dir, side, basis, data, k):
+    """Write gamma_<side>_db.csv for the covariance of the rows of data and
+    return the two alignment scalars; Gamma is dropped on return."""
+    aligned = diag.alignment_report(basis, diag.covariance(data), k)
+    graphmod.save_matrix_csv(out_dir / f"gamma_{side}_db.csv",
+                             diag.gamma_to_db(aligned.Gamma))
+    return {f"alignment_order_{side}": aligned.alignment_order,
+            f"rank_k_alignment_{side}": aligned.rank_k_alignment}
+
+
 def _cmd_diagnose(params):
     k = params["k"]
-    X = graphmod.DataMatrix.from_csv(params["matrix"], params["orientation"]).values
+
+    def read(key):
+        return graphmod.DataMatrix.from_csv(params[key],
+                                            params["orientation"]).values
+
+    X = read("matrix")
     Lr, Lc = _load_laplacians(params)
     if Lr.shape[0] != X.shape[0] or Lc.shape[0] != X.shape[1]:
         raise DataError(f"matrix is {X.shape} but graphs have "
@@ -241,22 +256,18 @@ def _cmd_diagnose(params):
     out_dir = Path(params["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    row_report = diag.alignment_report(row_basis, diag.covariance(X), k)
-    col_report = diag.alignment_report(col_basis, diag.covariance(X.T), k)
-    for side, aligned in (("rows", row_report), ("columns", col_report)):
-        graphmod.save_matrix_csv(out_dir / f"gamma_{side}_db.csv",
-                                 diag.gamma_to_db(aligned.Gamma))
+    # the matrices of these steps (each Gamma and its dB image, Y* and Y)
+    # are dropped once used, before the SVD of the coherence step
+    alignment = {**_alignment(out_dir, "rows", row_basis, X, k),
+                 **_alignment(out_dir, "columns", col_basis, X.T, k)}
 
     bound = None
     if params["ystar"] is not None:
-        Y_star = graphmod.DataMatrix.from_csv(params["ystar"],
-                                              params["orientation"]).values
-        Y = graphmod.DataMatrix.from_csv(params["noisy"],
-                                         params["orientation"]).values
         k_r = params["k_r"] if params["k_r"] is not None else k
         k_c = params["k_c"] if params["k_c"] is not None else k
-        bound = diag.recovery_bound_check(Y_star, Y, X, row_basis, col_basis,
-                                          k_r, k_c, params["gamma"], params["loss"])
+        bound = diag.recovery_bound_check(read("ystar"), read("noisy"), X,
+                                          row_basis, col_basis, k_r, k_c,
+                                          params["gamma"], params["loss"])
 
     coherence_right, coherence_left, sigma = diag.subspace_coherence(
         X, row_basis, col_basis)
@@ -275,10 +286,7 @@ def _cmd_diagnose(params):
     items = {"k": k,
              "spectral_gap_col": gap(col_basis),
              "spectral_gap_row": gap(row_basis),
-             "alignment_order_rows": row_report.alignment_order,
-             "rank_k_alignment_rows": row_report.rank_k_alignment,
-             "alignment_order_columns": col_report.alignment_order,
-             "rank_k_alignment_columns": col_report.rank_k_alignment}
+             **alignment}
     if bound is not None:
         items.update(zip(("bound_lhs", "bound_rhs", "bound_holds"), bound))
     _write_report(out_dir / "diagnostics.txt", "diagnostics report", items)

@@ -136,7 +136,7 @@ def knn_graph(data: DataMatrix, axis: str, k: int, weighting: str = "gaussian",
     """
     if axis not in AXES:
         raise ParameterError(f"unknown axis {axis!r}")
-    # the GEMM, the row gathers and the per-row cdist calls below all read
+    # the GEMM, the cityblock cdist and the pair gathers below all read
     # whole vectors; for columns a contiguous copy keeps them fast
     vectors = (data.values if axis == "rows"
                else np.ascontiguousarray(data.values.T))
@@ -152,11 +152,12 @@ def knn_graph(data: DataMatrix, axis: str, k: int, weighting: str = "gaussian",
     if metric not in METRICS:
         raise ParameterError(f"unknown metric {metric!r}")
 
-    # imported here: scipy.spatial loads scipy.special with it, about 0.1 s
-    # of every import of the package; the exact distances come from cdist
-    from scipy.spatial.distance import cdist
     if metric == "euclidean":
         screen = _GramScreen(vectors)
+    else:
+        # imported here: scipy.spatial loads scipy.special with it, about
+        # 0.15 s and 14 MiB of every process that would import it
+        from scipy.spatial.distance import cdist
     neighbors = np.empty((count, k), dtype=np.intp)
     pair_dist = np.empty((count, k))
     for block in _row_blocks(count, count):
@@ -174,16 +175,22 @@ def knn_graph(data: DataMatrix, axis: str, k: int, weighting: str = "gaussian",
         # the diagonal of a full distance matrix
         keep = lower <= (kth + slack)[:, None]
         keep[local, local + start] = True
-        for r in local:
-            i = start + r
-            cand = np.flatnonzero(keep[r])
-            dist = cdist(vectors[i:i + 1], vectors[cand], metric=metric)[0]
-            dist[cand == i] = np.inf
-            # cand is ascending, so a stable sort breaks ties toward the
-            # smaller index, which makes the result deterministic
-            order = np.argsort(dist, kind="stable")[:k]
-            neighbors[i] = cand[order]
-            pair_dist[i] = dist[order]
+        # row-major: rows ascending, and each row's candidates ascending
+        rows, cand = np.nonzero(keep)
+        if metric == "euclidean":
+            dist = np.full(rows.size, np.inf)
+            other = cand != rows + start
+            dist[other] = _euclidean_distances(vectors, rows[other] + start,
+                                               cand[other])
+        else:  # the screen is exact, inf on the diagonal included
+            dist = approx[rows, cand]
+        # a stable sort by distance within each row breaks ties toward the
+        # smaller index, which makes the result deterministic; every row
+        # has at least k + 1 candidates
+        order = np.lexsort((dist, rows))
+        pick = order[np.searchsorted(rows, local)[:, None] + np.arange(k)]
+        neighbors[block] = cand[pick]
+        pair_dist[block] = dist[pick]
 
     rows = np.repeat(np.arange(count), k)
     cols = neighbors.ravel()
@@ -216,6 +223,26 @@ def knn_graph(data: DataMatrix, axis: str, k: int, weighting: str = "gaussian",
     return SparseGraph.from_weight_matrix(symmetric)
 
 
+def _euclidean_distances(vectors: np.ndarray, rows: np.ndarray,
+                         cols: np.ndarray) -> np.ndarray:
+    """The Euclidean distance of each pair (rows[t], cols[t]) of vectors.
+
+    np.cumsum adds the squared differences in feature order, the order of
+    cdist's per-pair loop, so the bits are cdist's; the oracle tests check
+    them on the pinned numpy and scipy. A sum past the float range is inf,
+    as in cdist, and raises no warning.
+    """
+    sums = np.zeros(rows.size)
+    if vectors.shape[1]:
+        with np.errstate(over="ignore"):
+            for chunk in _row_blocks(rows.size, vectors.shape[1]):
+                diff = vectors[cols[chunk]]
+                diff -= vectors[rows[chunk]]
+                diff *= diff
+                sums[chunk] = np.cumsum(diff, axis=1, out=diff)[:, -1]
+    return np.sqrt(sums, out=sums)
+
+
 class _GramScreen:
     """Squared Euclidean distances in Gram form, with a certified error.
 
@@ -223,13 +250,16 @@ class _GramScreen:
     [1/2, 1) without rounding, and centred, which leaves the distances
     alone and shrinks the norms the rounding error grows with. For these
     vectors c a block's screen s_ij = max(|c_i|^2 + |c_j|^2 - 2 c_i.c_j, 0)
-    is one GEMM, and with cdist's value D_ij,
+    is one GEMM, and with D_ij the exact distance of
+    ``_euclidean_distances``,
 
         |s_ij - 4^e D_ij^2| <= m_ij = K u (|c_i|^2 + |c_j|^2) + floor,
 
     u the unit roundoff and K = 8 (d + 4), twice the sum of the bounds for
-    the dot products, the centring and cdist's own sum (Higham, Accuracy
-    and Stability of Numerical Algorithms, ch. 3). ``floor`` bounds what
+    the dot products, the centring and the exact stage's sum (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 3). That sum is
+    np.cumsum's, in feature order like cdist's, whose bits the oracle
+    tests check on the pinned numpy and scipy. ``floor`` bounds what
     underflow adds. With t the k-th smallest s_ij of a row, at least k
     vectors have 4^e D^2 <= t + max_j m_ij, so each of the k nearest has
     s_ij - m_ij <= t + max_j m_ij.
@@ -244,9 +274,10 @@ class _GramScreen:
         self.sq_norms = np.einsum("ij,ij->i", self.centred, self.centred)
         K = 8 * (d + 4)
         self.rel = K * np.finfo(np.float64).eps / 2
-        # cdist's underflow is absolute in the unscaled units, so 4^e times
-        # larger here. A squared distance past the float range makes cdist
-        # return inf, which no screen value bounds: every j is kept then.
+        # the exact sum's underflow is absolute in the unscaled units, so
+        # 4^e times larger here. A squared distance past the float range
+        # makes the exact distance inf, which no screen value bounds:
+        # every j is kept then.
         floor_exp = max(2 * e, 0) - 1069
         if floor_exp > 1000 or math.log2(4 * max(d, 1)) - 2 * e > 1020:
             self.floor = np.inf
@@ -314,9 +345,10 @@ def format_float(x) -> str:
 def save_matrix_csv(path, values) -> None:
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     with open(path, "w", encoding="utf-8") as fh:
-        # repr of the Python floats of tolist() is format_float, per row
-        for row in values.tolist():
-            fh.write(",".join(map(repr, row)))
+        # repr of the Python floats of tolist() is format_float; one row of
+        # them at a time, not 32 bytes per entry of the whole matrix
+        for row in values:
+            fh.write(",".join(map(repr, row.tolist())))
             fh.write("\n")
 
 

@@ -105,10 +105,11 @@ def _symmetric_scale(L: LaplacianMatrix) -> float:
 
 def _normalized_pairs(eigenvalues, eigenvectors, scale):
     """Eigenpairs in the EigenBasis convention: tiny negative eigenvalues
-    (above -1e-8 scale) clipped to zero, column signs fixed."""
+    (above -1e-8 scale) clipped to zero, column signs fixed in place."""
     eigenvalues = np.where(
         (eigenvalues < 0) & (eigenvalues > -1e-8 * scale), 0.0, eigenvalues)
-    return eigenvalues, eigenvectors * _column_signs(eigenvectors)
+    eigenvectors *= _column_signs(eigenvectors)
+    return eigenvalues, eigenvectors
 
 
 def _sparse_eigenpairs_below(L: LaplacianMatrix, theta: float,
@@ -187,7 +188,10 @@ def _sparse_eigenpairs_below(L: LaplacianMatrix, theta: float,
 def _column_signs(Q: np.ndarray) -> np.ndarray:
     """The sign convention for eigen- and singular vectors: -1 for each
     column of Q whose first significant entry (above 1e-12 of the column's
-    largest magnitude) is negative, +1 for every other column."""
+    largest magnitude) is negative, +1 for every other column. Columns
+    with no entries, as of a Laplacian with no vertices, keep +1."""
+    if not Q.shape[0]:
+        return np.ones(Q.shape[1])
     magnitude = np.abs(Q)
     largest = np.maximum(magnitude.max(axis=0, initial=0.0), 1e-300)
     significant = magnitude > 1e-12 * largest

@@ -778,26 +778,49 @@ def test_help_states_defaults_and_read_when(capsys):
             "or gfrpcag") in text
 
 
+def _source_env():
+    """The environment of a child Python that imports this source tree."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+
+
 def test_cli_import_leaves_out_scipy_spatial():
-    # cdist is imported inside knn_graph: commands that build no graph do
+    # cdist is imported only by the cityblock KNN graph: other commands do
     # not pay for scipy.spatial and the scipy.special it loads
     code = ("import sys, graphlowrank.cli; "
             "sys.exit('scipy.spatial' in sys.modules)")
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src), os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    done = subprocess.run([sys.executable, "-c", code], env=_source_env(),
+                          timeout=60)
     assert done.returncode == 0
+
+
+@pytest.mark.parametrize("metric, imported", [("euclidean", False),
+                                              ("cityblock", True)])
+def test_graph_build_imports_scipy_spatial_for_cityblock_only(
+        tmp_path, rng, metric, imported):
+    # the Euclidean graph computes its exact distances with numpy
+    matrix = tmp_path / "y.csv"
+    save_matrix_csv(matrix, rng.standard_normal((20, 30)))
+    code = ("import sys, graphlowrank.cli; "
+            "code = graphlowrank.cli.main(sys.argv[1:]); "
+            "print('scipy.spatial' in sys.modules); sys.exit(code)")
+    done = subprocess.run(
+        [sys.executable, "-c", code, "graph", "build", "--matrix", matrix,
+         "--axis", "columns", "--k", "5", "--metric", metric,
+         "--out", tmp_path / "g.txt"],
+        env=_source_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == str(imported)
+    assert load_edge_list(tmp_path / "g.txt").num_vertices == 30
 
 
 def test_cli_import_leaves_out_scipy_linalg():
     # scipy.linalg is imported inside tikhonov_closed_form, the one user
     code = ("import sys, graphlowrank.cli; "
             "sys.exit('scipy.linalg' in sys.modules)")
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src), os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    done = subprocess.run([sys.executable, "-c", code], env=_source_env(),
+                          timeout=60)
     assert done.returncode == 0
 
 

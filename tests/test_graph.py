@@ -445,6 +445,24 @@ class TestFileFormats:
         assert path.read_text(encoding="utf-8") == expected
         assert np.array_equal(load_matrix_csv(path), values)
 
+    def test_matrix_csv_holds_one_row_of_floats(self, tmp_path, rng):
+        # the whole matrix as Python floats would be about 3 MB at
+        # 300 x 300; one row of them at a time stays far below 1 MiB
+        values = rng.standard_normal((300, 300))
+        values[0, :5] = [-0.0, 5e-324, 1e-05, 0.0001, 1e16]
+        path = tmp_path / "m.csv"
+        tracemalloc.start()
+        try:
+            save_matrix_csv(path, values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        text = path.read_text(encoding="utf-8")
+        assert text.startswith("-0.0,5e-324,1e-05,0.0001,1e+16,")
+        assert text == "".join(",".join(format_float(v) for v in row) + "\n"
+                               for row in values)
+
     def test_matrix_csv_malformed_row(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1.0,2.0\n3.0,oops\n")

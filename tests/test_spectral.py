@@ -56,6 +56,22 @@ class TestEigendecompose:
         assert np.linalg.norm(rebuilt - dense) <= 1e-8 * np.linalg.norm(dense)
         assert basis.eigenvalues[0] <= 1e-8
 
+    @pytest.mark.parametrize("below", [None, 0.5])
+    def test_laplacian_with_no_vertices_gives_an_empty_basis(self, below):
+        # the dense route and the partial one, which falls back to it
+        L = laplacian(SparseGraph.from_weight_matrix(np.zeros((0, 0))))
+        basis = eigendecompose(L, below=below)
+        assert basis.eigenvalues.shape == (0,)
+        assert basis.eigenvectors.shape == (0, 0)
+        assert basis.size == basis.count == 0
+
+    def test_signs_are_fixed_in_place(self, rng):
+        Q = -np.linalg.qr(rng.standard_normal((6, 6)))[0]
+        expected = Q * spectral._column_signs(Q)
+        _, flipped = spectral._normalized_pairs(np.arange(6.0), Q, 1.0)
+        assert flipped is Q
+        assert np.array_equal(Q, expected)
+
     def test_rejects_asymmetric_matrix(self):
         from graphlowrank.graph import LaplacianMatrix
         bad = LaplacianMatrix(matrix=sparse.csr_matrix(np.array([[1.0, 2.0],
