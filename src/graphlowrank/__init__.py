@@ -1,6 +1,6 @@
 """Low-rank matrix denoising via dual-graph spectral regularization."""
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .diagnostics import (AlignmentReport, alignment_report, covariance,
                           recovery_bound_check, spectral_gap,
@@ -13,18 +13,15 @@ from .graph import (DataMatrix, LaplacianMatrix, SparseGraph, knn_graph,
 from .solvers import (SolverConfig, SolverResult, frpcag_gradient,
                       lipschitz_bound, loss_value, solve_frpcag,
                       solve_gfrpcag, tikhonov_closed_form)
-from .spectral import (EigenBasis, FilterSpec, apply_filter_chebyshev,
-                       apply_filter_exact, dirichlet_energy, eigendecompose,
-                       eval_filter)
+from .spectral import EigenBasis, FilterSpec, eigendecompose
 from .synth import LrmgInstance, add_noise, make_lrmg, make_manifold
 
 __all__ = [
     "AlignmentReport", "DataError", "DataMatrix", "EigenBasis", "FilterSpec",
     "GraphLowRankError", "LaplacianMatrix", "LrmgInstance", "NumericalError",
     "ParameterError", "SolverConfig", "SolverResult", "SparseGraph",
-    "add_noise", "alignment_report", "apply_filter_chebyshev",
-    "apply_filter_exact", "covariance", "dirichlet_energy", "eigendecompose",
-    "eval_filter", "frpcag_gradient", "knn_graph", "laplacian",
+    "add_noise", "alignment_report", "covariance", "eigendecompose",
+    "frpcag_gradient", "knn_graph", "laplacian",
     "lipschitz_bound", "load_edge_list", "load_matrix_csv", "loss_value",
     "make_lrmg", "make_manifold", "recovery_bound_check",
     "save_edge_list", "save_matrix_csv", "solve_frpcag", "solve_gfrpcag",

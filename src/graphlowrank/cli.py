@@ -335,14 +335,14 @@ def _cmd_spectra(params):
         _write_table(out, "index,eigenvalue", np.arange(eigenvalues.size), eigenvalues)
     else:
         b, x_max = params["filter_b"], params["x_max"]
-        spec = spectral.FilterSpec("prox_fb", b=b, gamma=params["filter_gamma"])
+        spectral.FilterSpec("prox_fb", b=b)  # the filter's rule for b
         if not x_max > 0:
             raise ParameterError(f"x_max must be positive, got {x_max}")
         grid = np.linspace(0.0, x_max, 1000)
         _write_table(out, "x,g(x),f(x)", grid,
-                     spectral.eval_filter(spectral.FilterSpec("step_gb", b=b),
-                                          grid),
-                     spectral.eval_filter(spec, grid))
+                     spectral.step_penalty_curve(grid, b),
+                     spectral.prox_filter_curve(grid, b,
+                                                params["filter_gamma"]))
     print(f"wrote {out}")
 
 
@@ -504,6 +504,10 @@ def main(argv=None) -> int:
         return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"data error: the arrays do not fit in memory: {exc}",
+              file=sys.stderr)
         return 3
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

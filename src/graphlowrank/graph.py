@@ -304,17 +304,24 @@ def laplacian(g: SparseGraph, kind: str = "normalized") -> LaplacianMatrix:
 
     Isolated vertices contribute a zero row and column under both kinds;
     the normalized form treats their D^{-1/2} entry as 0, which keeps the
-    operator PSD.
+    operator PSD. Weights whose sums overflow a degree or the norm bound
+    are a DataError.
     """
     if kind not in LAPLACIAN_KINDS:
         raise ParameterError(f"unknown Laplacian kind {kind!r}")
-    d = g.degrees()
+    with np.errstate(over="ignore"):
+        d = g.degrees()
+    if not np.isfinite(d).all():
+        raise DataError("edge weights overflow a vertex degree")
     if kind == "unnormalized":
         mat = sparse.diags(d) - g.weights
         # Anderson-Morley: lambda_max(D - W) <= max over edges {i, j} of
         # d_i + d_j, a certified upper bound (0 for an edgeless graph)
         coo = g.weights.tocoo()
-        bound = float(np.max(d[coo.row] + d[coo.col], initial=0.0))
+        with np.errstate(over="ignore"):
+            bound = float(np.max(d[coo.row] + d[coo.col], initial=0.0))
+        if not np.isfinite(bound):
+            raise DataError("edge weights overflow the Laplacian's norm bound")
     else:
         inv_sqrt = _inv_sqrt_degrees(d)
         scaling = sparse.diags(inv_sqrt)

@@ -65,12 +65,12 @@ class SolverConfig:
 
     Both solvers take (Y, Lr, Lc, config). gamma_r weighs the row-graph
     penalty (Lr is p x p), gamma_c the column-graph penalty (Lc is n x n).
-    For the filtered solver, ``filter_spec`` describes the step-like filter
-    and ``filtered_side`` names the graph it acts on: Lr for "row_graph",
-    Lc for "column_graph". That side's gamma weighs the filtered penalty,
-    so ``filter_spec.gamma`` must be 0; the other graph keeps its plain
-    smoothness term. The filtered prox is always applied exactly through
-    the eigenbasis, and ``filter_application`` accepts only "exact".
+    For the filtered solver, ``filter_spec`` gives the bandwidth b of the
+    step-like filter and ``filtered_side`` names the graph it acts on: Lr
+    for "row_graph", Lc for "column_graph". That side's gamma weighs the
+    filtered penalty; the other graph keeps its plain smoothness term. The
+    filtered prox is always applied exactly through the eigenbasis, and
+    ``filter_application`` accepts only "exact".
     """
 
     gamma_r: float = 0.0
@@ -96,8 +96,7 @@ class SolverConfig:
         if self.filter_application != "exact":
             raise ParameterError(
                 f"unknown filter_application {self.filter_application!r}: the "
-                "filtered prox is always exact; for a Chebyshev approximation "
-                "of a filter call spectral.apply_filter_chebyshev")
+                "filtered prox is always exact")
 
 
 @dataclass
@@ -393,8 +392,9 @@ def solve_gfrpcag(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
     """Forward-backward primal-dual iteration with one filtered graph.
 
     Takes the same arguments as ``solve_frpcag``. The graph named by
-    ``config.filtered_side`` carries the step-filter penalty, applied
-    through its spectral prox; the other graph keeps its plain smoothness
+    ``config.filtered_side`` carries the step-filter penalty, with b from
+    ``config.filter_spec`` and that side's gamma as its weight, applied
+    through its spectral prox f_b; the other graph keeps its plain smoothness
     term, whose gradient is ``frpcag_gradient`` with the filtered side's
     gamma set to 0. The prox needs only the filtered graph's eigenpairs
     below 3b/2, which ``eigendecompose`` finds once per solve with Lanczos
@@ -417,14 +417,7 @@ def solve_gfrpcag(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
     Y = _checked_input(Y, Lr, Lc)
     if config.filter_spec is None:
         raise ParameterError("solve_gfrpcag requires config.filter_spec")
-    if config.filter_spec.family != "prox_fb":
-        raise ParameterError("the filtered penalty must use the prox_fb family")
     side = "gamma_c" if config.filtered_side == "column_graph" else "gamma_r"
-    if config.filter_spec.gamma != 0.0:
-        raise ParameterError(
-            "filter_spec.gamma is not used: the filtered penalty on the "
-            f"{config.filtered_side} is weighed by config.{side}; set that "
-            "and leave filter_spec.gamma at 0")
     if getattr(config, side) == 0.0:
         raise ParameterError(
             f"config.{side} is 0, so the filtered penalty on the "

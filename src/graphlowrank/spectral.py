@@ -1,11 +1,10 @@
-"""Laplacian eigenbases and spectral filters.
+"""Laplacian eigenbases and the spectral filter family.
 
 The filter family is built from a bump function h_b that vanishes below
 b/2: the penalty curve g_b(x) = h_b(x) / h_b(2b - x) is zero below b/2 and
 infinite above 3b/2, and its proximal counterpart f_b(x, gamma) =
-1 / (1 + gamma * g_b(x)) is a smooth low-pass response in [0, 1]. Filters
-are applied either exactly through an eigenbasis or approximately with a
-Chebyshev polynomial of the Laplacian.
+1 / (1 + gamma * g_b(x)) is a smooth low-pass response in [0, 1]. The
+filtered solver applies f_b exactly, through the eigenpairs below 3b/2.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from scipy import sparse
 from .errors import DataError, ParameterError
 from .graph import LaplacianMatrix
 
-FILTER_FAMILIES = ("step_gb", "prox_fb")
+FILTER_FAMILIES = ("prox_fb",)
 
 
 @dataclass(frozen=True)
@@ -44,27 +43,18 @@ class EigenBasis:
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Spectral filter description.
-
-    b is the bandwidth of both families, the penalty curve g_b
-    ("step_gb") and its prox response f_b ("prox_fb"); gamma is the penalty
-    weight of the prox form.
+    """The filtered penalty's filter: the prox response f_b ("prox_fb") of
+    bandwidth b. Its weight is the filtered side's gamma of SolverConfig.
     """
 
     family: str
     b: float = 0.0
-    gamma: float = 0.0
 
     def __post_init__(self):
         if self.family not in FILTER_FAMILIES:
             raise ParameterError(f"unknown filter family {self.family!r}")
-        if not (np.isfinite(self.b) and np.isfinite(self.gamma)):
-            raise ParameterError(f"b and gamma must be finite, got b={self.b}, "
-                                 f"gamma={self.gamma}")
-        if not self.b > 0:
-            raise ParameterError(f"family {self.family!r} requires b > 0")
-        if self.gamma < 0:
-            raise ParameterError(f"gamma must be nonnegative, got {self.gamma}")
+        if not 0 < self.b < np.inf:
+            raise ParameterError(f"b must be finite and positive, got {self.b}")
 
 
 def eigendecompose(L: LaplacianMatrix, below: float | None = None) -> EigenBasis:
@@ -201,14 +191,6 @@ def _column_signs(Q: np.ndarray) -> np.ndarray:
     return np.where(flip, -1.0, 1.0)
 
 
-def dirichlet_energy(L: LaplacianMatrix, X: np.ndarray) -> float:
-    """Graph smoothness energy tr(X^T L X) of the column signals of X."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape[0] != L.shape[0]:
-        raise DataError(f"X has {X.shape[0]} rows, Laplacian is {L.shape[0]} wide")
-    return float(np.sum(X * (L.matrix @ X)))
-
-
 # ---------------------------------------------------------------------------
 # the filter family
 # ---------------------------------------------------------------------------
@@ -234,7 +216,11 @@ def step_penalty_curve(x, b: float) -> np.ndarray:
 
 def prox_filter_curve(x, b: float, gamma: float) -> np.ndarray:
     """f_b(x, gamma) = 1 / (1 + gamma * g_b(x)), in the division-safe form
-    h_b(2b - x) / (h_b(2b - x) + gamma * h_b(x)); always in [0, 1]."""
+    h_b(2b - x) / (h_b(2b - x) + gamma * h_b(x)); always in [0, 1].
+    gamma must be finite and nonnegative."""
+    if not 0 <= gamma < np.inf:
+        raise ParameterError(f"gamma must be finite and nonnegative, got "
+                             f"{gamma}")
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if gamma == 0:
         return np.ones_like(x)
@@ -247,92 +233,3 @@ def prox_filter_curve(x, b: float, gamma: float) -> np.ndarray:
     # both terms underflow only deep inside one of the flat regions
     out[~ok] = np.where(x[~ok] >= b, 0.0, 1.0)
     return out
-
-
-def eval_filter(spec: FilterSpec, x):
-    """Evaluate a filter response on nonnegative frequencies.
-
-    step_gb may return +inf (it is a penalty curve, not an applicable
-    response); prox_fb is finite with values in [0, 1].
-    Scalar input yields a float, array input an array.
-    """
-    scalar = np.ndim(x) == 0
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if (arr < 0).any():
-        raise ParameterError("filter argument must be nonnegative")
-    if spec.family == "step_gb":
-        out = step_penalty_curve(arr, spec.b)
-    else:
-        out = prox_filter_curve(arr, spec.b, spec.gamma)
-    return float(out[0]) if scalar else out
-
-
-def apply_filter_exact(basis: EigenBasis, spec: FilterSpec, X: np.ndarray,
-                       side: str = "left") -> np.ndarray:
-    """Apply Q g(Lambda) Q^T to X from the given side via the eigenbasis."""
-    response = eval_filter(spec, basis.eigenvalues)
-    if not np.isfinite(response).all():
-        raise ParameterError(
-            "filter is infinite on part of the spectrum; apply the prox form")
-    X = np.asarray(X, dtype=np.float64)
-    Q = basis.eigenvectors
-    if side == "left":
-        if X.shape[0] != basis.size:
-            raise DataError(f"X has {X.shape[0]} rows, basis has {basis.size}")
-        return Q @ (response[:, None] * (Q.T @ X))
-    if side == "right":
-        if X.shape[-1] != basis.size:
-            raise DataError(f"X has {X.shape[-1]} columns, basis has {basis.size}")
-        return ((X @ Q) * response[None, :]) @ Q.T
-    raise ParameterError(f"unknown side {side!r}")
-
-
-def chebyshev_coefficients(func, order: int, upper: float) -> np.ndarray:
-    """Interpolation coefficients of ``func`` on [0, upper], degree ``order``."""
-    n_pts = order + 1
-    theta = np.pi * (np.arange(n_pts) + 0.5) / n_pts
-    x = (upper / 2.0) * (np.cos(theta) + 1.0)
-    fx = func(x)
-    if not np.isfinite(fx).all():
-        raise ParameterError("filter is infinite inside the Chebyshev interval")
-    k = np.arange(n_pts)
-    return (2.0 / n_pts) * np.cos(np.outer(k, theta)) @ fx
-
-
-def apply_filter_chebyshev(L: LaplacianMatrix, spec: FilterSpec, order: int,
-                           X: np.ndarray, side: str = "left") -> np.ndarray:
-    """Apply a filter through a Chebyshev polynomial of the Laplacian.
-
-    The expansion lives on [0, spectral_norm_bound] and is evaluated with
-    the three-term recurrence, so only sparse matrix products are needed.
-    """
-    if not isinstance(order, (int, np.integer)) or order < 1:
-        raise ParameterError(f"order must be a positive integer, got {order!r}")
-    if side not in ("left", "right"):
-        raise ParameterError(f"unknown side {side!r}")
-    X = np.asarray(X, dtype=np.float64)
-    work = X if side == "left" else X.T
-    if work.shape[0] != L.shape[0]:
-        raise DataError(f"operand has {work.shape[0]} rows, Laplacian is {L.shape[0]}")
-
-    upper = L.spectral_norm_bound
-    if upper <= 0:
-        # zero operator: the filter reduces to its value at the origin
-        value = float(eval_filter(spec, np.zeros(1))[0])
-        result = value * work
-    else:
-        coeffs = chebyshev_coefficients(lambda x: eval_filter(spec, x), order, upper)
-        half = upper / 2.0
-
-        def shifted(v):
-            return (L.matrix @ v) / half - v
-
-        t_prev = work
-        t_curr = shifted(work)
-        result = 0.5 * coeffs[0] * t_prev + coeffs[1] * t_curr
-        for c in coeffs[2:]:
-            t_next = 2.0 * shifted(t_curr) - t_prev
-            result = result + c * t_next
-            t_prev, t_curr = t_curr, t_next
-    return result if side == "left" else result.T
-

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from graphlowrank import DataMatrix, knn_graph, laplacian
+from graphlowrank.spectral import prox_filter_curve
 
 
 @pytest.fixture
@@ -42,3 +43,13 @@ def refuse_dense_eigh(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the dense eigh was called")
     monkeypatch.setattr(np.linalg, "eigh", refuse)
+
+
+def apply_filter_exact(basis, b, gamma, X, side="left"):
+    """Q f_b(Lambda, gamma) Q^T applied to X from the given side, through a
+    whole eigenbasis: the oracle for the solver's filtered prox."""
+    response = prox_filter_curve(basis.eigenvalues, b, gamma)
+    Q = basis.eigenvectors
+    if side == "left":
+        return Q @ (response[:, None] * (Q.T @ X))
+    return ((X @ Q) * response[None, :]) @ Q.T

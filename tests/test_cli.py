@@ -207,6 +207,12 @@ BAD_EDGE_LISTS = {
     "word_weight.txt": "#vertices 3\n0\t1\theavy\n",
     "negative_weight.txt": "#vertices 3\n0\t1\t-1.0\n",
     "inf_weight.txt": "#vertices 3\n0\t1\tinf\n",
+    # finite weights whose sums overflow: vertex 1's degree, or (one edge)
+    # the unnormalized Laplacian's norm bound d_0 + d_1
+    "degree_overflow.txt": "#vertices 3\n0\t1\t1e308\n1\t2\t1e308\n",
+    "bound_overflow.txt": "#vertices 3\n0\t1\t1e308\n",
+    # its arrays are beyond any address space, so they fail at once
+    "huge_count.txt": "#vertices 1000000000000000\n",
 }
 
 
@@ -329,6 +335,17 @@ BAD_EDGE_LISTS = {
     pytest.param([*SPECTRA, "negative_weight.txt"], None, 3,
                  id="negative-weight"),
     pytest.param([*SPECTRA, "inf_weight.txt"], None, 3, id="inf-weight"),
+    pytest.param([*SPECTRA, "degree_overflow.txt"], None, 3,
+                 id="degree-overflows-normalized"),
+    pytest.param([*SPECTRA, "degree_overflow.txt", "--laplacian",
+                  "unnormalized"], None, 3, id="degree-overflows-unnormalized"),
+    pytest.param([*SPECTRA, "bound_overflow.txt", "--laplacian",
+                  "unnormalized"], None, 3, id="norm-bound-overflows"),
+    pytest.param([*SPECTRA, "huge_count.txt"], None, 3,
+                 id="vertex-count-out-of-memory"),
+    pytest.param(["synth", "manifold", "--kind", "circle2d", "--n",
+                  "1000000000000000", "--out", "m.csv"], None, 3,
+                 id="manifold-out-of-memory"),
     pytest.param([*SYNTH, "--noise", "column_outliers", "--fraction", "2"],
                  None, 2, id="synth-fraction-above-one"),
     pytest.param([*DIAGNOSE, "--ystar", "y.csv", "--noisy", "y.csv",

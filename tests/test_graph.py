@@ -347,6 +347,26 @@ class TestLaplacian:
             eigs = np.linalg.eigvalsh(laplacian(g, kind).dense())
             assert int((eigs < 1e-8).sum()) == 3
 
+    @pytest.mark.parametrize("kind", ["normalized", "unnormalized"])
+    def test_overflowing_degree_is_data_error(self, kind):
+        # finite weights, but vertex 1's degree 2e308 is not
+        W = np.zeros((3, 3))
+        W[0, 1] = W[1, 0] = W[1, 2] = W[2, 1] = 1e308
+        with pytest.raises(DataError, match="degree"):
+            laplacian(SparseGraph.from_weight_matrix(W), kind)
+
+    def test_overflowing_norm_bound_is_data_error(self):
+        # finite degrees whose Anderson-Morley sum d_0 + d_1 overflows
+        W = np.zeros((3, 3))
+        W[0, 1] = W[1, 0] = 1e308
+        g = SparseGraph.from_weight_matrix(W)
+        with pytest.raises(DataError, match="norm bound"):
+            laplacian(g, "unnormalized")
+        # the normalized bound is 2 for any weights: one edge, one isolated
+        # vertex
+        L = laplacian(g, "normalized")
+        assert np.allclose(np.linalg.eigvalsh(L.dense()), [0.0, 0.0, 2.0])
+
     def test_isolated_vertex_zero_row(self):
         W = np.zeros((3, 3))
         W[0, 1] = W[1, 0] = 2.0

@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 
 from graphlowrank import (DataError, DataMatrix, FilterSpec, NumericalError,
                           ParameterError, SolverConfig, SparseGraph,
-                          eigendecompose, eval_filter, frpcag_gradient,
+                          eigendecompose, frpcag_gradient,
                           knn_graph, laplacian, lipschitz_bound, loss_value,
                           solve_frpcag, solve_gfrpcag, tikhonov_closed_form)
 from graphlowrank import graph, solvers, spectral
-from graphlowrank.spectral import apply_filter_exact
+from graphlowrank.spectral import step_penalty_curve
 
-from conftest import build_laplacians, refuse_dense_eigh
+from conftest import apply_filter_exact, build_laplacians, refuse_dense_eigh
 
 
 def smoothness_objective(X, Lr, Lc, gamma_r, gamma_c):
@@ -455,12 +455,12 @@ def reference_gfrpcag(Y, Lr, Lc, config):
         filtered_axis, tik_axis = "left", "right"
     b = config.filter_spec.b
     basis = eigendecompose(L_filtered)
-    curve = eval_filter(FilterSpec("step_gb", b=b), basis.eigenvalues)
+    curve = step_penalty_curve(basis.eigenvalues, b)
     finite = np.isfinite(curve)
 
     def prox_filtered(Z, scale):
-        spec = FilterSpec("prox_fb", b=b, gamma=scale * gamma_filtered)
-        return apply_filter_exact(basis, spec, Z, side=filtered_axis)
+        return apply_filter_exact(basis, b, scale * gamma_filtered, Z,
+                                  side=filtered_axis)
 
     def penalty(X):
         # the finite part of gamma tr(X g_b(L) X^T)
@@ -629,26 +629,15 @@ class TestSolveGfrpcag:
         with pytest.raises(ParameterError):
             solve_gfrpcag(Y, Lr, Lc, SolverConfig())
 
-    def test_step_filter_rejected(self, rng):
-        Y = rng.standard_normal((6, 6))
-        Lr, Lc = build_laplacians(Y, 2, 2)
-        config = SolverConfig(gamma_c=1.0,
-                              filter_spec=FilterSpec("step_gb", b=0.5))
-        with pytest.raises(ParameterError, match="prox_fb"):
-            solve_gfrpcag(Y, Lr, Lc, config)
+    def test_step_filter_rejected(self):
+        # g_b is the penalty curve; the solver applies its prox f_b
+        with pytest.raises(ParameterError, match="step_gb"):
+            FilterSpec("step_gb", b=0.5)
 
-    @pytest.mark.parametrize("side, field", [("column_graph", "gamma_c"),
-                                             ("row_graph", "gamma_r")])
-    def test_filter_gamma_rejected(self, rng, side, field):
-        # the filtered side's gamma weighs the penalty; the spec's own gamma
-        # would be ignored
-        Y = rng.standard_normal((6, 6))
-        Lr, Lc = build_laplacians(Y, 2, 2)
-        config = SolverConfig(gamma_r=1.0, gamma_c=1.0, filtered_side=side,
-                              filter_spec=FilterSpec("prox_fb", b=0.5,
-                                                     gamma=3.0))
-        with pytest.raises(ParameterError, match=f"config.{field}"):
-            solve_gfrpcag(Y, Lr, Lc, config)
+    def test_filter_gamma_rejected(self):
+        # the filtered side's gamma weighs the penalty; the spec has none
+        with pytest.raises(TypeError, match="gamma"):
+            FilterSpec("prox_fb", b=0.5, gamma=3.0)
 
     @pytest.mark.parametrize("side, gamma_r, gamma_c, field", [
         # the smooth term's Lipschitz bound overflows
@@ -714,9 +703,7 @@ class TestSolveGfrpcag:
                               max_iters=5000, tol=1e-16)
         result = solve_gfrpcag(Y, Lr, Lc, config)
         basis = eigendecompose(Lc)
-        oracle = apply_filter_exact(
-            basis, FilterSpec("prox_fb", b=b, gamma=gamma_c / 2.0), Y,
-            side="right")
+        oracle = apply_filter_exact(basis, b, gamma_c / 2.0, Y, side="right")
         assert np.linalg.norm(result.X - oracle) <= 1e-6 * np.linalg.norm(oracle)
 
     def test_row_side_filtering(self, rng):
@@ -729,9 +716,7 @@ class TestSolveGfrpcag:
                               max_iters=5000, tol=1e-16)
         result = solve_gfrpcag(Y, Lr, Lc, config)
         basis = eigendecompose(Lr)
-        oracle = apply_filter_exact(
-            basis, FilterSpec("prox_fb", b=b, gamma=gamma_r / 2.0), Y,
-            side="left")
+        oracle = apply_filter_exact(basis, b, gamma_r / 2.0, Y, side="left")
         assert np.linalg.norm(result.X - oracle) <= 1e-6 * np.linalg.norm(oracle)
 
 
@@ -1018,7 +1003,7 @@ class TestSolverConfigValidation:
             SolverConfig(tol=0.0)
         with pytest.raises(ParameterError):
             SolverConfig(filtered_side="diagonal")
-        with pytest.raises(ParameterError, match="apply_filter_chebyshev"):
+        with pytest.raises(ParameterError, match="always exact"):
             SolverConfig(filter_application="chebyshev")
 
     @pytest.mark.parametrize("field", ["gamma_r", "gamma_c", "tol"])

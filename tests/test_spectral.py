@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphlowrank import (DataError, DataMatrix, FilterSpec, ParameterError,
-                          SparseGraph, apply_filter_chebyshev,
-                          apply_filter_exact, dirichlet_energy, eigendecompose,
-                          eval_filter, knn_graph, laplacian)
+                          SparseGraph, eigendecompose, knn_graph, laplacian)
 from graphlowrank import spectral
+from graphlowrank.spectral import prox_filter_curve, step_penalty_curve
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from conftest import path_graph_weights, random_graph, refuse_dense_eigh
+from conftest import (apply_filter_exact, path_graph_weights, random_graph,
+                      refuse_dense_eigh)
 
 
 def two_vertex_laplacian():
@@ -296,6 +296,11 @@ class TestPartialEigenbasis:
         assert np.abs(L.matrix @ Q).max() <= 1e-10
 
 
+def dirichlet_energy(L, X):
+    """tr(X^T L X), the graph smoothness energy of the columns of X."""
+    return float(np.sum(X * (L.matrix @ X)))
+
+
 class TestDirichletEnergy:
     def test_constant_columns_zero_on_connected_graph(self, rng):
         g = random_graph(rng, n=12, k=4)
@@ -321,34 +326,24 @@ class TestDirichletEnergy:
         direct = dirichlet_energy(L, X)
         assert np.isclose(direct, spectral, rtol=1e-8)
 
-    def test_shape_mismatch(self, rng):
-        L = laplacian(random_graph(rng, n=9, k=2), "normalized")
-        with pytest.raises(DataError):
-            dirichlet_energy(L, np.ones((8, 2)))
-
 
 class TestFilterFamily:
     def test_penalty_curve_identities(self):
         for b in (0.1, 0.4, 2.5):
-            spec = FilterSpec("step_gb", b=b)
-            assert eval_filter(spec, b) == 1.0
-            assert eval_filter(spec, b / 2) == 0.0
-            assert eval_filter(spec, 0.0) == 0.0
-            assert eval_filter(spec, 1.5 * b) == np.inf
-            assert eval_filter(spec, 2.0 * b) == np.inf
+            g = step_penalty_curve([b, b / 2, 0.0, 1.5 * b, 2.0 * b], b)
+            assert g.tolist() == [1.0, 0.0, 0.0, np.inf, np.inf]
 
     def test_prox_curve_identities(self):
         for b in (0.1, 0.4, 2.5):
             for gamma in (0.5, 1.0, 7.0):
-                assert eval_filter(FilterSpec("prox_fb", b=b, gamma=gamma), 0.0) == 1.0
-            assert eval_filter(FilterSpec("prox_fb", b=b, gamma=1.0), b) == 0.5
+                assert prox_filter_curve(0.0, b, gamma).tolist() == [1.0]
+            assert prox_filter_curve(b, b, 1.0).tolist() == [0.5]
 
     @settings(max_examples=40, deadline=None)
     @given(b=st.floats(0.05, 5.0), gamma=st.floats(0.0, 50.0))
     def test_prox_curve_bounded_and_nonincreasing(self, b, gamma):
-        spec = FilterSpec("prox_fb", b=b, gamma=gamma)
         grid = np.linspace(0.0, 3.0 * b, 200)
-        vals = eval_filter(spec, grid)
+        vals = prox_filter_curve(grid, b, gamma)
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
         assert np.all(np.diff(vals) <= 1e-12)
 
@@ -359,133 +354,43 @@ class TestFilterFamily:
             FilterSpec("nope")
         with pytest.raises(ParameterError):
             FilterSpec("identity")
-        with pytest.raises(ParameterError):
-            FilterSpec("prox_fb", b=0.5, gamma=-1.0)
-        with pytest.raises(ParameterError):
-            eval_filter(FilterSpec("prox_fb", b=0.5), -0.5)
+        with pytest.raises(ParameterError, match="nonnegative"):
+            prox_filter_curve(0.5, 0.5, -1.0)
 
-    @pytest.mark.parametrize("family", ["step_gb", "prox_fb"])
-    @pytest.mark.parametrize("field", ["b", "gamma"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_specs(self, family, field, value):
+    def test_non_finite_b(self, value):
         with pytest.raises(ParameterError, match="finite"):
-            FilterSpec(family, **{"b": 0.5, "gamma": 1.0, field: value})
+            FilterSpec("prox_fb", b=value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_prox_gamma(self, value):
+        with pytest.raises(ParameterError, match="finite"):
+            prox_filter_curve(0.5, 0.5, value)
 
 
 class TestApplyFilterExact:
+    """The test-local oracle of the filtered prox, on its own."""
+
     def test_identity_filter_is_noop(self, rng):
         g = random_graph(rng, n=10, k=3)
         basis = eigendecompose(laplacian(g, "normalized"))
         X = rng.standard_normal((10, 4))
         # f_b at gamma = 0 is 1 on the whole spectrum
-        identity = FilterSpec("prox_fb", b=0.5)
-        assert np.allclose(apply_filter_exact(basis, identity, X), X)
+        assert np.allclose(apply_filter_exact(basis, 0.5, 0.0, X), X)
 
     def test_wide_band_prox_filter_is_near_noop(self, rng):
         g = random_graph(rng, n=12, k=3)
         basis = eigendecompose(laplacian(g, "normalized"))
         # bandwidth far above the spectrum keeps f at exactly 1 everywhere
-        spec = FilterSpec("prox_fb", b=2.0 * basis.eigenvalues.max() + 1.0,
-                          gamma=1.0)
+        b = 2.0 * basis.eigenvalues.max() + 1.0
         X = rng.standard_normal((12, 4))
-        out = apply_filter_exact(basis, spec, X)
+        out = apply_filter_exact(basis, b, 1.0, X)
         assert np.linalg.norm(out - X) <= 1e-6 * np.linalg.norm(X)
 
     def test_right_side_application(self, rng):
         g = random_graph(rng, n=9, k=3)
         basis = eigendecompose(laplacian(g, "normalized"))
-        spec = FilterSpec("prox_fb", b=0.6, gamma=1.5)
         X = rng.standard_normal((4, 9))
-        out = apply_filter_exact(basis, spec, X, side="right")
-        assert np.allclose(out.T, apply_filter_exact(basis, spec, X.T, side="left"))
-
-    def test_infinite_filter_rejected(self, rng):
-        g = random_graph(rng, n=10, k=3)
-        basis = eigendecompose(laplacian(g, "normalized"))
-        spec = FilterSpec("step_gb", b=0.1)  # infinite beyond 0.15
-        with pytest.raises(ParameterError):
-            apply_filter_exact(basis, spec, np.ones((10, 2)))
-
-    @pytest.mark.parametrize("shape, side, error", [
-        ((9, 2), "left", DataError), ((2, 9), "right", DataError),
-        ((10, 2), "up", ParameterError)])
-    def test_bad_operand_or_side_rejected(self, rng, shape, side, error):
-        basis = eigendecompose(laplacian(random_graph(rng, n=10, k=3),
-                                         "normalized"))
-        with pytest.raises(error):
-            apply_filter_exact(basis, FilterSpec("prox_fb", b=0.5),
-                               np.ones(shape), side=side)
-
-
-class TestApplyFilterChebyshev:
-    @pytest.fixture
-    def graph100(self, rng):
-        data = DataMatrix(rng.standard_normal((3, 100)))
-        return laplacian(knn_graph(data, "columns", 5), "normalized")
-
-    def test_constant_filter_exact_at_any_order(self, rng, graph100):
-        X = rng.standard_normal((100, 3))
-        for order in (1, 2, 7):
-            out = apply_filter_chebyshev(graph100, FilterSpec("prox_fb", b=0.5),
-                                         order, X)
-            assert np.linalg.norm(out - X) <= 1e-10 * np.linalg.norm(X)
-
-    def test_order_50_close_to_exact(self, rng, graph100):
-        basis = eigendecompose(graph100)
-        spec = FilterSpec("prox_fb", b=0.7, gamma=2.0)
-        X = rng.standard_normal((100, 4))
-        exact = apply_filter_exact(basis, spec, X)
-        approx = apply_filter_chebyshev(graph100, spec, 50, X)
-        assert np.linalg.norm(approx - exact) <= 1e-3 * np.linalg.norm(exact)
-
-    def test_error_decreases_as_order_doubles(self, rng, graph100):
-        basis = eigendecompose(graph100)
-        spec = FilterSpec("prox_fb", b=0.7, gamma=2.0)
-        X = rng.standard_normal((100, 2))
-        exact = apply_filter_exact(basis, spec, X)
-        errors = []
-        for order in (1, 2, 4, 8, 16, 32, 64, 128):
-            approx = apply_filter_chebyshev(graph100, spec, order, X)
-            errors.append(np.linalg.norm(approx - exact))
-        for prev, curr in zip(errors, errors[1:]):
-            assert curr <= prev * 1.1 + 1e-12
-        assert errors[-1] < errors[0]
-
-    def test_bad_order_rejected(self, rng, graph100):
-        with pytest.raises(ParameterError):
-            apply_filter_chebyshev(graph100, FilterSpec("prox_fb", b=0.5), 0,
-                                   np.ones((100, 1)))
-
-    @pytest.mark.parametrize("family, shape, side, error", [
-        ("prox_fb", (100, 1), "up", ParameterError),
-        ("prox_fb", (99, 1), "left", DataError),
-        ("prox_fb", (1, 99), "right", DataError),
-        # g_b is infinite from 3b/2 = 0.15 on, inside [0, 2]
-        ("step_gb", (100, 1), "left", ParameterError)])
-    def test_bad_operand_side_or_filter_rejected(self, graph100, family,
-                                                 shape, side, error):
-        with pytest.raises(error):
-            apply_filter_chebyshev(graph100, FilterSpec(family, b=0.1), 5,
-                                   np.ones(shape), side=side)
-
-    # an edgeless unnormalized Laplacian has the norm bound 0: the filter
-    # is its value at 0, 1 for f_b and 0 for g_b
-    @pytest.mark.parametrize("family, value", [("prox_fb", 1.0),
-                                               ("step_gb", 0.0)])
-    def test_edgeless_graph_takes_the_value_at_zero(self, rng, family, value):
-        L = laplacian(SparseGraph.from_weight_matrix(np.zeros((5, 5))),
-                      "unnormalized")
-        assert L.spectral_norm_bound == 0.0
-        X = rng.standard_normal((5, 3))
-        out = apply_filter_chebyshev(L, FilterSpec(family, b=0.5, gamma=1.0),
-                                     4, X)
-        assert np.array_equal(out, value * X)
-
-    def test_right_side(self, rng, graph100):
-        basis = eigendecompose(graph100)
-        spec = FilterSpec("prox_fb", b=0.9, gamma=1.0)
-        X = rng.standard_normal((2, 100))
-        exact = apply_filter_exact(basis, spec, X, side="right")
-        approx = apply_filter_chebyshev(graph100, spec, 60, X, side="right")
-        assert np.linalg.norm(approx - exact) <= 1e-3 * np.linalg.norm(exact)
-
+        out = apply_filter_exact(basis, 0.6, 1.5, X, side="right")
+        assert np.allclose(out.T,
+                           apply_filter_exact(basis, 0.6, 1.5, X.T, side="left"))
