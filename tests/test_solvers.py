@@ -634,10 +634,22 @@ class TestSolveGfrpcag:
         with pytest.raises(ParameterError, match="step_gb"):
             FilterSpec("step_gb", b=0.5)
 
-    def test_filter_gamma_rejected(self):
+    @pytest.mark.parametrize("side, field", [("column_graph", "gamma_c"),
+                                             ("row_graph", "gamma_r")])
+    def test_filter_gamma_rejected(self, rng, side, field):
         # the filtered side's gamma weighs the penalty; the spec has none
         with pytest.raises(TypeError, match="gamma"):
             FilterSpec("prox_fb", b=0.5, gamma=3.0)
+        Y = rng.standard_normal((6, 6))
+        Lr, Lc = build_laplacians(Y, 2, 2)
+        outs = []
+        for gamma in (1.0, 3.0):
+            gammas = {"gamma_r": 1.0, "gamma_c": 1.0, field: gamma}
+            config = SolverConfig(**gammas, filtered_side=side,
+                                  filter_spec=FilterSpec("prox_fb", b=0.5),
+                                  max_iters=50)
+            outs.append(solve_gfrpcag(Y, Lr, Lc, config).X)
+        assert np.linalg.norm(outs[0] - outs[1]) > 1e-6 * np.linalg.norm(Y)
 
     @pytest.mark.parametrize("side, gamma_r, gamma_c, field", [
         # the smooth term's Lipschitz bound overflows
