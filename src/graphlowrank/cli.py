@@ -252,15 +252,16 @@ def _cmd_diagnose(params):
                         f"{Lr.shape[0]} and {Lc.shape[0]} vertices")
     row_basis = spectral.eigendecompose(Lr)
     col_basis = spectral.eigendecompose(Lc)
-
-    out_dir = Path(params["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    # the matrices of these steps (each Gamma and its dB image, Y* and Y)
-    # are dropped once used, before the SVD of the coherence step
-    alignment = {**_alignment(out_dir, "rows", row_basis, X, k),
-                 **_alignment(out_dir, "columns", col_basis, X.T, k)}
-
+    # every check comes before the out dir is made, so a refused run
+    # writes nothing: each alignment needs k within its basis and two
+    # samples. Y* and Y, then each Gamma and its dB image, are dropped once
+    # used, before the SVD of the coherence step.
+    count = min(row_basis.count, col_basis.count)
+    if not 1 <= k <= count:
+        raise ParameterError(f"k={k} out of range for basis of {count}")
+    if count < 2:
+        raise DataError(f"the matrix is {X.shape}: a covariance needs at "
+                        "least 2 samples")
     bound = None
     if params["ystar"] is not None:
         k_r = params["k_r"] if params["k_r"] is not None else k
@@ -268,6 +269,11 @@ def _cmd_diagnose(params):
         bound = diag.recovery_bound_check(read("ystar"), read("noisy"), X,
                                           row_basis, col_basis, k_r, k_c,
                                           params["gamma"], params["loss"])
+
+    out_dir = Path(params["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    alignment = {**_alignment(out_dir, "rows", row_basis, X, k),
+                 **_alignment(out_dir, "columns", col_basis, X.T, k)}
 
     coherence_right, coherence_left, sigma = diag.subspace_coherence(
         X, row_basis, col_basis)

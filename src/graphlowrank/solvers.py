@@ -145,11 +145,11 @@ def _loss_total(sums, loss: str) -> float:
 def _prox_loss(X, Y, lam, loss, norms):
     """Proximal operator of lam * phi(. - Y) evaluated at X, a row block.
 
-    l1 is the shifted soft threshold, l2 the shrinkage toward Y of the
-    squared Frobenius loss (no 1/2 factor), and l21 a per-column block
-    shrinkage; a column exactly at the anchor stays at the anchor. For
-    l21, ``norms`` gives the column norms of the whole X - Y, which a row
-    block cannot compute alone (``_column_norms``); l1 and l2 ignore it.
+    l1 is the shifted soft threshold, l2 the shrinkage toward Y of the squared
+    Frobenius loss (no 1/2 factor), and l21 a block shrinkage of each group,
+    which stays at the anchor if exactly there. ``norms`` (ignored by l1 and
+    l2) gives l21's group norms of X - Y, shaped to broadcast: (n,) for
+    columns, which a row block cannot compute alone, or (rows, 1) for rows.
     """
     if loss == "l2":
         return (X + 2.0 * lam * Y) / (1.0 + 2.0 * lam)
@@ -162,7 +162,7 @@ def _prox_loss(X, Y, lam, loss, norms):
     scale = np.zeros_like(norms)
     nonzero = norms > 0
     scale[nonzero] = np.maximum(0.0, 1.0 - lam / norms[nonzero])
-    return Y + R * scale[None, :]
+    return Y + R * scale
 
 
 def _column_norms(loss, blocks, block, walk=map):
@@ -393,18 +393,18 @@ def solve_gfrpcag(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
 
     Takes the same arguments as ``solve_frpcag``. The graph named by
     ``config.filtered_side`` carries the step-filter penalty, with b from
-    ``config.filter_spec`` and that side's gamma as its weight, applied
-    through its spectral prox f_b; the other graph keeps its plain smoothness
-    term, whose gradient is ``frpcag_gradient`` with the filtered side's
-    gamma set to 0. The prox needs only the filtered graph's eigenpairs
-    below 3b/2, which ``eigendecompose`` finds once per solve with Lanczos
-    on the sparse Laplacian (dense ``eigh`` when that route fails). The
-    row blocks of each iteration run on the module's pool of two worker
-    threads, with the bits of a serial walk. Time steps are
-    tau_1 = 1/beta, tau_2 = beta/2, tau_3 = 0.99, with beta the
-    ``lipschitz_bound`` of that smooth term, and tau_1 = 1, tau_2 = 1/2
-    when it vanishes. Stops once the relative changes of both the primal
-    and the dual iterate fall below tol.
+    ``config.filter_spec`` and that side's gamma as its weight, applied through
+    its spectral prox f_b; the other graph keeps its plain smoothness term,
+    whose gradient is ``frpcag_gradient`` with the filtered side's gamma set to
+    0; the row side is solved as the column side of the transpose. The prox
+    needs only the filtered graph's eigenpairs below 3b/2, which
+    ``eigendecompose`` finds once per solve with Lanczos on the sparse
+    Laplacian (dense ``eigh`` when that route fails). The row blocks of each
+    iteration run on the module's pool of two worker threads, with the bits of
+    a serial walk. Time steps are tau_1 = 1/beta, tau_2 = beta/2, tau_3 = 0.99,
+    with beta the ``lipschitz_bound`` of that smooth term, and tau_1 = 1,
+    tau_2 = 1/2 when it vanishes. Stops once the relative changes of both the
+    primal and the dual iterate fall below tol.
 
     Refused before the first iteration, naming the config field: a smooth
     side's gamma for which 4 tau_2 max(1, max|Y|) sqrt(p n) is not below
@@ -417,61 +417,62 @@ def solve_gfrpcag(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
     Y = _checked_input(Y, Lr, Lc)
     if config.filter_spec is None:
         raise ParameterError("solve_gfrpcag requires config.filter_spec")
-    side = "gamma_c" if config.filtered_side == "column_graph" else "gamma_r"
-    if getattr(config, side) == 0.0:
-        raise ParameterError(
-            f"config.{side} is 0, so the filtered penalty on the "
-            f"{config.filtered_side} vanishes; solve_frpcag solves the same "
-            "problem without the filter")
     return _run(_primal_dual_steps(Y, Lr, Lc, config), config.max_iters)
 
 
 def _primal_dual_steps(Y, Lr, Lc, config):
     """The iterations of solve_gfrpcag, in the form ``_run`` takes.
 
-    The filtered penalty is gamma * tr(X g_b(L) X^T) on the filtered side.
-    Its prox at the fixed scale 1/tau_2 multiplies the spectral coefficients
-    by f_b(lambda, gamma / tau_2), matching the squared-norm fidelity
-    convention of the losses, and is applied exactly through an eigenbasis
-    of L built once per solve. Frequencies where g_b is infinite act as a
-    hard constraint that the prox drives to zero; they are left out of the
-    traced penalty so that it stays finite. Since f_b vanishes from 3b/2 on,
-    the basis holds only the eigenpairs below 3b/2 (``eigendecompose`` with
-    ``below``), an n x m matrix with m often far below n, so the prox and
-    the penalty cost O(p n m) per iteration. g_b is also infinite on a
-    band about b/745 wide just below 3b/2, where the bump in its
-    denominator underflows, and finite up to about 1e53 below that band.
-    The trace also leaves out the frequencies where g_b exceeds 1/eps (g_b
-    is 1 at b): the prox scales them by f_b < tau_2 eps / gamma, and g_b
-    would multiply the rounding of their energy (with them, the trace
-    moved by up to 1.6e-10 between block heights on 14 x 18 test graphs).
+    The filtered penalty is gamma * tr(X g_b(L) X^T) on the column side.
+    Transposing the problem swaps its row and column terms and nothing else,
+    so the row side is the column side of the transpose: a C-ordered copy of
+    Y^T, the two graphs and their gammas swapped, and X^T yielded. The
+    penalty's prox at the fixed scale 1/tau_2 multiplies the spectral
+    coefficients by f_b(lambda, gamma / tau_2), matching the squared-norm
+    fidelity convention of the losses, and is applied exactly through an
+    eigenbasis of L built once per solve. Frequencies where g_b is infinite
+    act as a hard constraint that the prox drives to zero; they are left out
+    of the traced penalty so that it stays finite. Since f_b vanishes from
+    3b/2 on, the basis holds only the eigenpairs below 3b/2
+    (``eigendecompose`` with ``below``), an n x m matrix with m often far
+    below n, so the prox and the penalty cost O(p n m) per iteration. g_b is
+    also infinite on a band about b/745 wide just below 3b/2, where the bump
+    in its denominator underflows, and finite up to about 1e53 below that
+    band. The trace also leaves out the frequencies where g_b exceeds 1/eps
+    (g_b is 1 at b): the prox scales them by f_b < tau_2 eps / gamma, and g_b
+    would multiply the rounding of their energy (with them, the trace moved
+    by up to 1.6e-10 between block heights on 14 x 18 test graphs).
 
     Each iteration walks X, V, G and Y once, in the row blocks of
     ``_row_blocks``, and finishes a block while its rows are in cache: the
     loss prox P, the dual input T = V + tau_2 (2P - X) and its filtered
     prox, X_next and V_next, written over X and V, and the block's parts
-    of the change norms, the loss and the frequency energy of X_next. Two
-    steps need every row, and each gets a pre-sweep over the same blocks
-    that recomputes the row-local values and keeps only the reduction: the
-    column norms of the l21 prox input, and on the row side the m x n
-    coefficients Q^T (T / tau_2) of the filtered prox. The column side
-    with l1 or l2 needs neither. With more than one block, the blocks of
-    the pass and of the pre-sweeps run as tasks on the module's pool of
-    two worker threads; each task returns its block's parts, which are
-    summed in block order, so X and the traces have the same bits as in a
-    serial walk. After the pass one ``frpcag_gradient`` at X_next serves
-    the objective and the next iteration's step. With one block every
-    operation is the whole-array one, in the same order.
+    of the change norms, the loss and the frequency energy of X_next. The
+    l21 prox needs the norms of the user's columns: on the column side a
+    pre-sweep over the same blocks recomputes the prox input and keeps
+    only those norms; on the transpose each block takes its own row norms.
+    With more than one block, the blocks of the pass and of the pre-sweep
+    run as tasks on the module's pool of two worker threads; each task
+    returns its block's parts, which are summed in block order, so X and
+    the traces have the same bits as in a serial walk. After the pass one
+    ``frpcag_gradient`` at X_next serves the objective and the next
+    iteration's step. With one block every operation is the whole-array
+    one, in the same order.
     """
-    if config.filtered_side == "column_graph":
-        L, axis, filtered, smooth = Lc, "right", "gamma_c", "gamma_r"
-        gamma_r, gamma_c = config.gamma_r, 0.0
-    else:
-        L, axis, filtered, smooth = Lr, "left", "gamma_r", "gamma_c"
-        gamma_r, gamma_c = 0.0, config.gamma_c
-    gamma = getattr(config, filtered)
+    transposed = config.filtered_side == "row_graph"
+    smooth, filtered = "gamma_r", "gamma_c"
+    if transposed:
+        Y, Lr, Lc = Y.T.copy(), Lc, Lr
+        smooth, filtered = filtered, smooth
+    # the weights of the smooth row term and of the filtered column term
+    gamma_r, gamma = getattr(config, smooth), getattr(config, filtered)
+    if gamma == 0.0:
+        raise ParameterError(
+            f"config.{filtered} is 0, so the filtered penalty on the "
+            f"{config.filtered_side} vanishes; solve_frpcag solves the same "
+            "problem without the filter")
     try:
-        beta = lipschitz_bound(Lr, Lc, gamma_r, gamma_c)
+        beta = lipschitz_bound(Lr, Lc, gamma_r, 0.0)
     except ParameterError:  # refused below, by the config field
         beta = np.inf
     if beta > 0.0:
@@ -485,7 +486,7 @@ def _primal_dual_steps(Y, Lr, Lc, config):
         filter_gamma = (1.0 / tau2) * gamma
     if not reach < np.sqrt(np.finfo(np.float64).max):
         raise ParameterError(
-            f"config.{smooth}={getattr(config, smooth)} with max(1, max|Y|) "
+            f"config.{smooth}={gamma_r} with max(1, max|Y|) "
             f"= {scale} is too large: the dual step tau_2 it sets would "
             "overflow the squared norms of the iteration")
     if not np.isfinite(filter_gamma):
@@ -494,14 +495,15 @@ def _primal_dual_steps(Y, Lr, Lc, config):
             f"set by config.{smooth} overflows the weight of the filtered "
             "prox")
     b = config.filter_spec.b
-    basis = eigendecompose(L, below=1.5 * b)
+    basis = eigendecompose(Lc, below=1.5 * b)
     Q = basis.eigenvectors
-    m, n = Q.shape[1], Y.shape[1]
     response = prox_filter_curve(basis.eigenvalues, b, filter_gamma)
     curve = step_penalty_curve(basis.eigenvalues, b)
     traced = curve <= 1.0 / np.finfo(np.float64).eps
     traced_curve = curve[traced]
     loss, blocks = config.loss, _row_blocks(*Y.shape)
+    # l21's groups, the columns of the user's X, are rows of the transpose
+    group_rows = transposed and loss == "l21"
     # one task gains nothing from the pool but its hand-offs
     walk = _POOL.map if len(blocks) > 1 else map
 
@@ -509,7 +511,7 @@ def _primal_dual_steps(Y, Lr, Lc, config):
     V = Y.copy()
     # one gradient per iterate: the energy of X_next and the gradient step
     # of the next iteration share it
-    G = frpcag_gradient(X, Lr, Lc, gamma_r, gamma_c)
+    G = frpcag_gradient(X, Lr, Lc, gamma_r, 0.0)
 
     def prox_input(rows):
         # X - tau_1 (G + V)
@@ -517,25 +519,21 @@ def _primal_dual_steps(Y, Lr, Lc, config):
         z *= tau1
         return np.subtract(X[rows], z, out=z)
 
-    def primal_dual(rows, norms):
-        # P and T = V + tau_2 (2P - X)
-        P = _prox_loss(prox_input(rows), Y[rows], tau1, loss, norms)
-        T = 2.0 * P
-        T -= X[rows]
-        T *= tau2
-        T += V[rows]
-        return P, T
-
-    def step(rows, norms, coeffs):
+    def step(rows, norms):
         # one block of the pass: writes X_next and V_next over its rows of
         # X and V, and returns its parts of the energy and of the sums
-        x, v = X[rows], V[rows]
-        P, T = primal_dual(rows, norms)
-        if axis == "right":
-            D = ((T / tau2) @ Q * response[None, :]) @ Q.T
-        else:
-            D = Q[rows] @ coeffs
+        x, v, y = X[rows], V[rows], Y[rows]
+        P = prox_input(rows)
+        if group_rows:
+            norms = np.sqrt(_loss_sums((P - y).T, loss))[:, None]
+        P = _prox_loss(P, y, tau1, loss, norms)
+        # T = V + tau_2 (2P - X)
+        T = 2.0 * P
+        T -= x
+        T *= tau2
+        T += v
         # D = T - tau_2 prox(T / tau_2), then V_next = V + tau_3 (D - V)
+        D = ((T / tau2) @ Q * response[None, :]) @ Q.T
         D *= tau2
         np.subtract(T, D, out=D)
         D -= v
@@ -545,47 +543,37 @@ def _primal_dual_steps(Y, Lr, Lc, config):
         P -= x
         P *= tau3
         P += x
-        if axis == "right":
-            energy = ((P @ Q) ** 2).sum(axis=0)
-        else:
-            energy = Q[rows].T @ P
-        sums = (_loss_sums(P - Y[rows], loss), _squared_change(P, x),
-                float(np.sum(x * x)), _squared_change(D, v),
-                float(np.sum(v * v)))
+        R = P - y
+        # on the transpose, a block's l21 groups are whole: its part is final
+        loss_part = (_loss_total(_loss_sums(R.T, loss), loss) if group_rows
+                     else _loss_sums(R, loss))
+        sums = (loss_part, _squared_change(P, x), float(np.sum(x * x)),
+                _squared_change(D, v), float(np.sum(v * v)))
+        energy = ((P @ Q) ** 2).sum(axis=0)
         x[...] = P
         v[...] = D
         return energy, sums
 
     while True:
-        norms = _column_norms(loss, blocks,
-                              lambda rows: prox_input(rows) - Y[rows], walk)
-        coeffs = None
-        if axis == "left":
-            coeffs = np.zeros((m, n))
-            for part in walk(lambda rows: Q[rows].T @ (
-                    primal_dual(rows, norms)[1] / tau2), blocks):
-                coeffs += part
-            coeffs = response[:, None] * coeffs
+        norms = None if group_rows else _column_norms(
+            loss, blocks, lambda rows: prox_input(rows) - Y[rows], walk)
         loss_sums = dx = x_ref = dv = v_ref = 0.0
-        # the energy of each frequency; on the row side the coefficients
-        # Q^T X_next, squared once every block is in
-        energy = np.zeros(m if axis == "right" else (m, n))
-        for part, sums in walk(lambda rows: step(rows, norms, coeffs),
-                               blocks):
+        energy = np.zeros(Q.shape[1])  # the energy of each frequency
+        for part, sums in walk(lambda rows: step(rows, norms), blocks):
             energy += part
             loss_sums = loss_sums + sums[0]
             dx += sums[1]
             x_ref += sums[2]
             dv += sums[3]
             v_ref += sums[4]
-        if axis == "left":
-            energy = (energy ** 2).sum(axis=1)
-        G = frpcag_gradient(X, Lr, Lc, gamma_r, gamma_c)
-        objective = (_loss_total(loss_sums, loss) + 0.5 * _dot(X, G)
+        G = frpcag_gradient(X, Lr, Lc, gamma_r, 0.0)
+        loss_total = loss_sums if group_rows else _loss_total(loss_sums, loss)
+        objective = (loss_total + 0.5 * _dot(X, G)
                      + gamma * float(np.sum(traced_curve * energy[traced])))
         dx /= x_ref + STOP_DELTA
         dv /= v_ref + STOP_DELTA
-        yield X, objective, max(dx, dv), dx < config.tol and dv < config.tol
+        yield (X.T if transposed else X, objective, max(dx, dv),
+               dx < config.tol and dv < config.tol)
 
 
 def _squared_change(new, old):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .graph import DataMatrix, LaplacianMatrix, SparseGraph, knn_graph, laplacian
-from .spectral import EigenBasis, eigendecompose
+from .spectral import eigendecompose
 
 NOISE_MODELS = ("gaussian", "sparse", "column_outliers")
 MANIFOLD_KINDS = ("circle2d", "spiral2d", "swissroll3d")
@@ -22,11 +22,12 @@ NOISE_DIMS = ("ambient", "extra_dim")
 
 @dataclass(frozen=True)
 class LrmgInstance:
-    """A band-limited matrix with the graphs and bases that define it.
+    """A band-limited matrix with the graphs that define it.
 
     Y_star = P_kr C Q_kc^T lives in the span of the first k_r row-graph
     eigenvectors (columns) and the first k_c column-graph eigenvectors
     (rows), so its energy beyond either band is zero up to roundoff.
+    ``eigendecompose`` of each Laplacian gives its basis, bit for bit.
     """
 
     Y_star: np.ndarray
@@ -34,8 +35,6 @@ class LrmgInstance:
     col_graph: SparseGraph
     row_laplacian: LaplacianMatrix
     col_laplacian: LaplacianMatrix
-    row_basis: EigenBasis
-    col_basis: EigenBasis
 
 
 def make_lrmg(p: int, n: int, k_r: int, k_c: int, seed: int,
@@ -69,8 +68,7 @@ def make_lrmg(p: int, n: int, k_r: int, k_c: int, seed: int,
         raise NumericalError("coefficient block is numerically rank deficient")
     Y_star = row_basis.eigenvectors[:, :k_r] @ C @ col_basis.eigenvectors[:, :k_c].T
     return LrmgInstance(Y_star=Y_star, row_graph=row_graph, col_graph=col_graph,
-                        row_laplacian=row_laplacian, col_laplacian=col_laplacian,
-                        row_basis=row_basis, col_basis=col_basis)
+                        row_laplacian=row_laplacian, col_laplacian=col_laplacian)
 
 
 def add_noise(Y: np.ndarray, model: str, seed: int, sigma: float = 0.0,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphlowrank import DataMatrix, knn_graph, laplacian
+from graphlowrank import DataMatrix, eigendecompose, knn_graph, laplacian
 from graphlowrank.spectral import prox_filter_curve
 
 
@@ -53,3 +53,10 @@ def apply_filter_exact(basis, b, gamma, X, side="left"):
     if side == "left":
         return Q @ (response[:, None] * (Q.T @ X))
     return ((X @ Q) * response[None, :]) @ Q.T
+
+
+def lrmg_bases(instance):
+    """The row and column eigenbases from which make_lrmg built the
+    instance's Y_star, with the same bits."""
+    return (eigendecompose(instance.row_laplacian),
+            eigendecompose(instance.col_laplacian))

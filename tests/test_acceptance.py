@@ -15,6 +15,8 @@ import graphlowrank as glr
 from graphlowrank.spectral import (FilterSpec, eigendecompose,
                                    prox_filter_curve, step_penalty_curve)
 
+from conftest import lrmg_bases
+
 
 def _report(number, name, ok, details=""):
     status = "PASS" if ok else "FAIL"
@@ -120,19 +122,20 @@ def test_criterion_3_recovery_bound_100_instances():
     for trial in range(100):
         seed = 1000 + trial
         instance = glr.make_lrmg(60, 60, 5, 5, seed=seed)
+        row_basis, col_basis = lrmg_bases(instance)
         noise_rng = np.random.default_rng(seed + 50_000)
         Y = instance.Y_star + 0.1 * noise_rng.standard_normal((60, 60))
         gamma = gammas[trial % 3]
-        lam_r = instance.row_basis.eigenvalues
-        lam_c = instance.col_basis.eigenvalues
+        lam_r = row_basis.eigenvalues
+        lam_c = col_basis.eigenvalues
         config = glr.SolverConfig(gamma_r=gamma / lam_r[5],
                                   gamma_c=gamma / lam_c[5], loss="l1",
                                   max_iters=3000, tol=1e-10)
         result = glr.solve_frpcag(Y, instance.row_laplacian,
                                   instance.col_laplacian, config)
         lhs, rhs, holds = glr.recovery_bound_check(
-            instance.Y_star, Y, result.X, instance.row_basis,
-            instance.col_basis, 5, 5, gamma=gamma, loss="l1")
+            instance.Y_star, Y, result.X, row_basis, col_basis, 5, 5,
+            gamma=gamma, loss="l1")
         if not holds:
             failures.append((seed, gamma, lhs, rhs))
         if lhs > 0:
@@ -252,9 +255,9 @@ def test_criterion_7_usps_alignment_numbers():
 
 def test_criterion_8_coherence_concentration(rank10_study):
     instance, _, solutions, _ = rank10_study
-    coh_right, _, _ = glr.subspace_coherence(solutions[1.0],
-                                             instance.row_basis,
-                                             instance.col_basis)
+    row_basis, col_basis = lrmg_bases(instance)
+    coh_right, _, _ = glr.subspace_coherence(solutions[1.0], row_basis,
+                                             col_basis)
     mass = np.sum(coh_right ** 2, axis=0)
     fraction = mass[:10].sum() / mass.sum()
     _report(8, "coherence concentration", fraction >= 0.90,

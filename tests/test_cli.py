@@ -376,6 +376,34 @@ def test_bad_input_exit_code(tmp_path, monkeypatch, solve_setup, argv,
     assert run(argv) == code
 
 
+@pytest.mark.parametrize("argv, code", [
+    pytest.param([*DIAGNOSE, "--ystar", "y.csv", "--noisy", "y.csv",
+                  "--k-r", "12"], 2, id="k-r-at-rows"),
+    pytest.param([*DIAGNOSE, "--ystar", "y.csv", "--noisy", "y.csv",
+                  "--gamma", "-1"], 2, id="negative-gamma"),
+    pytest.param([*DIAGNOSE, "--ystar", "y.csv", "--noisy", "one_row.csv"],
+                 3, id="noisy-of-another-shape"),
+    pytest.param([*DIAGNOSE[:8], "100", *DIAGNOSE[9:]], 2, id="k-above-rows"),
+    pytest.param(["diagnose", "--matrix", "one_column.csv", "--row-graph",
+                  "rows.txt", "--col-graph", "one_vertex.txt", "--k", "1",
+                  "--out-dir", "diag"], 3, id="one-column"),
+    pytest.param(["diagnose", "--matrix", "one_row.csv", "--row-graph",
+                  "one_vertex.txt", "--col-graph", "cols.txt", "--k", "1",
+                  "--out-dir", "diag"], 3, id="one-row"),
+])
+def test_refused_diagnose_writes_nothing(tmp_path, monkeypatch, solve_setup,
+                                         argv, code):
+    # every check comes before the out dir is made: these runs used to
+    # leave the two alignment files, or an empty out dir, behind
+    monkeypatch.chdir(tmp_path)
+    Y = solve_setup[3]
+    save_matrix_csv(tmp_path / "one_row.csv", Y[:1])
+    save_matrix_csv(tmp_path / "one_column.csv", Y[:, :1])
+    (tmp_path / "one_vertex.txt").write_text("#vertices 1\n")
+    assert run(argv) == code
+    assert not (tmp_path / "diag").exists()
+
+
 def conditional_rows():
     """Every table row that carries a read-when condition."""
     for command, (_, _, table) in cli._COMMANDS.items():

@@ -8,7 +8,8 @@ from graphlowrank import (DataError, EigenBasis, ParameterError, SolverConfig,
                           subspace_coherence)
 from graphlowrank.diagnostics import gamma_to_db
 
-from conftest import path_graph_weights, random_graph, two_blob_data
+from conftest import (lrmg_bases, path_graph_weights, random_graph,
+                      two_blob_data)
 
 
 def l1(residual):
@@ -125,49 +126,50 @@ class TestSpectralGap:
 class TestRecoveryBound:
     def test_noiseless_bandlimited_input(self):
         instance = make_lrmg(20, 24, 3, 3, seed=5)
+        row_basis, col_basis = lrmg_bases(instance)
         lhs, rhs, holds = recovery_bound_check(
             instance.Y_star, instance.Y_star, instance.Y_star,
-            instance.row_basis, instance.col_basis, 3, 3, gamma=1.0, loss="l1")
+            row_basis, col_basis, 3, 3, gamma=1.0, loss="l1")
         assert lhs == pytest.approx(0.0, abs=1e-12)
         assert holds
 
     def test_zero_matrix_negative_control(self, rng):
         instance = make_lrmg(18, 18, 3, 3, seed=6)
+        row_basis, col_basis = lrmg_bases(instance)
         Y = instance.Y_star + 0.05 * rng.standard_normal(instance.Y_star.shape)
         lhs, rhs, _ = recovery_bound_check(
-            instance.Y_star, Y, np.zeros_like(Y), instance.row_basis,
-            instance.col_basis, 3, 3, gamma=1.0, loss="l1")
+            instance.Y_star, Y, np.zeros_like(Y), row_basis, col_basis, 3,
+            3, gamma=1.0, loss="l1")
         assert lhs == pytest.approx(l1(Y))
         assert rhs > 0
 
     @pytest.mark.parametrize("gamma", [np.nan, np.inf, -1.0])
     def test_bad_gamma_rejected(self, gamma):
         instance = make_lrmg(12, 12, 3, 3, seed=5)
+        row_basis, col_basis = lrmg_bases(instance)
         with pytest.raises(ParameterError):
             recovery_bound_check(
                 instance.Y_star, instance.Y_star, instance.Y_star,
-                instance.row_basis, instance.col_basis, 3, 3, gamma=gamma,
-                loss="l1")
+                row_basis, col_basis, 3, 3, gamma=gamma, loss="l1")
 
     @pytest.mark.parametrize("which", ["Y", "X_star"])
     @pytest.mark.parametrize("shape", [(1, 24), (20, 25), (24, 20)])
     def test_shape_other_than_y_star_rejected(self, which, shape):
         instance = make_lrmg(20, 24, 3, 3, seed=5)
+        row_basis, col_basis = lrmg_bases(instance)
         matrices = {"Y": instance.Y_star, "X_star": instance.Y_star,
                     which: np.zeros(shape)}
         with pytest.raises(DataError, match=f"^{which} is"):
             recovery_bound_check(
                 instance.Y_star, matrices["Y"], matrices["X_star"],
-                instance.row_basis, instance.col_basis, 3, 3, gamma=1.0,
-                loss="l1")
+                row_basis, col_basis, 3, 3, gamma=1.0, loss="l1")
 
     @pytest.mark.parametrize("which", ["row_basis", "col_basis"])
     def test_basis_of_another_size_rejected(self, which):
         instance = make_lrmg(20, 24, 3, 3, seed=5)
-        bases = {"row_basis": instance.row_basis,
-                 "col_basis": instance.col_basis}
-        bases[which] = (instance.col_basis if which == "row_basis"
-                        else instance.row_basis)
+        row_basis, col_basis = lrmg_bases(instance)
+        bases = {"row_basis": row_basis, "col_basis": col_basis}
+        bases[which] = col_basis if which == "row_basis" else row_basis
         with pytest.raises(DataError):
             recovery_bound_check(
                 instance.Y_star, instance.Y_star, instance.Y_star,
@@ -179,39 +181,41 @@ class TestRecoveryBound:
                                                 (3, True)])
     def test_no_gap_at_k_rejected(self, k_r, zero_rows):
         instance = make_lrmg(20, 24, 3, 3, seed=5)
-        row_basis = instance.row_basis
+        row_basis, col_basis = lrmg_bases(instance)
         if zero_rows:
             row_basis = EigenBasis(np.zeros(20), row_basis.eigenvectors)
         with pytest.raises(ParameterError):
             recovery_bound_check(
                 instance.Y_star, instance.Y_star, instance.Y_star,
-                row_basis, instance.col_basis, k_r, 3, gamma=1.0, loss="l1")
+                row_basis, col_basis, k_r, 3, gamma=1.0, loss="l1")
 
     def test_solver_output_satisfies_bound(self):
         instance = make_lrmg(60, 60, 5, 5, seed=11)
+        row_basis, col_basis = lrmg_bases(instance)
         rng = np.random.default_rng(11)
         Y = instance.Y_star + 0.1 * rng.standard_normal((60, 60))
         gamma = 1.0
-        lam_r = instance.row_basis.eigenvalues
-        lam_c = instance.col_basis.eigenvalues
+        lam_r = row_basis.eigenvalues
+        lam_c = col_basis.eigenvalues
         config = SolverConfig(gamma_r=gamma / lam_r[5], gamma_c=gamma / lam_c[5],
                               loss="l1", max_iters=3000, tol=1e-10)
         result = solve_frpcag(Y, instance.row_laplacian, instance.col_laplacian,
                               config)
         lhs, rhs, holds = recovery_bound_check(
-            instance.Y_star, Y, result.X, instance.row_basis,
-            instance.col_basis, 5, 5, gamma=gamma, loss="l1")
+            instance.Y_star, Y, result.X, row_basis, col_basis, 5, 5,
+            gamma=gamma, loss="l1")
         assert holds, f"lhs={lhs} rhs={rhs}"
 
 
 class TestSubspaceCoherence:
     def test_rank_one_concentrates_at_origin(self, rng):
         instance = make_lrmg(12, 14, 1, 1, seed=3)
+        row_basis, col_basis = lrmg_bases(instance)
         sigma_val = 2.5
-        X = sigma_val * np.outer(instance.row_basis.eigenvectors[:, 0],
-                                 instance.col_basis.eigenvectors[:, 0])
+        X = sigma_val * np.outer(row_basis.eigenvectors[:, 0],
+                                 col_basis.eigenvectors[:, 0])
         coh_right, coh_left, sigma = subspace_coherence(
-            X, instance.row_basis, instance.col_basis)
+            X, row_basis, col_basis)
         assert sigma[0] == pytest.approx(sigma_val)
         assert abs(coh_left[0, 0]) == pytest.approx(sigma_val)
         assert np.abs(coh_left[0, 1:]).max() <= 1e-8
@@ -220,11 +224,11 @@ class TestSubspaceCoherence:
     def test_random_matrix_is_unconcentrated(self):
         rng = np.random.default_rng(17)
         instance = make_lrmg(60, 60, 5, 5, seed=17)
+        row_basis, col_basis = lrmg_bases(instance)
         fractions = []
         for _ in range(10):
             X = rng.standard_normal((60, 60))
-            coh_right, _, _ = subspace_coherence(X, instance.row_basis,
-                                                 instance.col_basis)
+            coh_right, _, _ = subspace_coherence(X, row_basis, col_basis)
             mass = np.sum(coh_right ** 2, axis=0)
             fractions.append(mass[:5].sum() / mass.sum())
         mean_fraction = np.mean(fractions)
@@ -232,33 +236,34 @@ class TestSubspaceCoherence:
 
     def test_total_mass_preserved(self, rng):
         instance = make_lrmg(10, 12, 2, 2, seed=9)
+        row_basis, col_basis = lrmg_bases(instance)
         X = rng.standard_normal((10, 12))
-        coh_right, _, sigma = subspace_coherence(X, instance.row_basis,
-                                                 instance.col_basis)
+        coh_right, _, sigma = subspace_coherence(X, row_basis, col_basis)
         assert np.linalg.norm(coh_right) == pytest.approx(np.linalg.norm(sigma))
 
     def test_zero_matrix_rejected(self, rng):
         instance = make_lrmg(6, 6, 1, 1, seed=2)
+        row_basis, col_basis = lrmg_bases(instance)
         with pytest.raises(DataError):
-            subspace_coherence(np.zeros((6, 6)), instance.row_basis,
-                               instance.col_basis)
+            subspace_coherence(np.zeros((6, 6)), row_basis, col_basis)
 
 
 class TestDiagnosticsReport:
     def test_bound_invariant_for_solver_output(self):
         instance = make_lrmg(40, 40, 4, 4, seed=19)
+        row_basis, col_basis = lrmg_bases(instance)
         noise_rng = np.random.default_rng(19)
         Y = instance.Y_star + 0.1 * noise_rng.standard_normal((40, 40))
         gamma = 1.0
         config = SolverConfig(
-            gamma_r=gamma / instance.row_basis.eigenvalues[4],
-            gamma_c=gamma / instance.col_basis.eigenvalues[4],
+            gamma_r=gamma / row_basis.eigenvalues[4],
+            gamma_c=gamma / col_basis.eigenvalues[4],
             loss="l1", max_iters=3000, tol=1e-10)
         result = solve_frpcag(Y, instance.row_laplacian,
                               instance.col_laplacian, config)
         lhs, rhs, holds = recovery_bound_check(
-            instance.Y_star, Y, result.X, instance.row_basis,
-            instance.col_basis, 4, 4, gamma=gamma, loss="l1")
+            instance.Y_star, Y, result.X, row_basis, col_basis, 4, 4,
+            gamma=gamma, loss="l1")
         assert holds
         assert lhs <= rhs * (1 + 1e-3)
 

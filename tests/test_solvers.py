@@ -753,10 +753,17 @@ class TestGfrpcagMatchesReference:
         result = solve_gfrpcag(Y, Lr, Lc, config)
         X, iterations, trace, changes = reference_gfrpcag(Y, Lr, Lc, config)
         assert result.iterations == iterations
-        assert np.array_equal(result.X, X)
         np.testing.assert_allclose(result.objective_trace, trace, rtol=1e-12,
                                    atol=0)
-        assert result.change_trace == changes
+        if side == "column_graph":
+            assert np.array_equal(result.X, X)
+            assert result.change_trace == changes
+        else:
+            # the row side runs on the transpose, whose products round
+            # differently from the reference's left-side GEMMs
+            assert np.linalg.norm(result.X - X) <= 1e-12 * np.linalg.norm(X)
+            np.testing.assert_allclose(np.sqrt(result.change_trace),
+                                       np.sqrt(changes), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("gamma_r, gamma_c, side", FILTERED_GAMMAS)
     @pytest.mark.parametrize("loss", ["l1", "l2", "l21"])
@@ -795,13 +802,37 @@ class TestGfrpcagMatchesReference:
         cols = solve_gfrpcag(Y.T, Lc, Lr, SolverConfig(
             gamma_r=0.4, gamma_c=1.5, loss=loss, filter_spec=spec,
             filtered_side="column_graph", max_iters=400, tol=1e-10))
+        # the row side is the column-side pass on the transpose
         assert rows.iterations == cols.iterations
-        # the two sides take different sparse and dense products, which
-        # round differently
-        assert (np.linalg.norm(rows.X - cols.X.T)
-                <= 1e-10 * np.linalg.norm(rows.X))
-        np.testing.assert_allclose(rows.objective_trace, cols.objective_trace,
-                                   rtol=1e-10)
+        assert np.array_equal(rows.X, cols.X.T)
+        assert rows.objective_trace == cols.objective_trace
+        assert rows.change_trace == cols.change_trace
+
+    @pytest.mark.parametrize("side", ["column_graph", "row_graph"])
+    @pytest.mark.parametrize("loss", ["l1", "l2", "l21"])
+    def test_one_loss_prox_per_block_and_iteration(self, rng, monkeypatch,
+                                                   loss, side):
+        p, n = 14, 18
+        Y = rng.standard_normal((p, n))
+        Lr, Lc = build_laplacians(Y, 3, 4)
+        # the row side walks the blocks of the 18 x 14 transpose
+        shape = (p, n) if side == "column_graph" else (n, p)
+        use_row_blocks(monkeypatch, shape[1], 3)
+        blocks = len(solvers._row_blocks(*shape))
+        assert blocks > 1
+        calls = []
+        prox_loss = solvers._prox_loss
+
+        def spy(*args):
+            calls.append(None)
+            return prox_loss(*args)
+        monkeypatch.setattr(solvers, "_prox_loss", spy)
+        config = SolverConfig(gamma_r=0.7, gamma_c=1.3, loss=loss,
+                              filter_spec=FilterSpec("prox_fb", b=0.6),
+                              filtered_side=side, max_iters=20, tol=1e-12)
+        result = solve_gfrpcag(Y, Lr, Lc, config)
+        assert result.iterations == 20
+        assert len(calls) == blocks * result.iterations
 
 
 class TestGfrpcagPool:

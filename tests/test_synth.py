@@ -4,13 +4,16 @@ import pytest
 from graphlowrank import (ParameterError, add_noise, knn_graph, make_lrmg,
                           make_manifold, save_matrix_csv)
 
+from conftest import lrmg_bases
+
 
 class TestMakeLrmg:
     def test_band_limit_invariants(self):
         instance = make_lrmg(25, 30, 4, 3, seed=1)
+        row_basis, col_basis = lrmg_bases(instance)
         Y = instance.Y_star
-        out_rows = instance.row_basis.eigenvectors[:, 4:].T @ Y
-        out_cols = Y @ instance.col_basis.eigenvectors[:, 3:]
+        out_rows = row_basis.eigenvectors[:, 4:].T @ Y
+        out_cols = Y @ col_basis.eigenvectors[:, 3:]
         scale = np.linalg.norm(Y)
         assert np.linalg.norm(out_rows) <= 1e-8 * scale
         assert np.linalg.norm(out_cols) <= 1e-8 * scale
