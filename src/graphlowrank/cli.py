@@ -253,9 +253,9 @@ def _cmd_diagnose(params):
     row_basis = spectral.eigendecompose(Lr)
     col_basis = spectral.eigendecompose(Lc)
     # every check comes before the out dir is made, so a refused run
-    # writes nothing: each alignment needs k within its basis and two
-    # samples. Y* and Y, then each Gamma and its dB image, are dropped once
-    # used, before the SVD of the coherence step.
+    # writes nothing: each alignment needs k within its basis, two samples
+    # and a nonzero covariance. Y* and Y, then each Gamma and its dB image,
+    # are dropped once used, before the SVD of the coherence step.
     count = min(row_basis.count, col_basis.count)
     if not 1 <= k <= count:
         raise ParameterError(f"k={k} out of range for basis of {count}")
@@ -269,6 +269,10 @@ def _cmd_diagnose(params):
         bound = diag.recovery_bound_check(read("ystar"), read("noisy"), X,
                                           row_basis, col_basis, k_r, k_c,
                                           params["gamma"], params["loss"])
+    # the rows' or the columns' covariance is zero when each row, or each
+    # column, is constant; compared, not subtracted, so nothing overflows
+    if (X == X[:, :1]).all() or (X == X[:1]).all():
+        raise DataError("covariance matrix is zero; alignment is undefined")
 
     out_dir = Path(params["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)

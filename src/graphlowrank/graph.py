@@ -207,7 +207,15 @@ def knn_graph(data: DataMatrix, axis: str, k: int, weighting: str = "gaussian",
                 raise ParameterError("sigma must be finite and positive, "
                                      f"got {sigma}")
             sigma_sq = sigma * sigma
-        vals = np.exp(-(pair_dist ** 2) / sigma_sq)
+            if sigma_sq == 0.0:
+                raise ParameterError(f"sigma={sigma} is too small: its "
+                                     "square underflows to 0")
+        scaled = pair_dist ** 2
+        # a subnormal sigma^2 sends d^2 / sigma^2 to inf, and the weight to
+        # 0, as the underflow of exp does for a larger sigma
+        with np.errstate(over="ignore"):
+            scaled /= sigma_sq
+        vals = np.exp(-scaled)
     elif weighting == "binary":
         vals = np.ones_like(pair_dist)
     else:  # correlation

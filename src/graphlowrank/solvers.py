@@ -18,7 +18,6 @@ squared Frobenius norms without a 1/2 factor.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -34,22 +33,6 @@ FILTERED_SIDES = ("row_graph", "column_graph")
 
 # guard against division by zero in the relative-change stopping rule
 STOP_DELTA = 1e-12
-
-
-def _new_pool():
-    """Set up the two worker threads, shared by every solve, on which the
-    row blocks of each primal-dual pass run; numpy's kernels release the
-    GIL. The threads start with the first task, not here. A forked child
-    gets a pool of its own: the copy it inherits has no threads and would
-    wait forever on its first task."""
-    global _POOL
-    _POOL = ThreadPoolExecutor(max_workers=2,
-                               thread_name_prefix="graphlowrank")
-
-
-_new_pool()
-if hasattr(os, "register_at_fork"):  # POSIX only
-    os.register_at_fork(after_in_child=_new_pool)
 
 
 def _check_gammas(gamma_r, gamma_c):
@@ -400,11 +383,12 @@ def solve_gfrpcag(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
     needs only the filtered graph's eigenpairs below 3b/2, which
     ``eigendecompose`` finds once per solve with Lanczos on the sparse
     Laplacian (dense ``eigh`` when that route fails). The row blocks of each
-    iteration run on the module's pool of two worker threads, with the bits of
-    a serial walk. Time steps are tau_1 = 1/beta, tau_2 = beta/2, tau_3 = 0.99,
-    with beta the ``lipschitz_bound`` of that smooth term, and tau_1 = 1,
-    tau_2 = 1/2 when it vanishes. Stops once the relative changes of both the
-    primal and the dual iterate fall below tol.
+    iteration run on two worker threads, with the bits of a serial walk; the
+    threads live for one solve and are joined before it returns or raises.
+    Time steps are tau_1 = 1/beta, tau_2 = beta/2, tau_3 = 0.99, with beta
+    the ``lipschitz_bound`` of that smooth term, and tau_1 = 1, tau_2 = 1/2
+    when it vanishes. Stops once the relative changes of both the primal
+    and the dual iterate fall below tol.
 
     Refused before the first iteration, naming the config field: a smooth
     side's gamma for which 4 tau_2 max(1, max|Y|) sqrt(p n) is not below
@@ -417,10 +401,14 @@ def solve_gfrpcag(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
     Y = _checked_input(Y, Lr, Lc)
     if config.filter_spec is None:
         raise ParameterError("solve_gfrpcag requires config.filter_spec")
-    return _run(_primal_dual_steps(Y, Lr, Lc, config), config.max_iters)
+    # numpy's kernels release the GIL; the threads start with the first task
+    with ThreadPoolExecutor(max_workers=2,
+                            thread_name_prefix="graphlowrank") as pool:
+        return _run(_primal_dual_steps(Y, Lr, Lc, config, pool.map),
+                    config.max_iters)
 
 
-def _primal_dual_steps(Y, Lr, Lc, config):
+def _primal_dual_steps(Y, Lr, Lc, config, pool_map):
     """The iterations of solve_gfrpcag, in the form ``_run`` takes.
 
     The filtered penalty is gamma * tr(X g_b(L) X^T) on the column side.
@@ -452,12 +440,12 @@ def _primal_dual_steps(Y, Lr, Lc, config):
     pre-sweep over the same blocks recomputes the prox input and keeps
     only those norms; on the transpose each block takes its own row norms.
     With more than one block, the blocks of the pass and of the pre-sweep
-    run as tasks on the module's pool of two worker threads; each task
-    returns its block's parts, which are summed in block order, so X and
-    the traces have the same bits as in a serial walk. After the pass one
-    ``frpcag_gradient`` at X_next serves the objective and the next
-    iteration's step. With one block every operation is the whole-array
-    one, in the same order.
+    run as tasks through ``pool_map``, the map of the solve's two worker
+    threads; each task returns its block's parts, which are summed in block
+    order, so X and the traces have the same bits as in a serial walk. After
+    the pass one ``frpcag_gradient`` at X_next serves the objective and the
+    next iteration's step. One block runs on the calling thread, and there
+    every operation is the whole-array one, in the same order.
     """
     transposed = config.filtered_side == "row_graph"
     smooth, filtered = "gamma_r", "gamma_c"
@@ -505,7 +493,7 @@ def _primal_dual_steps(Y, Lr, Lc, config):
     # l21's groups, the columns of the user's X, are rows of the transpose
     group_rows = transposed and loss == "l21"
     # one task gains nothing from the pool but its hand-offs
-    walk = _POOL.map if len(blocks) > 1 else map
+    walk = pool_map if len(blocks) > 1 else map
 
     X = Y.copy()
     V = Y.copy()

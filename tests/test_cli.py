@@ -327,6 +327,9 @@ BAD_EDGE_LISTS = {
     pytest.param([*BUILD, "--k", "3"], {"params": 5}, 3,
                  id="config-params-not-object"),
     pytest.param(BUILD, {"k": True}, 2, id="config-k-true"),
+    # sigma^2 underflows to 0: nan weights, or a 0-edge graph
+    pytest.param([*BUILD, "--k", "3", "--sigma", "1e-200"], None, 2,
+                 id="sigma-square-underflows"),
     pytest.param([*DIAGNOSE[:4], "cols.txt", "--col-graph", "rows.txt",
                   *DIAGNOSE[7:]], None, 3, id="diagnose-graphs-swapped"),
     pytest.param([*SPECTRA, "count_x.txt"], None, 3, id="vertex-count-x"),
@@ -390,6 +393,17 @@ def test_bad_input_exit_code(tmp_path, monkeypatch, solve_setup, argv,
     pytest.param(["diagnose", "--matrix", "one_row.csv", "--row-graph",
                   "one_vertex.txt", "--col-graph", "cols.txt", "--k", "1",
                   "--out-dir", "diag"], 3, id="one-row"),
+    # a zero covariance of the columns used to leave gamma_rows_db.csv, and
+    # of the rows an empty out dir
+    pytest.param([*DIAGNOSE[:2], "constant_columns.csv", *DIAGNOSE[3:]], 3,
+                 id="constant-columns"),
+    pytest.param([*DIAGNOSE[:2], "constant_rows.csv", *DIAGNOSE[3:]], 3,
+                 id="constant-rows"),
+    pytest.param([*DIAGNOSE[:2], "zeros.csv", *DIAGNOSE[3:]], 3, id="zeros"),
+    # the column means of a repeated row round, and the alignment of the
+    # centred columns' rounding noise used to be written as a result
+    pytest.param([*DIAGNOSE[:2], "repeated_row.csv", *DIAGNOSE[3:]], 3,
+                 id="repeated-row"),
 ])
 def test_refused_diagnose_writes_nothing(tmp_path, monkeypatch, solve_setup,
                                          argv, code):
@@ -400,6 +414,15 @@ def test_refused_diagnose_writes_nothing(tmp_path, monkeypatch, solve_setup,
     save_matrix_csv(tmp_path / "one_row.csv", Y[:1])
     save_matrix_csv(tmp_path / "one_column.csv", Y[:, :1])
     (tmp_path / "one_vertex.txt").write_text("#vertices 1\n")
+    p, n = Y.shape
+    save_matrix_csv(tmp_path / "constant_columns.csv",
+                    np.tile(np.arange(n, dtype=float), (p, 1)))
+    save_matrix_csv(tmp_path / "constant_rows.csv",
+                    np.tile(np.arange(p, dtype=float)[:, None], (1, n)))
+    save_matrix_csv(tmp_path / "zeros.csv", np.zeros((p, n)))
+    repeated = np.tile(Y[0], (p, 1))
+    assert (repeated != repeated.mean(axis=0)).any()
+    save_matrix_csv(tmp_path / "repeated_row.csv", repeated)
     assert run(argv) == code
     assert not (tmp_path / "diag").exists()
 

@@ -269,11 +269,24 @@ class TestKnnMatchesFullMatrix:
         data = DataMatrix(np.round(rng.standard_normal((3, 80)), 1))
         assert_same_as_full_matrix(data, "columns", 6, sigma=0.7)
 
-    @pytest.mark.parametrize("sigma", [np.nan, np.inf, 0.0, -1.0])
+    # 1e-200 squares to 0
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, 0.0, -1.0, 1e-200])
     def test_bad_sigma_rejected(self, rng, sigma):
         data = DataMatrix(rng.standard_normal((3, 20)))
         with pytest.raises(ParameterError):
             knn_graph(data, "columns", 3, sigma=sigma)
+
+    def test_subnormal_sigma_square(self, rng):
+        # sigma^2 = 1e-320: d^2 / sigma^2 overflows to inf, silently, and
+        # only the two equal columns keep a nonzero weight
+        values = rng.standard_normal((3, 20))
+        values[:, 7] = values[:, 2]
+        data = DataMatrix(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            g = knn_graph(data, "columns", 3, sigma=1e-160)
+        assert g.num_edges == 1 and g.weights[2, 7] == 1.0
+        assert_same_as_full_matrix(data, "columns", 3, sigma=1e-160)
 
     def test_memory_stays_below_the_distance_matrix(self, rng):
         count = 3000

@@ -1,5 +1,4 @@
 import multiprocessing
-import os
 import sys
 import threading
 import warnings
@@ -835,9 +834,26 @@ class TestGfrpcagMatchesReference:
         assert len(calls) == blocks * result.iterations
 
 
+class SerialPool:
+    """Stands in for the solver's ``ThreadPoolExecutor``: its ``map`` runs
+    every task in order on the calling thread."""
+
+    def __init__(self, **kwargs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    map = staticmethod(map)
+
+
 class TestGfrpcagPool:
     """The row blocks of the primal-dual pass run on a pool of two worker
-    threads; each returns its parts of the sums, added in block order."""
+    threads that lives for one solve; each task returns its parts of the
+    sums, added in block order."""
 
     @pytest.mark.parametrize("side", ["column_graph", "row_graph"])
     @pytest.mark.parametrize("loss", ["l1", "l2", "l21"])
@@ -862,7 +878,7 @@ class TestGfrpcagPool:
             pooled = solve_gfrpcag(Y, Lr, Lc, config)
         assert threads and all(name.startswith("graphlowrank")
                                for name in threads)
-        monkeypatch.setattr(solvers._POOL, "map", map)
+        monkeypatch.setattr(solvers, "ThreadPoolExecutor", SerialPool)
         serial = solve_gfrpcag(Y, Lr, Lc, config)
         assert pooled.iterations == serial.iterations
         assert np.array_equal(pooled.X, serial.X)
@@ -882,23 +898,25 @@ class TestGfrpcagPool:
                               filtered_side="row_graph", max_iters=40,
                               tol=1e-12)
         with monkeypatch.context() as patch:
-            patch.setattr(solvers._POOL, "map", map)
+            patch.setattr(solvers, "ThreadPoolExecutor", SerialPool)
             serial = solve_gfrpcag(Y, Lr, Lc, config)
+        monkeypatch.setattr(
+            solvers, "ThreadPoolExecutor",
+            lambda **kwargs: ThreadPoolExecutor(**{**kwargs, "max_workers": 4}))
         interval = sys.getswitchinterval()
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            monkeypatch.setattr(solvers, "_POOL", pool)
-            sys.setswitchinterval(1e-6)
-            try:
-                pooled = solve_gfrpcag(Y, Lr, Lc, config)
-            finally:
-                sys.setswitchinterval(interval)
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = solve_gfrpcag(Y, Lr, Lc, config)
+        finally:
+            sys.setswitchinterval(interval)
         assert pooled.iterations == serial.iterations == 40
         assert np.array_equal(pooled.X, serial.X)
         assert pooled.objective_trace == serial.objective_trace
         assert pooled.change_trace == serial.change_trace
 
-    @pytest.mark.skipif(not hasattr(os, "register_at_fork"),
-                        reason="needs fork")
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs fork")
     def test_forked_child_gets_its_own_pool(self, rng, monkeypatch):
         # the parent's workers do not survive a fork; on the pool it
         # inherits, the child's first pooled pass would wait forever
@@ -921,6 +939,35 @@ class TestGfrpcagPool:
         assert not hung
         assert child.exitcode == 0
 
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_no_worker_thread_outlives_the_solve(self, rng, monkeypatch,
+                                                 fails):
+        p, n = 14, 18
+        Y = rng.standard_normal((p, n))
+        Lr, Lc = build_laplacians(Y, 3, 4)
+        use_row_blocks(monkeypatch, n, 3)
+        config = SolverConfig(gamma_r=0.7, gamma_c=1.3,
+                              filter_spec=FilterSpec("prox_fb", b=0.6),
+                              max_iters=20)
+        threads = []
+        prox_loss = solvers._prox_loss
+
+        def spy(*args):
+            # with fails, a task of the second iteration raises on a worker
+            threads.append(threading.current_thread().name)
+            if fails and len(threads) == 7:
+                raise NumericalError("failed in a worker")
+            return prox_loss(*args)
+        monkeypatch.setattr(solvers, "_prox_loss", spy)
+        if fails:
+            with pytest.raises(NumericalError, match="failed in a worker"):
+                solve_gfrpcag(Y, Lr, Lc, config)
+        else:
+            assert solve_gfrpcag(Y, Lr, Lc, config).iterations == 20
+        assert all(name.startswith("graphlowrank") for name in threads)
+        assert not [thread for thread in threading.enumerate()
+                    if thread.name.startswith("graphlowrank")]
+
     @pytest.mark.parametrize("seed", range(25))
     def test_block_height_keeps_the_objective_trace(self, monkeypatch,
                                                      seed):
@@ -930,7 +977,8 @@ class TestGfrpcagPool:
         # moved by up to 1.6e-10 between block heights. Below 1/eps, g_b
         # (up to 2.7e13 here) still magnifies the rounding-level changes of
         # X that the block-ordered sums make, so the bound is 1e-10
-        monkeypatch.setattr(solvers._POOL, "map", map)  # same bits, faster
+        # a serial walk: the same bits, faster
+        monkeypatch.setattr(solvers, "ThreadPoolExecutor", SerialPool)
         p, n = 14, 18
         rng = np.random.default_rng(seed)
         Y = rng.standard_normal((p, n))
