@@ -270,9 +270,11 @@ def _cmd_diagnose(params):
                                           row_basis, col_basis, k_r, k_c,
                                           params["gamma"], params["loss"])
     # the rows' or the columns' covariance is zero when each row, or each
-    # column, is constant; compared, not subtracted, so nothing overflows
+    # column, is constant: compared, since centering a constant may round
     if (X == X[:, :1]).all() or (X == X[:1]).all():
         raise DataError("covariance matrix is zero; alignment is undefined")
+    diag.check_covariance_range(X)
+    diag.check_covariance_range(X.T)
 
     out_dir = Path(params["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -49,8 +49,29 @@ def covariance(Y: np.ndarray) -> np.ndarray:
     n = Y.shape[1]
     if n < 2:
         raise DataError(f"covariance needs at least 2 columns, got {n}")
-    centered = Y - Y.mean(axis=1, keepdims=True)
+    centered = _centered(Y)
     return (centered @ centered.T) / n
+
+
+def _centered(Y):
+    return Y - Y.mean(axis=1, keepdims=True)
+
+
+def check_covariance_range(Y: np.ndarray) -> None:
+    """Refuse rows of Y whose ``covariance`` would leave the float range,
+    without forming it. Centered as ``covariance`` centers them, their
+    squares must sum to a finite total, which bounds every entry of the
+    covariance and of its Gamma, and must not all fall below the smallest
+    normal float, where the covariance is zero or subnormal and keeps too
+    few bits for an alignment."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = _centered(np.asarray(Y, dtype=np.float64))
+        squares *= squares
+        total = squares.sum()
+    if not total < np.inf:
+        raise DataError("the covariance overflows; rescale the matrix")
+    if (squares < np.finfo(np.float64).tiny).all():
+        raise DataError("the covariance underflows; rescale the matrix")
 
 
 def alignment_report(basis: EigenBasis, C: np.ndarray, k: int) -> AlignmentReport:
@@ -63,11 +84,15 @@ def alignment_report(basis: EigenBasis, C: np.ndarray, k: int) -> AlignmentRepor
         raise ParameterError(f"k={k} out of range for basis of {basis.count}")
     Q = basis.eigenvectors
     Gamma = Q.T @ C @ Q
-    diag = np.diag(Gamma)
-    total = np.linalg.norm(Gamma)
-    if total == 0:
+    largest = np.abs(Gamma).max()
+    if largest == 0:
         raise DataError("covariance matrix is zero; alignment is undefined")
-    s = float(np.linalg.norm(diag) / total)
+    # the orders are ratios, taken of Gamma scaled by a power of two to
+    # below 1: exact, so normal entries keep the ratios' bits, while the
+    # squares of tiny or huge entries no longer underflow or overflow
+    unit = np.ldexp(Gamma, -np.frexp(largest)[1])
+    diag = np.diag(unit)
+    s = float(np.linalg.norm(diag) / np.linalg.norm(unit))
     diag_sq = diag ** 2
     diag_total = diag_sq.sum()
     s_k = float(diag_sq[:k].sum() / diag_total) if diag_total > 0 else 0.0

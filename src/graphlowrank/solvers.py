@@ -33,6 +33,8 @@ FILTERED_SIDES = ("row_graph", "column_graph")
 
 # guard against division by zero in the relative-change stopping rule
 STOP_DELTA = 1e-12
+# the worker threads of each solve_gfrpcag
+WORKERS = 2
 
 
 def _check_gammas(gamma_r, gamma_c):
@@ -180,8 +182,7 @@ def frpcag_gradient(X: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
     X = np.asarray(X, dtype=np.float64)
     p, n = _check_laplacians(X, Lr, Lc)
     if gamma_r != 0.0:
-        G = Lr.matrix @ X
-        G *= 2.0 * gamma_r
+        G = _smooth_product(Lr.matrix, X, gamma_r)
     else:
         G = np.zeros_like(X)
     if gamma_c != 0.0:
@@ -190,6 +191,15 @@ def frpcag_gradient(X: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
             col_part = (LcT @ X[rows].T).T
             col_part *= 2.0 * gamma_c
             G[rows] += col_part
+    return G
+
+
+def _smooth_product(L, X, gamma):
+    """2 gamma L X for a sparse L: the gradient of gamma tr(X^T L X), or the
+    rows of it that L holds. Each row of the result sums its row's non-zeros
+    in order, so rows computed apart have the bits of the whole product."""
+    G = L @ X
+    G *= 2.0 * gamma
     return G
 
 
@@ -383,8 +393,9 @@ def solve_gfrpcag(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
     needs only the filtered graph's eigenpairs below 3b/2, which
     ``eigendecompose`` finds once per solve with Lanczos on the sparse
     Laplacian (dense ``eigh`` when that route fails). The row blocks of each
-    iteration run on two worker threads, with the bits of a serial walk; the
-    threads live for one solve and are joined before it returns or raises.
+    iteration, and then the smooth term's product, run on two worker
+    threads, with the bits of a serial walk; the threads live for one solve
+    and are joined before it returns or raises.
     Time steps are tau_1 = 1/beta, tau_2 = beta/2, tau_3 = 0.99, with beta
     the ``lipschitz_bound`` of that smooth term, and tau_1 = 1, tau_2 = 1/2
     when it vanishes. Stops once the relative changes of both the primal
@@ -402,7 +413,7 @@ def solve_gfrpcag(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
     if config.filter_spec is None:
         raise ParameterError("solve_gfrpcag requires config.filter_spec")
     # numpy's kernels release the GIL; the threads start with the first task
-    with ThreadPoolExecutor(max_workers=2,
+    with ThreadPoolExecutor(max_workers=WORKERS,
                             thread_name_prefix="graphlowrank") as pool:
         return _run(_primal_dual_steps(Y, Lr, Lc, config, pool.map),
                     config.max_iters)
@@ -443,9 +454,12 @@ def _primal_dual_steps(Y, Lr, Lc, config, pool_map):
     run as tasks through ``pool_map``, the map of the solve's two worker
     threads; each task returns its block's parts, which are summed in block
     order, so X and the traces have the same bits as in a serial walk. After
-    the pass one ``frpcag_gradient`` at X_next serves the objective and the
-    next iteration's step. One block runs on the calling thread, and there
-    every operation is the whole-array one, in the same order.
+    the pass the smooth term's gradient 2 gamma_r Lr X_next, which serves
+    the objective and the next iteration's step, runs through ``pool_map``
+    too: one task per worker, each the product of a range of Lr's rows,
+    whose rows have the bits of the whole product. One block runs on the
+    calling thread, with one ``frpcag_gradient``, and there every operation
+    is the whole-array one, in the same order.
     """
     transposed = config.filtered_side == "row_graph"
     smooth, filtered = "gamma_r", "gamma_c"
@@ -498,8 +512,29 @@ def _primal_dual_steps(Y, Lr, Lc, config, pool_map):
     X = Y.copy()
     V = Y.copy()
     # one gradient per iterate: the energy of X_next and the gradient step
-    # of the next iteration share it
-    G = frpcag_gradient(X, Lr, Lc, gamma_r, 0.0)
+    # of the next iteration share it. When the pass runs on the workers,
+    # so does the product: one row range per worker, written over G once
+    # the pass has read it. Its rows are independent and none need fit in
+    # cache, so the ranges are not the pass's blocks, which two workers
+    # share unevenly when their count is odd
+    if len(blocks) > 1 and gamma_r != 0.0:
+        p = Y.shape[0]
+        ranges = [slice(k * p // WORKERS, (k + 1) * p // WORKERS)
+                  for k in range(WORKERS)]
+        Lr_ranges = [Lr.matrix[rows] for rows in ranges]
+        G = np.empty_like(Y)
+
+        def product(rows, Lr_rows):
+            G[rows] = _smooth_product(Lr_rows, X, gamma_r)
+
+        def gradient():
+            for _ in walk(product, ranges, Lr_ranges):
+                pass
+            return G
+    else:
+        def gradient():
+            return frpcag_gradient(X, Lr, Lc, gamma_r, 0.0)
+    G = gradient()
 
     def prox_input(rows):
         # X - tau_1 (G + V)
@@ -554,7 +589,7 @@ def _primal_dual_steps(Y, Lr, Lc, config, pool_map):
             x_ref += sums[2]
             dv += sums[3]
             v_ref += sums[4]
-        G = frpcag_gradient(X, Lr, Lc, gamma_r, 0.0)
+        G = gradient()
         loss_total = loss_sums if group_rows else _loss_total(loss_sums, loss)
         objective = (loss_total + 0.5 * _dot(X, G)
                      + gamma * float(np.sum(traced_curve * energy[traced])))

@@ -404,6 +404,14 @@ def test_bad_input_exit_code(tmp_path, monkeypatch, solve_setup, argv,
     # centred columns' rounding noise used to be written as a result
     pytest.param([*DIAGNOSE[:2], "repeated_row.csv", *DIAGNOSE[3:]], 3,
                  id="repeated-row"),
+    # centered entries near 1e-170 square to 0 and the covariance is zero;
+    # this used to leave an empty out dir
+    pytest.param([*DIAGNOSE[:2], "underflow.csv", *DIAGNOSE[3:]], 3,
+                 id="underflowing-covariance"),
+    # so large that the covariance overflows: this used to be a traceback
+    # under -W error::RuntimeWarning, after the out dir was made
+    pytest.param([*DIAGNOSE[:2], "overflow.csv", *DIAGNOSE[3:]], 3,
+                 id="overflowing-covariance"),
 ])
 def test_refused_diagnose_writes_nothing(tmp_path, monkeypatch, solve_setup,
                                          argv, code):
@@ -423,8 +431,31 @@ def test_refused_diagnose_writes_nothing(tmp_path, monkeypatch, solve_setup,
     repeated = np.tile(Y[0], (p, 1))
     assert (repeated != repeated.mean(axis=0)).any()
     save_matrix_csv(tmp_path / "repeated_row.csv", repeated)
+    save_matrix_csv(tmp_path / "underflow.csv", 1e-170 * Y)
+    save_matrix_csv(tmp_path / "overflow.csv", 1e160 * Y)
     assert run(argv) == code
     assert not (tmp_path / "diag").exists()
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -300, 2.0 ** 300],
+                         ids=["tiny", "huge"])
+def test_diagnose_alignment_is_scale_free(tmp_path, monkeypatch, solve_setup,
+                                          scale):
+    # a power of two scales the covariance and Gamma exactly, and the orders
+    # are ratios: they keep their bits. The squares of Gamma's entries used
+    # to underflow, a nonzero covariance refused as zero after the out dir
+    # was made, or overflow into a RuntimeWarning
+    monkeypatch.chdir(tmp_path)
+    save_matrix_csv(tmp_path / "scaled.csv", scale * solve_setup[3])
+    orders = []
+    for matrix, out_dir in (("y.csv", "diag"), ("scaled.csv", "scaled")):
+        assert run([*DIAGNOSE[:2], matrix, *DIAGNOSE[3:-1], out_dir]) == 0
+        items = report_items(tmp_path / out_dir / "diagnostics.txt",
+                             "diagnostics report")
+        orders.append([(key, value) for key, value in items
+                       if "alignment" in key])
+    assert len(orders[0]) == 4
+    assert orders[1] == orders[0]
 
 
 def conditional_rows():

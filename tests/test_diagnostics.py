@@ -77,6 +77,21 @@ class TestAlignmentReport:
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
         assert values[-1] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("scale", [2.0 ** -600, 2.0 ** 600],
+                             ids=["tiny", "huge"])
+    def test_orders_are_scale_free(self, rng, scale):
+        # the squares of the scaled Gamma's entries underflow or overflow;
+        # scaled by a power of two, the orders keep their bits
+        basis = eigendecompose(laplacian(random_graph(rng, n=10, k=3),
+                                         "normalized"))
+        A = rng.standard_normal((10, 10))
+        C = A @ A.T
+        report = alignment_report(basis, C, k=3)
+        scaled = alignment_report(basis, scale * C, k=3)
+        assert 0.0 < report.alignment_order < 1.0
+        assert scaled.alignment_order == report.alignment_order
+        assert scaled.rank_k_alignment == report.rank_k_alignment
+
     def test_k_out_of_range(self, rng):
         basis = eigendecompose(laplacian(random_graph(rng, n=6, k=2),
                                          "normalized"))

@@ -867,17 +867,32 @@ class TestGfrpcagPool:
         config = SolverConfig(gamma_r=0.7, gamma_c=1.3, loss=loss,
                               filter_spec=FilterSpec("prox_fb", b=0.6),
                               filtered_side=side, max_iters=300, tol=1e-8)
-        threads = set()
+        threads, products = set(), []
         loss_sums = solvers._loss_sums
+        smooth_product = solvers._smooth_product
 
         def spy(R, loss):
             threads.add(threading.current_thread().name)
             return loss_sums(R, loss)
+
+        def product_spy(L, X, gamma):
+            products.append((threading.current_thread().name, L.shape[0]))
+            return smooth_product(L, X, gamma)
         with monkeypatch.context() as patch:
             patch.setattr(solvers, "_loss_sums", spy)
+            patch.setattr(solvers, "_smooth_product", product_spy)
             pooled = solve_gfrpcag(Y, Lr, Lc, config)
         assert threads and all(name.startswith("graphlowrank")
                                for name in threads)
+        # the smooth term's product, of the rows of Lr or, on the transpose,
+        # of Lc: one task per worker at X_0 and after each pass, none on
+        # the calling thread
+        rows = p if side == "column_graph" else n
+        assert len(products) == solvers.WORKERS * (pooled.iterations + 1)
+        assert all(name.startswith("graphlowrank") for name, _ in products)
+        for start in range(0, len(products), solvers.WORKERS):
+            chunk = products[start:start + solvers.WORKERS]
+            assert sum(height for _, height in chunk) == rows
         monkeypatch.setattr(solvers, "ThreadPoolExecutor", SerialPool)
         serial = solve_gfrpcag(Y, Lr, Lc, config)
         assert pooled.iterations == serial.iterations
@@ -918,8 +933,8 @@ class TestGfrpcagPool:
         "fork" not in multiprocessing.get_all_start_methods(),
         reason="needs fork")
     def test_forked_child_gets_its_own_pool(self, rng, monkeypatch):
-        # the parent's workers do not survive a fork; on the pool it
-        # inherits, the child's first pooled pass would wait forever
+        # the parent's workers do not survive a fork: the child's solve
+        # must start its own
         p, n = 14, 18
         Y = rng.standard_normal((p, n))
         Lr, Lc = build_laplacians(Y, 3, 4)
@@ -939,7 +954,9 @@ class TestGfrpcagPool:
         assert not hung
         assert child.exitcode == 0
 
-    @pytest.mark.parametrize("fails", [False, True])
+    # True: the second block's loss prox of the second iteration raises;
+    # "product": the first smooth-term product after the first pass
+    @pytest.mark.parametrize("fails", [False, True, "product"])
     def test_no_worker_thread_outlives_the_solve(self, rng, monkeypatch,
                                                  fails):
         p, n = 14, 18
@@ -950,15 +967,20 @@ class TestGfrpcagPool:
                               filter_spec=FilterSpec("prox_fb", b=0.6),
                               max_iters=20)
         threads = []
-        prox_loss = solvers._prox_loss
+        failing = {True: ("_prox_loss", 7), "product": ("_smooth_product", 3)}
 
-        def spy(*args):
-            # with fails, a task of the second iteration raises on a worker
-            threads.append(threading.current_thread().name)
-            if fails and len(threads) == 7:
-                raise NumericalError("failed in a worker")
-            return prox_loss(*args)
-        monkeypatch.setattr(solvers, "_prox_loss", spy)
+        def spy(name):
+            function, calls = getattr(solvers, name), []
+
+            def call(*args):
+                threads.append(threading.current_thread().name)
+                calls.append(None)
+                if failing.get(fails) == (name, len(calls)):
+                    raise NumericalError("failed in a worker")
+                return function(*args)
+            monkeypatch.setattr(solvers, name, call)
+        spy("_prox_loss")
+        spy("_smooth_product")
         if fails:
             with pytest.raises(NumericalError, match="failed in a worker"):
                 solve_gfrpcag(Y, Lr, Lc, config)
