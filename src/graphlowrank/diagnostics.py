@@ -59,16 +59,19 @@ def _centered(Y):
 
 def check_covariance_range(Y: np.ndarray) -> None:
     """Refuse rows of Y whose ``covariance`` would leave the float range,
-    without forming it. Centered as ``covariance`` centers them, their
-    squares must sum to a finite total, which bounds every entry of the
-    covariance and of its Gamma, and must not all fall below the smallest
-    normal float, where the covariance is zero or subnormal and keeps too
-    few bits for an alignment."""
+    without forming it. Centered as ``covariance`` centers them, each row's
+    squares sum to n times its variance, which bounds its row of n C, the
+    product ``covariance`` forms; the variances sum to trace(C), which
+    bounds every entry of C and of its Gamma. Both must be finite: a bound,
+    so a matrix whose Gamma would just fit may be refused. The squares
+    must not all fall below the smallest normal float, where the
+    covariance is zero or subnormal and keeps too few bits for an
+    alignment."""
     with np.errstate(over="ignore", invalid="ignore"):
         squares = _centered(np.asarray(Y, dtype=np.float64))
         squares *= squares
-        total = squares.sum()
-    if not total < np.inf:
+        trace = (squares.sum(axis=1) / squares.shape[1]).sum()
+    if not trace < np.inf:
         raise DataError("the covariance overflows; rescale the matrix")
     if (squares < np.finfo(np.float64).tiny).all():
         raise DataError("the covariance underflows; rescale the matrix")

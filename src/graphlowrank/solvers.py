@@ -455,11 +455,10 @@ def _primal_dual_steps(Y, Lr, Lc, config, pool_map):
     threads; each task returns its block's parts, which are summed in block
     order, so X and the traces have the same bits as in a serial walk. After
     the pass the smooth term's gradient 2 gamma_r Lr X_next, which serves
-    the objective and the next iteration's step, runs through ``pool_map``
-    too: one task per worker, each the product of a range of Lr's rows,
-    whose rows have the bits of the whole product. One block runs on the
-    calling thread, with one ``frpcag_gradient``, and there every operation
-    is the whole-array one, in the same order.
+    the objective and the next iteration's step, is walked the same way:
+    one task per worker, each the product of a range of Lr's rows, whose
+    rows have the bits of the whole product. One block runs every task on
+    the calling thread, in the same order.
     """
     transposed = config.filtered_side == "row_graph"
     smooth, filtered = "gamma_r", "gamma_c"
@@ -512,29 +511,24 @@ def _primal_dual_steps(Y, Lr, Lc, config, pool_map):
     X = Y.copy()
     V = Y.copy()
     # one gradient per iterate: the energy of X_next and the gradient step
-    # of the next iteration share it. When the pass runs on the workers,
-    # so does the product: one row range per worker, written over G once
-    # the pass has read it. Its rows are independent and none need fit in
-    # cache, so the ranges are not the pass's blocks, which two workers
-    # share unevenly when their count is odd
-    if len(blocks) > 1 and gamma_r != 0.0:
-        p = Y.shape[0]
-        ranges = [slice(k * p // WORKERS, (k + 1) * p // WORKERS)
-                  for k in range(WORKERS)]
-        Lr_ranges = [Lr.matrix[rows] for rows in ranges]
-        G = np.empty_like(Y)
+    # of the next iteration share it. It is walked as the pass is: one row
+    # range per worker, written over G once the pass has read it. Its rows
+    # are independent and none need fit in cache, so the ranges are not the
+    # pass's blocks, which two workers share unevenly when their count is
+    # odd. With gamma_r = 0 there are no ranges and G stays zero
+    G = np.zeros_like(Y)
+    p = Y.shape[0]
+    ranges = [] if gamma_r == 0.0 else [
+        slice(k * p // WORKERS, (k + 1) * p // WORKERS) for k in range(WORKERS)]
+    Lr_ranges = [Lr.matrix[rows] for rows in ranges]
 
-        def product(rows, Lr_rows):
-            G[rows] = _smooth_product(Lr_rows, X, gamma_r)
+    def product(rows, Lr_rows):
+        G[rows] = _smooth_product(Lr_rows, X, gamma_r)
 
-        def gradient():
-            for _ in walk(product, ranges, Lr_ranges):
-                pass
-            return G
-    else:
-        def gradient():
-            return frpcag_gradient(X, Lr, Lc, gamma_r, 0.0)
-    G = gradient()
+    def update_gradient():
+        for _ in walk(product, ranges, Lr_ranges):
+            pass
+    update_gradient()
 
     def prox_input(rows):
         # X - tau_1 (G + V)
@@ -589,7 +583,7 @@ def _primal_dual_steps(Y, Lr, Lc, config, pool_map):
             x_ref += sums[2]
             dv += sums[3]
             v_ref += sums[4]
-        G = gradient()
+        update_gradient()
         loss_total = loss_sums if group_rows else _loss_total(loss_sums, loss)
         objective = (loss_total + 0.5 * _dot(X, G)
                      + gamma * float(np.sum(traced_curve * energy[traced])))

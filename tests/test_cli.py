@@ -437,14 +437,22 @@ def test_refused_diagnose_writes_nothing(tmp_path, monkeypatch, solve_setup,
     assert not (tmp_path / "diag").exists()
 
 
-@pytest.mark.parametrize("scale", [2.0 ** -300, 2.0 ** 300],
-                         ids=["tiny", "huge"])
+@pytest.mark.parametrize("scale", [2.0 ** -300, 2.0 ** 300, 2.0 ** 509],
+                         ids=["tiny", "huge", "squares-sum-overflows"])
 def test_diagnose_alignment_is_scale_free(tmp_path, monkeypatch, solve_setup,
                                           scale):
     # a power of two scales the covariance and Gamma exactly, and the orders
     # are ratios: they keep their bits. The squares of Gamma's entries used
     # to underflow, a nonzero covariance refused as zero after the out dir
-    # was made, or overflow into a RuntimeWarning
+    # was made, or overflow into a RuntimeWarning. At 2^509 the centered
+    # squares sum past the float range, though no row's do; the covariances
+    # and Gammas are finite, so the matrix is not refused
+    if scale == 2.0 ** 509:
+        Z = scale * solve_setup[3]
+        squares = (Z - Z.mean(axis=1, keepdims=True)) ** 2
+        assert squares.sum(axis=1).max() < np.inf
+        with np.errstate(over="ignore"):
+            assert squares.sum() == np.inf
     monkeypatch.chdir(tmp_path)
     save_matrix_csv(tmp_path / "scaled.csv", scale * solve_setup[3])
     orders = []

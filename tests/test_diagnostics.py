@@ -6,7 +6,7 @@ from graphlowrank import (DataError, EigenBasis, ParameterError, SolverConfig,
                           eigendecompose, knn_graph, laplacian, make_lrmg,
                           recovery_bound_check, solve_frpcag, spectral_gap,
                           subspace_coherence)
-from graphlowrank.diagnostics import gamma_to_db
+from graphlowrank.diagnostics import check_covariance_range, gamma_to_db
 
 from conftest import (lrmg_bases, path_graph_weights, random_graph,
                       two_blob_data)
@@ -34,6 +34,19 @@ class TestCovariance:
     def test_columns_axis_shape(self, rng):
         Y = rng.standard_normal((7, 12))
         assert covariance(Y.T).shape == (12, 12)
+
+    @pytest.mark.parametrize("rows", [15, 16])
+    def test_range_check_at_the_trace_bound(self, rows):
+        # each row (a, -a) has variance a^2 = 2^1020 and its squares sum to
+        # 2^1021; C is a^2 everywhere, so its norm, Gamma's largest entry,
+        # is its trace rows * 2^1020, which overflows from 16 rows on
+        Y = np.tile([2.0 ** 510, -2.0 ** 510], (rows, 1))
+        if rows == 15:
+            check_covariance_range(Y)
+            assert np.linalg.eigvalsh(covariance(Y)).max() < np.inf
+        else:
+            with pytest.raises(DataError, match="overflows"):
+                check_covariance_range(Y)
 
     def test_single_vector_rejected(self):
         # one sample is the input's shape, a data error

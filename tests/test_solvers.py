@@ -876,8 +876,9 @@ class TestGfrpcagPool:
             return loss_sums(R, loss)
 
         def product_spy(L, X, gamma):
-            products.append((threading.current_thread().name, L.shape[0]))
-            return smooth_product(L, X, gamma)
+            G = smooth_product(L, X, gamma)
+            products.append((threading.current_thread().name, L, X.copy(), G))
+            return G
         with monkeypatch.context() as patch:
             patch.setattr(solvers, "_loss_sums", spy)
             patch.setattr(solvers, "_smooth_product", product_spy)
@@ -886,13 +887,27 @@ class TestGfrpcagPool:
                                for name in threads)
         # the smooth term's product, of the rows of Lr or, on the transpose,
         # of Lc: one task per worker at X_0 and after each pass, none on
-        # the calling thread
-        rows = p if side == "column_graph" else n
+        # the calling thread. Its row ranges, joined in row order, have the
+        # bits of the whole product
+        L, gamma = (Lr, 0.7) if side == "column_graph" else (Lc, 1.3)
+        starts = {}
+
+        def start(part):
+            # the row of L where a range's rows begin
+            if id(part) not in starts:
+                starts[id(part)] = next(
+                    row for row in range(L.shape[0] - part.shape[0] + 1)
+                    if (L.matrix[row:row + part.shape[0]] != part).nnz == 0)
+            return starts[id(part)]
         assert len(products) == solvers.WORKERS * (pooled.iterations + 1)
-        assert all(name.startswith("graphlowrank") for name, _ in products)
-        for start in range(0, len(products), solvers.WORKERS):
-            chunk = products[start:start + solvers.WORKERS]
-            assert sum(height for _, height in chunk) == rows
+        for first in range(0, len(products), solvers.WORKERS):
+            chunk = sorted(products[first:first + solvers.WORKERS],
+                           key=lambda product: start(product[1]))
+            assert all(name.startswith("graphlowrank") for name, *_ in chunk)
+            X = chunk[0][2]
+            assert all(np.array_equal(x, X) for _, _, x, _ in chunk)
+            joined = np.vstack([G for *_, G in chunk])
+            assert np.array_equal(joined, smooth_product(L.matrix, X, gamma))
         monkeypatch.setattr(solvers, "ThreadPoolExecutor", SerialPool)
         serial = solve_gfrpcag(Y, Lr, Lc, config)
         assert pooled.iterations == serial.iterations
