@@ -135,16 +135,27 @@ def _write_manifest(command, params, wall_time_s):
         "version": __version__,
         "wall_time_s": wall_time_s,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with graphmod._open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _make_out_dir(params):
+    """The out dir, made with its parents; a path that cannot be made a
+    directory is a DataError, as ``graph._open`` makes a file's."""
+    out_dir = Path(params["out_dir"])
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot write {out_dir}: {exc}") from None
+    return out_dir
 
 
 def _write_table(path, header, *columns):
     """A CSV table: the header line, then one row per entry of the columns.
     ``tolist()`` gives Python ints and floats, whose repr keeps an index an
     int and writes a float as ``format_float`` does."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with graphmod._open(path, "w") as fh:
         fh.write(header + "\n")
         for row in zip(*(np.asarray(column).tolist() for column in columns)):
             fh.write(",".join(map(repr, row)) + "\n")
@@ -163,7 +174,7 @@ def _write_report(path, title, items):
 
     lines = [title, "=" * len(title),
              *(f"{key}: {shown(value)}" for key, value in items.items())]
-    with open(path, "w", encoding="utf-8") as fh:
+    with graphmod._open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -207,8 +218,7 @@ def _cmd_solve(params):
         solve = solvers.solve_frpcag if algo == "frpcag" else solvers.solve_gfrpcag
         result = solve(Y, Lr, Lc, config)
 
-    out_dir = Path(params["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(params)
     wall = time.perf_counter() - started
     # X.csv takes the orientation the matrix was read in
     X = result.X.T if params["orientation"] == "columns" else result.X
@@ -250,18 +260,19 @@ def _cmd_diagnose(params):
     if Lr.shape[0] != X.shape[0] or Lc.shape[0] != X.shape[1]:
         raise DataError(f"matrix is {X.shape} but graphs have "
                         f"{Lr.shape[0]} and {Lc.shape[0]} vertices")
-    row_basis = spectral.eigendecompose(Lr)
-    col_basis = spectral.eigendecompose(Lc)
     # every check comes before the out dir is made, so a refused run
-    # writes nothing: each alignment needs k within its basis, two samples
-    # and a nonzero covariance. Y* and Y, then each Gamma and its dB image,
-    # are dropped once used, before the SVD of the coherence step.
-    count = min(row_basis.count, col_basis.count)
+    # writes nothing, and k's and the data's come before the dense bases:
+    # each alignment needs k within its basis, whose full count is the
+    # matrix's side, and a covariance it can align. Y* and Y, then each
+    # Gamma and its dB image, are dropped once used, before the SVD of the
+    # coherence step.
+    count = min(X.shape)
     if not 1 <= k <= count:
         raise ParameterError(f"k={k} out of range for basis of {count}")
-    if count < 2:
-        raise DataError(f"the matrix is {X.shape}: a covariance needs at "
-                        "least 2 samples")
+    diag.check_covariance_range(X)
+    diag.check_covariance_range(X.T)
+    row_basis = spectral.eigendecompose(Lr)
+    col_basis = spectral.eigendecompose(Lc)
     bound = None
     if params["ystar"] is not None:
         k_r = params["k_r"] if params["k_r"] is not None else k
@@ -269,15 +280,8 @@ def _cmd_diagnose(params):
         bound = diag.recovery_bound_check(read("ystar"), read("noisy"), X,
                                           row_basis, col_basis, k_r, k_c,
                                           params["gamma"], params["loss"])
-    # the rows' or the columns' covariance is zero when each row, or each
-    # column, is constant: compared, since centering a constant may round
-    if (X == X[:, :1]).all() or (X == X[:1]).all():
-        raise DataError("covariance matrix is zero; alignment is undefined")
-    diag.check_covariance_range(X)
-    diag.check_covariance_range(X.T)
 
-    out_dir = Path(params["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(params)
     alignment = {**_alignment(out_dir, "rows", row_basis, X, k),
                  **_alignment(out_dir, "columns", col_basis, X.T, k)}
 
@@ -318,8 +322,7 @@ def _cmd_synth_lowrank(params):
                             sigma=params["sigma"], fraction=params["fraction"],
                             amplitude=params["amplitude"])
 
-    out_dir = Path(params["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(params)
     graphmod.save_matrix_csv(out_dir / "ystar.csv", instance.Y_star)
     graphmod.save_matrix_csv(out_dir / "y.csv", Y)
     graphmod.save_edge_list(instance.row_graph, out_dir / "row_graph.txt")
@@ -347,7 +350,6 @@ def _cmd_spectra(params):
         _write_table(out, "index,eigenvalue", np.arange(eigenvalues.size), eigenvalues)
     else:
         b, x_max = params["filter_b"], params["x_max"]
-        spectral.FilterSpec("prox_fb", b=b)  # the filter's rule for b
         if not x_max > 0:
             raise ParameterError(f"x_max must be positive, got {x_max}")
         grid = np.linspace(0.0, x_max, 1000)

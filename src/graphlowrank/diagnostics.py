@@ -43,14 +43,21 @@ def covariance(Y: np.ndarray) -> np.ndarray:
     Each feature is centered by its mean over samples and C = Yc Yc^T / n.
     The covariance of the columns is ``covariance(Y.T)``.
     """
+    Y = _samples(Y)
+    centered = _centered(Y)
+    return (centered @ centered.T) / Y.shape[1]
+
+
+def _samples(Y):
+    """Y as a float matrix with a covariance: 2-D, with at least 2 samples
+    (columns)."""
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2:
         raise DataError(f"expected a 2-D matrix, got shape {Y.shape}")
-    n = Y.shape[1]
-    if n < 2:
-        raise DataError(f"covariance needs at least 2 columns, got {n}")
-    centered = _centered(Y)
-    return (centered @ centered.T) / n
+    if Y.shape[1] < 2:
+        raise DataError(f"a covariance needs at least 2 samples, got "
+                        f"{Y.shape[1]}")
+    return Y
 
 
 def _centered(Y):
@@ -58,17 +65,22 @@ def _centered(Y):
 
 
 def check_covariance_range(Y: np.ndarray) -> None:
-    """Refuse rows of Y whose ``covariance`` would leave the float range,
-    without forming it. Centered as ``covariance`` centers them, each row's
-    squares sum to n times its variance, which bounds its row of n C, the
-    product ``covariance`` forms; the variances sum to trace(C), which
-    bounds every entry of C and of its Gamma. Both must be finite: a bound,
-    so a matrix whose Gamma would just fit may be refused. The squares
-    must not all fall below the smallest normal float, where the
-    covariance is zero or subnormal and keeps too few bits for an
-    alignment."""
+    """The rule for data whose ``covariance`` of the rows can be aligned,
+    checked without forming it. Y needs at least 2 samples, and not every
+    row may be constant, where the covariance is zero: compared exactly,
+    since centering a constant may round. Centered as ``covariance``
+    centers them, each row's squares sum to n times its variance, which
+    bounds its row of n C, the product ``covariance`` forms; the variances
+    sum to trace(C), which bounds every entry of C and of its Gamma. Both
+    must be finite: a bound, so a matrix whose Gamma would just fit may be
+    refused. The squares must not all fall below the smallest normal
+    float, where the covariance is zero or subnormal and keeps too few
+    bits for an alignment."""
+    Y = _samples(Y)
+    if (Y == Y[:, :1]).all():
+        raise DataError("covariance matrix is zero; alignment is undefined")
     with np.errstate(over="ignore", invalid="ignore"):
-        squares = _centered(np.asarray(Y, dtype=np.float64))
+        squares = _centered(Y)
         squares *= squares
         trace = (squares.sum(axis=1) / squares.shape[1]).sum()
     if not trace < np.inf:

@@ -359,7 +359,7 @@ def format_float(x) -> str:
 
 def save_matrix_csv(path, values) -> None:
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open(path, "w") as fh:
         # repr of the Python floats of tolist() is format_float; one row of
         # them at a time, not 32 bytes per entry of the whole matrix
         for row in values:
@@ -367,15 +367,18 @@ def save_matrix_csv(path, values) -> None:
             fh.write("\n")
 
 
-def _open_input(path):
+def _open(path, mode):
+    """path opened to read ("r") or to write ("w"); an OSError, such as a
+    missing file or directory, is a DataError that names the path."""
     try:
-        return open(path, "r", encoding="utf-8")
+        return open(path, mode, encoding="utf-8")
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
+        verb = "read" if mode == "r" else "write"
+        raise DataError(f"cannot {verb} {path}: {exc}") from None
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    with _open_input(path) as fh:
+    with _open(path, "r") as fh:
         try:
             with warnings.catch_warnings():
                 # an empty file warns here; the line parser reports it
@@ -418,7 +421,7 @@ def _parse_csv_lines(path, fh) -> np.ndarray:
 def save_edge_list(g: SparseGraph, path) -> None:
     """Write "i<TAB>j<TAB>w" lines with i < j under a "#vertices N" header."""
     ei, ej, ew = g.edge_arrays()
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open(path, "w") as fh:
         fh.write(f"#vertices {g.num_vertices}\n")
         for i, j, w in zip(ei, ej, ew):
             fh.write(f"{int(i)}\t{int(j)}\t{format_float(w)}\n")
@@ -428,7 +431,7 @@ def load_edge_list(path) -> SparseGraph:
     num_vertices = None
     rows, cols, vals = [], [], []
     first_line = {}  # (i, j) -> line number, to reject duplicate edges
-    with _open_input(path) as fh:
+    with _open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped:

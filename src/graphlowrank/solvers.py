@@ -55,7 +55,9 @@ class SolverConfig:
     for "row_graph", Lc for "column_graph". That side's gamma weighs the
     filtered penalty; the other graph keeps its plain smoothness term. The
     filtered prox is always applied exactly through the eigenbasis, and
-    ``filter_application`` accepts only "exact".
+    ``filter_application`` accepts only "exact". ``max_iters`` caps the
+    iterations: an integer of at least 1, as an int or an integral float
+    such as 3.0.
     """
 
     gamma_r: float = 0.0
@@ -72,8 +74,11 @@ class SolverConfig:
         if self.loss not in LOSSES:
             raise ParameterError(f"unknown loss {self.loss!r}")
         _check_gammas(self.gamma_r, self.gamma_c)
-        if self.max_iters < 1:
-            raise ParameterError("max_iters must be at least 1")
+        # a fraction, NaN or inf never equals an iteration count, and the
+        # run would not stop
+        if not (self.max_iters >= 1 and self.max_iters % 1 == 0):
+            raise ParameterError(f"max_iters must be an integer of at least "
+                                 f"1, got {self.max_iters}")
         if not 0 < self.tol < np.inf:
             raise ParameterError("tolerance must be finite and positive")
         if self.filtered_side not in FILTERED_SIDES:

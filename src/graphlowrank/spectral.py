@@ -41,6 +41,12 @@ class EigenBasis:
         return self.eigenvectors.shape[1]
 
 
+def _check_bandwidth(b):
+    """The rule for the filter bandwidth b: finite and positive."""
+    if not 0 < b < np.inf:
+        raise ParameterError(f"b must be finite and positive, got {b}")
+
+
 @dataclass(frozen=True)
 class FilterSpec:
     """The filtered penalty's filter: the prox response f_b ("prox_fb") of
@@ -53,8 +59,7 @@ class FilterSpec:
     def __post_init__(self):
         if self.family not in FILTER_FAMILIES:
             raise ParameterError(f"unknown filter family {self.family!r}")
-        if not 0 < self.b < np.inf:
-            raise ParameterError(f"b must be finite and positive, got {self.b}")
+        _check_bandwidth(self.b)
 
 
 def eigendecompose(L: LaplacianMatrix, below: float | None = None) -> EigenBasis:
@@ -204,7 +209,9 @@ def _bump(x: np.ndarray, b: float) -> np.ndarray:
 
 
 def step_penalty_curve(x, b: float) -> np.ndarray:
-    """g_b: zero up to b/2, rising through 1 at x = b, infinite from 3b/2."""
+    """g_b: zero up to b/2, rising through 1 at x = b, infinite from 3b/2.
+    b must be finite and positive."""
+    _check_bandwidth(b)
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     num = _bump(x, b)
     den = _bump(2 * b - x, b)
@@ -217,7 +224,8 @@ def step_penalty_curve(x, b: float) -> np.ndarray:
 def prox_filter_curve(x, b: float, gamma: float) -> np.ndarray:
     """f_b(x, gamma) = 1 / (1 + gamma * g_b(x)), in the division-safe form
     h_b(2b - x) / (h_b(2b - x) + gamma * h_b(x)); always in [0, 1].
-    gamma must be finite and nonnegative."""
+    b must be finite and positive, gamma finite and nonnegative."""
+    _check_bandwidth(b)
     if not 0 <= gamma < np.inf:
         raise ParameterError(f"gamma must be finite and nonnegative, got "
                              f"{gamma}")

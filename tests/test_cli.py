@@ -17,6 +17,8 @@ from graphlowrank import __version__
 from graphlowrank import cli
 from graphlowrank.cli import main
 
+from conftest import refuse_dense_eigh
+
 
 def run(argv):
     return main([str(a) for a in argv])
@@ -315,6 +317,10 @@ BAD_EDGE_LISTS = {
                  None, 3, id="noisy-extra-column"),
     pytest.param(["graph", "build", "--matrix", "missing.csv", "--k", "3",
                   "--out", "g.txt"], None, 3, id="missing-matrix"),
+    # an output that cannot be written is named, not a traceback
+    pytest.param(["graph", "build", "--matrix", "y.csv", "--k", "3",
+                  "--out", "missing/g.txt"], None, 3, id="out-in-missing-dir"),
+    pytest.param([*SOLVE[:-1], "y.csv"], None, 3, id="out-dir-is-a-file"),
     pytest.param([*SYNTH[:2], "--p", "1", "--n", "3", "--k-r", "1", "--k-c",
                   "1", "--out-dir", "syn"], None, 2, id="synth-one-row"),
     pytest.param([*SYNTH[:2], "--p", "3", "--n", "1", "--k-r", "1", "--k-c",
@@ -416,8 +422,12 @@ def test_bad_input_exit_code(tmp_path, monkeypatch, solve_setup, argv,
 def test_refused_diagnose_writes_nothing(tmp_path, monkeypatch, solve_setup,
                                          argv, code):
     # every check comes before the out dir is made: these runs used to
-    # leave the two alignment files, or an empty out dir, behind
+    # leave the two alignment files, or an empty out dir, behind. Only the
+    # bound check needs the dense bases; the k and data checks come before
+    # them
     monkeypatch.chdir(tmp_path)
+    if "--ystar" not in argv:
+        refuse_dense_eigh(monkeypatch)
     Y = solve_setup[3]
     save_matrix_csv(tmp_path / "one_row.csv", Y[:1])
     save_matrix_csv(tmp_path / "one_column.csv", Y[:, :1])

@@ -48,6 +48,22 @@ class TestCovariance:
             with pytest.raises(DataError, match="overflows"):
                 check_covariance_range(Y)
 
+    def test_range_check_needs_two_samples(self):
+        with pytest.raises(DataError, match="at least 2 samples"):
+            check_covariance_range(np.arange(3.0)[:, None])
+
+    @pytest.mark.parametrize("Y", [
+        pytest.param(np.zeros((3, 4)), id="zeros"),
+        pytest.param(np.tile([[1.0], [2.0], [-0.5]], (1, 4)),
+                     id="constant-rows"),
+        # the mean of three 0.1s rounds, so the centred rows are not zero
+        # although each row is constant
+        pytest.param(np.full((2, 3), 0.1), id="rounding-mean"),
+    ])
+    def test_range_check_refuses_constant_rows(self, Y):
+        with pytest.raises(DataError, match="covariance matrix is zero"):
+            check_covariance_range(Y)
+
     def test_single_vector_rejected(self):
         # one sample is the input's shape, a data error
         with pytest.raises(DataError):

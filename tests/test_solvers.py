@@ -1140,3 +1140,16 @@ class TestSolverConfigValidation:
         with pytest.raises(ParameterError, match="finite"):
             SolverConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [2.5, np.nan, np.inf])
+    def test_max_iters_not_integral(self, value):
+        # no iteration count equals such a cap: a solve ran on past it
+        with pytest.raises(ParameterError, match="max_iters must be an "
+                                                 "integer"):
+            SolverConfig(max_iters=value)
+
+    def test_integral_float_max_iters(self, rng):
+        Y = rng.standard_normal((12, 14))
+        Lr, Lc = build_laplacians(Y)
+        config = SolverConfig(gamma_r=0.5, gamma_c=0.5, max_iters=3.0,
+                              tol=1e-300)
+        assert solve_frpcag(Y, Lr, Lc, config).iterations == 3

@@ -362,6 +362,16 @@ class TestFilterFamily:
         with pytest.raises(ParameterError, match="finite"):
             FilterSpec("prox_fb", b=value)
 
+    @pytest.mark.parametrize("b", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("curve", [
+        step_penalty_curve, lambda x, b: prox_filter_curve(x, b, 1.0)],
+        ids=["penalty", "prox"])
+    def test_curves_refuse_bad_b(self, curve, b):
+        # FilterSpec's rule: unchecked, the penalty curve was inf
+        # everywhere and the prox curve all 0 or all 1
+        with pytest.raises(ParameterError, match="finite and positive"):
+            curve(np.linspace(0.0, 2.0, 5), b)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_prox_gamma(self, value):
         with pytest.raises(ParameterError, match="finite"):
