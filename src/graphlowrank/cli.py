@@ -31,7 +31,8 @@ from . import __version__
 from . import diagnostics as diag
 from . import graph as graphmod
 from . import solvers, spectral, synth
-from .errors import DataError, GraphLowRankError, NumericalError, ParameterError
+from .errors import (DataError, NumericalError, ParameterError, _check_integer,
+                     _check_number)
 
 _REQUIRED = object()  # default of a parameter that has none
 _GIVEN = object()  # read-when value: the earlier parameter has a value
@@ -138,6 +139,13 @@ def _write_manifest(command, params, wall_time_s):
     with graphmod._open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _check_out_dir(params):
+    """An out dir that exists and is not a directory is a DataError."""
+    out_dir = Path(params["out_dir"])
+    if out_dir.exists() and not out_dir.is_dir():
+        raise DataError(f"cannot write {out_dir}: not a directory")
 
 
 def _make_out_dir(params):
@@ -257,29 +265,27 @@ def _cmd_diagnose(params):
 
     X = read("matrix")
     Lr, Lc = _load_laplacians(params)
-    if Lr.shape[0] != X.shape[0] or Lc.shape[0] != X.shape[1]:
-        raise DataError(f"matrix is {X.shape} but graphs have "
-                        f"{Lr.shape[0]} and {Lc.shape[0]} vertices")
-    # every check comes before the out dir is made, so a refused run
-    # writes nothing, and k's and the data's come before the dense bases:
-    # each alignment needs k within its basis, whose full count is the
-    # matrix's side, and a covariance it can align. Y* and Y, then each
-    # Gamma and its dB image, are dropped once used, before the SVD of the
-    # coherence step.
-    count = min(X.shape)
-    if not 1 <= k <= count:
-        raise ParameterError(f"k={k} out of range for basis of {count}")
+    solvers._check_laplacians(X, Lr, Lc)
+    # every check comes before the out dir is made, so a refused run writes
+    # nothing, and all but the bound check's zero (k+1)-th eigenvalue come
+    # before the dense bases. Each alignment needs k within its basis, whose
+    # full count is the matrix's side. Y* and Y, then each Gamma and its dB
+    # image, are dropped once used, before the coherence step's SVD.
+    _check_integer("k", k, 1, min(X.shape))
     diag.check_covariance_range(X)
     diag.check_covariance_range(X.T)
-    row_basis = spectral.eigendecompose(Lr)
-    col_basis = spectral.eigendecompose(Lc)
     bound = None
     if params["ystar"] is not None:
         k_r = params["k_r"] if params["k_r"] is not None else k
         k_c = params["k_c"] if params["k_c"] is not None else k
-        bound = diag.recovery_bound_check(read("ystar"), read("noisy"), X,
-                                          row_basis, col_basis, k_r, k_c,
-                                          params["gamma"], params["loss"])
+        # the bound check's matrices, until its result replaces them
+        bound = diag._bound_inputs(read("ystar"), read("noisy"), X, k_r, k_c,
+                                   params["gamma"])
+    row_basis = spectral.eigendecompose(Lr)
+    col_basis = spectral.eigendecompose(Lc)
+    if bound is not None:
+        bound = diag.recovery_bound_check(*bound, row_basis, col_basis, k_r,
+                                          k_c, params["gamma"], params["loss"])
 
     out_dir = _make_out_dir(params)
     alignment = {**_alignment(out_dir, "rows", row_basis, X, k),
@@ -344,14 +350,13 @@ def _cmd_spectra(params):
         g = graphmod.load_edge_list(params["graph"])
         L = graphmod.laplacian(g, params["laplacian"])
         count = params["count"]
-        if count is not None and not 1 <= count <= L.shape[0]:
-            raise ParameterError(f"--count {count} is not in 1..{L.shape[0]}")
+        if count is not None:
+            _check_integer("--count", count, 1, L.shape[0])
         eigenvalues = spectral.eigendecompose(L).eigenvalues[:count]
         _write_table(out, "index,eigenvalue", np.arange(eigenvalues.size), eigenvalues)
     else:
         b, x_max = params["filter_b"], params["x_max"]
-        if not x_max > 0:
-            raise ParameterError(f"x_max must be positive, got {x_max}")
+        _check_number("x_max", x_max, exclusive=True)
         grid = np.linspace(0.0, x_max, 1000)
         _write_table(out, "x,g(x),f(x)", grid,
                      spectral.step_penalty_curve(grid, b),
@@ -511,6 +516,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         command, handler, table = args.spec
         params = _resolve(table, vars(args), _load_config(args.config))
+        if "out_dir" in params:  # refused before the command's work
+            _check_out_dir(params)
         handler(params)
         _write_manifest(command, params, time.perf_counter() - started)
     except ParameterError as exc:
@@ -525,9 +532,6 @@ def main(argv=None) -> int:
         return 3
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 4
-    except GraphLowRankError as exc:  # fallback for new error kinds
-        print(f"error: {exc}", file=sys.stderr)
         return 4
     return 0
 

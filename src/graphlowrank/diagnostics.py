@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, _check_integer, _check_number
 from .solvers import loss_value
 from .spectral import EigenBasis, _column_signs
 
@@ -95,8 +95,7 @@ def alignment_report(basis: EigenBasis, C: np.ndarray, k: int) -> AlignmentRepor
     if C.shape != (basis.size, basis.size):
         raise DataError(f"covariance is {C.shape}, basis expects "
                         f"({basis.size}, {basis.size})")
-    if not 1 <= k <= basis.count:
-        raise ParameterError(f"k={k} out of range for basis of {basis.count}")
+    _check_integer("k", k, 1, basis.count)
     Q = basis.eigenvectors
     Gamma = Q.T @ C @ Q
     largest = np.abs(Gamma).max()
@@ -121,8 +120,7 @@ def spectral_gap(eigenvalues: np.ndarray, k: int) -> float:
     (k+1)-th eigenvalue is zero.
     """
     eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
-    if k < 1 or k + 1 > eigenvalues.size:
-        raise ParameterError(f"k={k} out of range for {eigenvalues.size} eigenvalues")
+    _check_integer("k", k, 1, eigenvalues.size - 1)
     upper = eigenvalues[k]
     if upper <= ZERO_EIGENVALUE_TOL:
         raise ParameterError(f"eigenvalue {k + 1} is zero; the gap is undefined")
@@ -146,19 +144,11 @@ def recovery_bound_check(Y_star: np.ndarray, Y: np.ndarray, X_star: np.ndarray,
     phi is ``loss``, one of ``solvers.LOSSES``. Returns (lhs, rhs, holds)
     with a 1e-3 relative slack on the comparison.
     """
-    Y_star = np.asarray(Y_star, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    X_star = np.asarray(X_star, dtype=np.float64)
-    for name, matrix in (("Y", Y), ("X_star", X_star)):
-        if matrix.shape != Y_star.shape:
-            raise DataError(f"{name} is {matrix.shape}, Y_star is {Y_star.shape}")
-    p, n = Y_star.shape
-    if row_basis.size != p or col_basis.size != n:
+    Y_star, Y, X_star = _bound_inputs(Y_star, Y, X_star, k_r, k_c, gamma)
+    if (row_basis.size, col_basis.size) != Y_star.shape:
         raise DataError("bases do not match the matrix shape")
     gap_sum = (spectral_gap(col_basis.eigenvalues, k_c)
                + spectral_gap(row_basis.eigenvalues, k_r))
-    if not 0 <= gamma < np.inf:
-        raise ParameterError(f"gamma must be finite and nonnegative, got {gamma}")
     gamma_r = gamma / row_basis.eigenvalues[k_r]
     gamma_c = gamma / col_basis.eigenvalues[k_c]
     out_cols = X_star @ col_basis.eigenvectors[:, k_c:]
@@ -169,6 +159,22 @@ def recovery_bound_check(Y_star: np.ndarray, Y: np.ndarray, X_star: np.ndarray,
     rhs = loss_value(Y, Y_star, loss) + gamma * float(np.sum(Y_star ** 2)) * gap_sum
     holds = lhs <= rhs * (1.0 + 1e-3)
     return lhs, rhs, holds
+
+
+def _bound_inputs(Y_star, Y, X_star, k_r, k_c, gamma):
+    """(Y_star, Y, X_star) as float arrays, once ``recovery_bound_check``'s
+    rules that need no basis hold: one shape p x n, k_c in 1..n-1, k_r in
+    1..p-1 and gamma finite and >= 0."""
+    Y_star, Y, X_star = (np.asarray(M, dtype=np.float64)
+                         for M in (Y_star, Y, X_star))
+    for name, matrix in (("Y", Y), ("X_star", X_star)):
+        if matrix.shape != Y_star.shape:
+            raise DataError(f"{name} is {matrix.shape}, Y_star is {Y_star.shape}")
+    p, n = Y_star.shape
+    _check_integer("k_c", k_c, 1, n - 1)
+    _check_integer("k_r", k_r, 1, p - 1)
+    _check_number("gamma", gamma)
+    return Y_star, Y, X_star
 
 
 def subspace_coherence(X: np.ndarray, row_basis: EigenBasis,

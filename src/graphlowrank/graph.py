@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sparse
 
-from .errors import DataError, ParameterError
+from .errors import (DataError, ParameterError, _check_choice, _check_integer,
+                     _check_number)
 
 AXES = ("rows", "columns")
 METRICS = ("euclidean", "cityblock")
@@ -62,8 +63,7 @@ class DataMatrix:
         With orientation="columns" the file stores one row per sample and
         the result is transposed back to feature-major form.
         """
-        if orientation not in AXES:
-            raise ParameterError(f"unknown orientation {orientation!r}")
+        _check_choice("orientation", orientation, AXES)
         values = load_matrix_csv(path)
         return cls(values.T if orientation == "columns" else values)
 
@@ -134,8 +134,7 @@ def knn_graph(data: DataMatrix, axis: str, k: int, weighting: str = "gaussian",
     * correlation: cosine of the two vectors, clamped below at 0 so weights
       stay nonnegative.
     """
-    if axis not in AXES:
-        raise ParameterError(f"unknown axis {axis!r}")
+    _check_choice("axis", axis, AXES)
     # the GEMM, the cityblock cdist and the pair gathers below all read
     # whole vectors; for columns a contiguous copy keeps them fast
     vectors = (data.values if axis == "rows"
@@ -143,14 +142,9 @@ def knn_graph(data: DataMatrix, axis: str, k: int, weighting: str = "gaussian",
     count = vectors.shape[0]
     if count < 2:
         raise DataError(f"need at least 2 vectors along {axis}, got {count}")
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ParameterError(f"k must be a positive integer, got {k!r}")
-    if k >= count:
-        raise ParameterError(f"k={k} must be smaller than the vector count {count}")
-    if weighting not in WEIGHTINGS:
-        raise ParameterError(f"unknown weighting {weighting!r}")
-    if metric not in METRICS:
-        raise ParameterError(f"unknown metric {metric!r}")
+    _check_integer("k", k, 1, count - 1)
+    _check_choice("weighting", weighting, WEIGHTINGS)
+    _check_choice("metric", metric, METRICS)
 
     if metric == "euclidean":
         screen = _GramScreen(vectors)
@@ -203,9 +197,7 @@ def knn_graph(data: DataMatrix, axis: str, k: int, weighting: str = "gaussian",
                 sigma_sq = 1.0  # all selected pairs coincide; exp(0) = 1
         else:
             sigma = float(sigma)
-            if not 0 < sigma < np.inf:
-                raise ParameterError("sigma must be finite and positive, "
-                                     f"got {sigma}")
+            _check_number("sigma", sigma, exclusive=True)
             sigma_sq = sigma * sigma
             if sigma_sq == 0.0:
                 raise ParameterError(f"sigma={sigma} is too small: its "
@@ -315,8 +307,7 @@ def laplacian(g: SparseGraph, kind: str = "normalized") -> LaplacianMatrix:
     operator PSD. Weights whose sums overflow a degree or the norm bound
     are a DataError.
     """
-    if kind not in LAPLACIAN_KINDS:
-        raise ParameterError(f"unknown Laplacian kind {kind!r}")
+    _check_choice("Laplacian kind", kind, LAPLACIAN_KINDS)
     with np.errstate(over="ignore"):
         d = g.degrees()
     if not np.isfinite(d).all():

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, NumericalError, ParameterError
+from .errors import (DataError, NumericalError, ParameterError, _check_choice,
+                     _check_number)
 from .graph import LaplacianMatrix, _row_blocks
 from .spectral import (FilterSpec, eigendecompose, prox_filter_curve,
                        step_penalty_curve)
@@ -35,13 +36,6 @@ FILTERED_SIDES = ("row_graph", "column_graph")
 STOP_DELTA = 1e-12
 # the worker threads of each solve_gfrpcag
 WORKERS = 2
-
-
-def _check_gammas(gamma_r, gamma_c):
-    """The rule for the graph weights: both finite and nonnegative."""
-    if not (0 <= gamma_r < np.inf and 0 <= gamma_c < np.inf):
-        raise ParameterError("gamma_r and gamma_c must be finite and "
-                             "nonnegative")
 
 
 @dataclass
@@ -71,18 +65,16 @@ class SolverConfig:
     filter_application: str = "exact"
 
     def __post_init__(self):
-        if self.loss not in LOSSES:
-            raise ParameterError(f"unknown loss {self.loss!r}")
-        _check_gammas(self.gamma_r, self.gamma_c)
+        _check_choice("loss", self.loss, LOSSES)
+        _check_number("gamma_r", self.gamma_r)
+        _check_number("gamma_c", self.gamma_c)
         # a fraction, NaN or inf never equals an iteration count, and the
         # run would not stop
         if not (self.max_iters >= 1 and self.max_iters % 1 == 0):
             raise ParameterError(f"max_iters must be an integer of at least "
                                  f"1, got {self.max_iters}")
-        if not 0 < self.tol < np.inf:
-            raise ParameterError("tolerance must be finite and positive")
-        if self.filtered_side not in FILTERED_SIDES:
-            raise ParameterError(f"unknown filtered_side {self.filtered_side!r}")
+        _check_number("tol", self.tol, exclusive=True)
+        _check_choice("filtered_side", self.filtered_side, FILTERED_SIDES)
         if self.filter_application != "exact":
             raise ParameterError(
                 f"unknown filter_application {self.filter_application!r}: the "
@@ -111,8 +103,7 @@ class SolverResult:
 
 def loss_value(X: np.ndarray, Y: np.ndarray, loss: str) -> float:
     """phi(X - Y) for the supported losses."""
-    if loss not in LOSSES:
-        raise ParameterError(f"unknown loss {loss!r}")
+    _check_choice("loss", loss, LOSSES)
     return _loss_total(_loss_sums(X - Y, loss), loss)
 
 
@@ -213,7 +204,8 @@ def lipschitz_bound(Lr: LaplacianMatrix, Lc: LaplacianMatrix,
     """Upper bound 2 gamma_c ||Lc|| + 2 gamma_r ||Lr|| on the gradient's
     Lipschitz constant. A bound that overflows is refused: its step 1/beta
     would be 0, and 0 times the infinite gradient is NaN."""
-    _check_gammas(gamma_r, gamma_c)
+    _check_number("gamma_r", gamma_r)
+    _check_number("gamma_c", gamma_c)
     with np.errstate(over="ignore"):
         beta = (2.0 * gamma_c * Lc.spectral_norm_bound
                 + 2.0 * gamma_r * Lr.spectral_norm_bound)
@@ -368,7 +360,8 @@ def tikhonov_closed_form(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix
     # imported here: scipy.linalg is about 0.14 s of every import of the
     # package, paid by each CLI process; only this needs it
     import scipy.linalg
-    _check_gammas(gamma_r, gamma_c)
+    _check_number("gamma_r", gamma_r)
+    _check_number("gamma_c", gamma_c)
     Y = _checked_input(Y, Lr, Lc)
     p, n = Y.shape
     X = Y

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, _check_choice, _check_number
 from .graph import LaplacianMatrix
 
 FILTER_FAMILIES = ("prox_fb",)
@@ -41,12 +41,6 @@ class EigenBasis:
         return self.eigenvectors.shape[1]
 
 
-def _check_bandwidth(b):
-    """The rule for the filter bandwidth b: finite and positive."""
-    if not 0 < b < np.inf:
-        raise ParameterError(f"b must be finite and positive, got {b}")
-
-
 @dataclass(frozen=True)
 class FilterSpec:
     """The filtered penalty's filter: the prox response f_b ("prox_fb") of
@@ -57,9 +51,8 @@ class FilterSpec:
     b: float = 0.0
 
     def __post_init__(self):
-        if self.family not in FILTER_FAMILIES:
-            raise ParameterError(f"unknown filter family {self.family!r}")
-        _check_bandwidth(self.b)
+        _check_choice("filter family", self.family, FILTER_FAMILIES)
+        _check_number("b", self.b, exclusive=True)
 
 
 def eigendecompose(L: LaplacianMatrix, below: float | None = None) -> EigenBasis:
@@ -211,7 +204,7 @@ def _bump(x: np.ndarray, b: float) -> np.ndarray:
 def step_penalty_curve(x, b: float) -> np.ndarray:
     """g_b: zero up to b/2, rising through 1 at x = b, infinite from 3b/2.
     b must be finite and positive."""
-    _check_bandwidth(b)
+    _check_number("b", b, exclusive=True)
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     num = _bump(x, b)
     den = _bump(2 * b - x, b)
@@ -225,10 +218,8 @@ def prox_filter_curve(x, b: float, gamma: float) -> np.ndarray:
     """f_b(x, gamma) = 1 / (1 + gamma * g_b(x)), in the division-safe form
     h_b(2b - x) / (h_b(2b - x) + gamma * h_b(x)); always in [0, 1].
     b must be finite and positive, gamma finite and nonnegative."""
-    _check_bandwidth(b)
-    if not 0 <= gamma < np.inf:
-        raise ParameterError(f"gamma must be finite and nonnegative, got "
-                             f"{gamma}")
+    _check_number("b", b, exclusive=True)
+    _check_number("gamma", gamma)
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if gamma == 0:
         return np.ones_like(x)

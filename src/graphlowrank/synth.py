@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import (NumericalError, _check_choice, _check_fraction,
+                     _check_integer, _check_number)
 from .graph import DataMatrix, LaplacianMatrix, SparseGraph, knn_graph, laplacian
 from .spectral import eigendecompose
 
@@ -46,10 +47,10 @@ def make_lrmg(p: int, n: int, k_r: int, k_c: int, seed: int,
     of rank max(k_r, k_c), so their leading spectra reflect a genuine
     low-dimensional structure. The coefficient block is standard normal.
     """
-    if p < 2 or n < 2:
-        raise ParameterError(f"p and n must be at least 2, got p={p}, n={n}")
-    if not (1 <= k_r <= p and 1 <= k_c <= n):
-        raise ParameterError(f"k_r={k_r}, k_c={k_c} out of range for {p}x{n}")
+    _check_integer("p", p, 2)
+    _check_integer("n", n, 2)
+    _check_integer("k_r", k_r, 1, p)
+    _check_integer("k_c", k_c, 1, n)
     rng = np.random.default_rng(seed)
     aux_rank = max(k_r, k_c)
     aux = rng.standard_normal((p, aux_rank)) @ rng.standard_normal((aux_rank, n))
@@ -79,39 +80,29 @@ def add_noise(Y: np.ndarray, model: str, seed: int, sigma: float = 0.0,
     chosen fraction of the entries with +/- amplitude; column_outliers
     replaces a fraction of the columns with N(0, var(Y)) noise.
     """
+    _check_choice("noise model", model, NOISE_MODELS)
     Y = np.asarray(Y, dtype=np.float64)
     rng = np.random.default_rng(seed)
     if model == "gaussian":
-        if not 0 <= sigma < np.inf:
-            raise ParameterError("sigma must be finite and nonnegative, "
-                                 f"got {sigma}")
+        _check_number("sigma", sigma)
         if sigma == 0:
             return Y.copy()
         return Y + sigma * rng.standard_normal(Y.shape)
+    _check_fraction("fraction", fraction)
     if model == "sparse":
-        if not 0.0 <= fraction <= 1.0:
-            raise ParameterError("fraction must lie in [0, 1]")
-        if not np.isfinite(amplitude):
-            raise ParameterError(f"amplitude must be finite, got {amplitude}")
-        out = Y.copy()
-        count = int(round(fraction * Y.size))
-        if count == 0:
-            return out
-        flat_idx = rng.choice(Y.size, size=count, replace=False)
-        signs = rng.choice([-1.0, 1.0], size=count)
-        out.flat[flat_idx] = signs * amplitude
+        _check_number("amplitude", amplitude, -np.inf, exclusive=True)
+    # the fraction of the entries, or of the columns, that is replaced
+    total = Y.size if model == "sparse" else Y.shape[1]
+    count = int(round(fraction * total))
+    out = Y.copy()
+    if count == 0:
         return out
-    if model == "column_outliers":
-        if not 0.0 <= fraction <= 1.0:
-            raise ParameterError("fraction must lie in [0, 1]")
-        out = Y.copy()
-        count = int(round(fraction * Y.shape[1]))
-        if count == 0:
-            return out
-        cols = rng.choice(Y.shape[1], size=count, replace=False)
-        out[:, cols] = np.sqrt(Y.var()) * rng.standard_normal((Y.shape[0], count))
-        return out
-    raise ParameterError(f"unknown noise model {model!r}")
+    picked = rng.choice(total, size=count, replace=False)
+    if model == "sparse":
+        out.flat[picked] = rng.choice([-1.0, 1.0], size=count) * amplitude
+    else:
+        out[:, picked] = np.sqrt(Y.var()) * rng.standard_normal((Y.shape[0], count))
+    return out
 
 
 def make_manifold(kind: str, n: int, noise_sigma: float = 0.0,
@@ -122,13 +113,10 @@ def make_manifold(kind: str, n: int, noise_sigma: float = 0.0,
     clean coordinates alone and appends one extra noisy dimension, turning
     a flat manifold into a noisy embedding one dimension up.
     """
-    if n < 10:
-        raise ParameterError(f"need at least 10 samples, got {n}")
-    if not 0 <= noise_sigma < np.inf:
-        raise ParameterError("noise_sigma must be finite and nonnegative, "
-                             f"got {noise_sigma}")
-    if noise_dims not in NOISE_DIMS:
-        raise ParameterError(f"unknown noise_dims {noise_dims!r}")
+    _check_integer("n", n, 10)
+    _check_number("noise_sigma", noise_sigma)
+    _check_choice("noise_dims", noise_dims, NOISE_DIMS)
+    _check_choice("manifold kind", kind, MANIFOLD_KINDS)
     rng = np.random.default_rng(seed)
     if kind == "circle2d":
         t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
@@ -136,12 +124,10 @@ def make_manifold(kind: str, n: int, noise_sigma: float = 0.0,
     elif kind == "spiral2d":
         t = np.linspace(0.5 * np.pi, 3.0 * np.pi, n)
         points = np.vstack([t * np.cos(t), t * np.sin(t)])
-    elif kind == "swissroll3d":
+    else:  # swissroll3d
         t = 1.5 * np.pi * (1.0 + 2.0 * rng.random(n))
         height = 10.0 * rng.random(n)
         points = np.vstack([t * np.cos(t), height, t * np.sin(t)])
-    else:
-        raise ParameterError(f"unknown manifold kind {kind!r}")
     if noise_sigma > 0.0:
         if noise_dims == "ambient":
             points = points + noise_sigma * rng.standard_normal(points.shape)

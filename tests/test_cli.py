@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
-from graphlowrank import (FilterSpec, SolverConfig, eigendecompose,
-                          laplacian, load_edge_list, load_matrix_csv,
-                          save_matrix_csv, solve_gfrpcag, spectral_gap)
+from graphlowrank import (FilterSpec, GraphLowRankError, SolverConfig,
+                          eigendecompose, laplacian, load_edge_list,
+                          load_matrix_csv, save_matrix_csv, solve_gfrpcag,
+                          spectral_gap)
 from graphlowrank import __version__
 from graphlowrank import cli
 from graphlowrank.cli import main
@@ -321,6 +322,10 @@ BAD_EDGE_LISTS = {
     pytest.param(["graph", "build", "--matrix", "y.csv", "--k", "3",
                   "--out", "missing/g.txt"], None, 3, id="out-in-missing-dir"),
     pytest.param([*SOLVE[:-1], "y.csv"], None, 3, id="out-dir-is-a-file"),
+    pytest.param([*DIAGNOSE[:-1], "y.csv"], None, 3,
+                 id="diagnose-out-dir-is-a-file"),
+    pytest.param([*SYNTH[:-1], "y.csv"], None, 3,
+                 id="synth-out-dir-is-a-file"),
     pytest.param([*SYNTH[:2], "--p", "1", "--n", "3", "--k-r", "1", "--k-c",
                   "1", "--out-dir", "syn"], None, 2, id="synth-one-row"),
     pytest.param([*SYNTH[:2], "--p", "3", "--n", "1", "--k-r", "1", "--k-c",
@@ -370,6 +375,13 @@ BAD_EDGE_LISTS = {
 def test_bad_input_exit_code(tmp_path, monkeypatch, solve_setup, argv,
                              config, code):
     monkeypatch.chdir(tmp_path)
+    if "--out-dir" in argv and Path(argv[argv.index("--out-dir") + 1]).is_file():
+        # an out dir that is a file is refused before the computation
+        def refuse(*args, **kwargs):
+            raise AssertionError("the computation ran")
+        monkeypatch.setattr(cli.solvers, "solve_frpcag", refuse)
+        monkeypatch.setattr(cli.spectral, "eigendecompose", refuse)
+        monkeypatch.setattr(cli.synth, "make_lrmg", refuse)
     save_matrix_csv(tmp_path / "huge.csv", 1e160 * solve_setup[3])
     for name, text in BAD_EDGE_LISTS.items():
         (tmp_path / name).write_text(text)
@@ -392,6 +404,8 @@ def test_bad_input_exit_code(tmp_path, monkeypatch, solve_setup, argv,
                   "--gamma", "-1"], 2, id="negative-gamma"),
     pytest.param([*DIAGNOSE, "--ystar", "y.csv", "--noisy", "one_row.csv"],
                  3, id="noisy-of-another-shape"),
+    pytest.param([*DIAGNOSE, "--ystar", "y.csv", "--noisy", "missing.csv"],
+                 3, id="missing-noisy"),
     pytest.param([*DIAGNOSE[:8], "100", *DIAGNOSE[9:]], 2, id="k-above-rows"),
     pytest.param(["diagnose", "--matrix", "one_column.csv", "--row-graph",
                   "rows.txt", "--col-graph", "one_vertex.txt", "--k", "1",
@@ -423,11 +437,10 @@ def test_refused_diagnose_writes_nothing(tmp_path, monkeypatch, solve_setup,
                                          argv, code):
     # every check comes before the out dir is made: these runs used to
     # leave the two alignment files, or an empty out dir, behind. Only the
-    # bound check needs the dense bases; the k and data checks come before
-    # them
+    # bound check's zero (k+1)-th eigenvalue needs the dense bases; the k,
+    # data and bound-input checks come before them
     monkeypatch.chdir(tmp_path)
-    if "--ystar" not in argv:
-        refuse_dense_eigh(monkeypatch)
+    refuse_dense_eigh(monkeypatch)
     Y = solve_setup[3]
     save_matrix_csv(tmp_path / "one_row.csv", Y[:1])
     save_matrix_csv(tmp_path / "one_column.csv", Y[:, :1])
@@ -445,6 +458,22 @@ def test_refused_diagnose_writes_nothing(tmp_path, monkeypatch, solve_setup,
     save_matrix_csv(tmp_path / "overflow.csv", 1e160 * Y)
     assert run(argv) == code
     assert not (tmp_path / "diag").exists()
+
+
+EXIT_CODES = {"ParameterError": 2, "DataError": 3, "NumericalError": 4}
+
+
+@pytest.mark.parametrize("error", GraphLowRankError.__subclasses__(),
+                         ids=lambda error: error.__name__)
+def test_each_error_kind_has_its_exit_code(tmp_path, monkeypatch, error):
+    # main maps every kind of package error; a new kind without an exit
+    # code fails here, where a fallback would have hidden it
+    def fail(*args, **kwargs):
+        raise error("raised by the handler")
+    monkeypatch.setattr(cli.spectral, "step_penalty_curve", fail)
+    assert error.__name__ in EXIT_CODES, f"{error.__name__} has no exit code"
+    assert run(["spectra", "--filter-b", "0.4", "--out",
+                tmp_path / "c.csv"]) == EXIT_CODES[error.__name__]
 
 
 @pytest.mark.parametrize("scale", [2.0 ** -300, 2.0 ** 300, 2.0 ** 509],

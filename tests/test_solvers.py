@@ -200,7 +200,7 @@ class TestLipschitzBound:
     def test_bad_gamma_rejected(self, rng, gamma_r, gamma_c):
         # unchecked, (-1, 0) gives the bound -4.0
         Lr, Lc = build_laplacians(rng.standard_normal((6, 7)), 2, 2)
-        with pytest.raises(ParameterError, match="finite and nonnegative"):
+        with pytest.raises(ParameterError, match="finite and >= 0"):
             lipschitz_bound(Lr, Lc, gamma_r, gamma_c)
 
     def test_sampled_lipschitz_inequality(self, rng):
@@ -579,7 +579,7 @@ class TestTikhonovClosedForm:
         # ValueError with a RuntimeWarning
         Y = rng.standard_normal((7, 9))
         Lr, Lc = build_laplacians(Y, 2, 3)
-        with pytest.raises(ParameterError, match="finite and nonnegative"):
+        with pytest.raises(ParameterError, match="finite and >= 0"):
             tikhonov_closed_form(Y, Lr, Lc, gamma_r, gamma_c)
 
     def test_direct_solve_matches_spectral_formula(self, rng):

@@ -354,7 +354,7 @@ class TestFilterFamily:
             FilterSpec("nope")
         with pytest.raises(ParameterError):
             FilterSpec("identity")
-        with pytest.raises(ParameterError, match="nonnegative"):
+        with pytest.raises(ParameterError, match="finite and >= 0"):
             prox_filter_curve(0.5, 0.5, -1.0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -369,7 +369,7 @@ class TestFilterFamily:
     def test_curves_refuse_bad_b(self, curve, b):
         # FilterSpec's rule: unchecked, the penalty curve was inf
         # everywhere and the prox curve all 0 or all 1
-        with pytest.raises(ParameterError, match="finite and positive"):
+        with pytest.raises(ParameterError, match="finite and > 0"):
             curve(np.linspace(0.0, 2.0, 5), b)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
