@@ -1,6 +1,6 @@
 """Low-rank matrix denoising via dual-graph spectral regularization."""
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .diagnostics import (AlignmentReport, alignment_report, covariance,
                           recovery_bound_check, spectral_gap,

@@ -31,8 +31,8 @@ from . import __version__
 from . import diagnostics as diag
 from . import graph as graphmod
 from . import solvers, spectral, synth
-from .errors import (DataError, NumericalError, ParameterError, _check_integer,
-                     _check_number)
+from .errors import (DataError, NumericalError, ParameterError, _check_choice,
+                     _check_integer, _check_number)
 
 _REQUIRED = object()  # default of a parameter that has none
 _GIVEN = object()  # read-when value: the earlier parameter has a value
@@ -116,9 +116,8 @@ def _resolve(table, flags, config):
             value = convert(value)
         except ValueError:
             raise ParameterError(f"{_flag(name)}: invalid value {value!r}") from None
-        if choices is not None and value not in choices:
-            raise ParameterError(f"{_flag(name)}: {value!r} is not one of "
-                                 f"{', '.join(choices)}")
+        if choices is not None:
+            _check_choice(_flag(name), value, choices)
         params[name] = value
     return params
 
@@ -462,9 +461,8 @@ _GROUP_HELP = {"graph": "graph construction", "synth": "synthetic data generator
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser that reports a bad command line (an unknown flag,
-    a missing one, a value outside its choices) as a ParameterError, so
-    that ``main`` returns 2 for it as for every other usage error."""
+    """Only tokenizes (``_resolve`` checks the choices); a bad command line,
+    such as an unknown flag or a missing one, is a ParameterError (exit 2)."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -503,8 +501,8 @@ def _build_parser():
             parent = groups[group[0]]
         cmd = parent.add_parser(name, help=help_text)
         for param, _, default, choices, text, *when in table:
-            cmd.add_argument(_flag(param), choices=choices,
-                             help=_help(text, default, when))
+            cmd.add_argument(_flag(param), help=_help(text, default, when),
+                             metavar="{" + ",".join(choices) + "}" if choices else None)
         cmd.add_argument("--config", help="JSON parameter file (flags win)")
         cmd.set_defaults(spec=(command, handler, table))
     return parser

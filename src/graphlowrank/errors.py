@@ -27,7 +27,8 @@ class NumericalError(GraphLowRankError):
 
 def _check_choice(name, value, choices):
     if value not in choices:
-        raise ParameterError(f"unknown {name} {value!r}")
+        raise ParameterError(f"unknown {name} {value!r}; expected one of "
+                             f"{', '.join(choices)}")
 
 
 def _check_number(name, value, low=0.0, exclusive=False):

@@ -402,7 +402,7 @@ def solve_gfrpcag(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
     Refused before the first iteration, naming the config field: a smooth
     side's gamma for which 4 tau_2 max(1, max|Y|) sqrt(p n) is not below
     sqrt(float max), an overflowing bound included, and a filtered side's
-    gamma whose gamma / tau_2, the weight of the filtered prox, overflows.
+    gamma whose 2 gamma / tau_2, the weight of the filtered prox, overflows.
     The dual iterate grows with tau_2 and the pass sums its squares. On a
     30 x 40 ``make_lrmg`` input the first overflow came at 120-160 times
     the largest accepted tau_2, and at 50-70 times with Y scaled by 1e50.
@@ -423,22 +423,23 @@ def _primal_dual_steps(Y, Lr, Lc, config, pool_map):
     The filtered penalty is gamma * tr(X g_b(L) X^T) on the column side.
     Transposing the problem swaps its row and column terms and nothing else,
     so the row side is the column side of the transpose: a C-ordered copy of
-    Y^T, the two graphs and their gammas swapped, and X^T yielded. The
-    penalty's prox at the fixed scale 1/tau_2 multiplies the spectral
-    coefficients by f_b(lambda, gamma / tau_2), matching the squared-norm
-    fidelity convention of the losses, and is applied exactly through an
-    eigenbasis of L built once per solve. Frequencies where g_b is infinite
-    act as a hard constraint that the prox drives to zero; they are left out
-    of the traced penalty so that it stays finite. Since f_b vanishes from
-    3b/2 on, the basis holds only the eigenpairs below 3b/2
-    (``eigendecompose`` with ``below``), an n x m matrix with m often far
-    below n, so the prox and the penalty cost O(p n m) per iteration. g_b is
-    also infinite on a band about b/745 wide just below 3b/2, where the bump
-    in its denominator underflows, and finite up to about 1e53 below that
-    band. The trace also leaves out the frequencies where g_b exceeds 1/eps
-    (g_b is 1 at b): the prox scales them by f_b < tau_2 eps / gamma, and g_b
-    would multiply the rounding of their energy (with them, the trace moved
-    by up to 1.6e-10 between block heights on 14 x 18 test graphs).
+    Y^T, the two graphs and their gammas swapped, and X^T yielded. The dual
+    step is Moreau's identity D = T - tau_2 prox_{h/tau_2}(T / tau_2) with
+    the (1/2) ||.||^2 fidelity: for h(X) = gamma sum_j g_b(lambda_j)
+    ||X q_j||^2 that prox scales the coefficients by f_b(lambda, 2 gamma /
+    tau_2), applied exactly through an eigenbasis of L built once per
+    solve. Frequencies where g_b is infinite act as a hard constraint that
+    the prox drives to zero; they are left out of the traced penalty so
+    that it stays finite. Since f_b vanishes from 3b/2 on, the basis holds
+    only the eigenpairs below 3b/2 (``eigendecompose`` with ``below``), an
+    n x m matrix with m often far below n, so the prox and the penalty cost
+    O(p n m) per iteration. g_b is also infinite on a band about b/745 wide
+    just below 3b/2, where the bump in its denominator underflows, and
+    finite up to about 1e53 below that band. The trace also leaves out the
+    frequencies where g_b exceeds 1/eps (g_b is 1 at b): the prox scales
+    them by f_b < tau_2 eps / (2 gamma), and g_b would multiply the
+    rounding of their energy (with them, the trace moved by up to 1.6e-10
+    between block heights on 14 x 18 test graphs).
 
     Each iteration walks X, V, G and Y once, in the row blocks of
     ``_row_blocks``, and finishes a block while its rows are in cache: the
@@ -482,7 +483,7 @@ def _primal_dual_steps(Y, Lr, Lc, config, pool_map):
     scale = max(1.0, float(np.abs(Y).max(initial=0.0)))
     with np.errstate(over="ignore"):
         reach = 4.0 * tau2 * scale * np.sqrt(Y.size)
-        filter_gamma = (1.0 / tau2) * gamma
+        filter_gamma = (2.0 / tau2) * gamma
     if not reach < np.sqrt(np.finfo(np.float64).max):
         raise ParameterError(
             f"config.{smooth}={gamma_r} with max(1, max|Y|) "
@@ -490,9 +491,8 @@ def _primal_dual_steps(Y, Lr, Lc, config, pool_map):
             "overflow the squared norms of the iteration")
     if not np.isfinite(filter_gamma):
         raise ParameterError(
-            f"config.{filtered}={gamma} over the dual step tau_2 = {tau2} "
-            f"set by config.{smooth} overflows the weight of the filtered "
-            "prox")
+            f"twice config.{filtered}={gamma} over the dual step tau_2 = "
+            f"{tau2} (config.{smooth}) overflows the filtered prox's weight")
     b = config.filter_spec.b
     basis = eigendecompose(Lc, below=1.5 * b)
     Q = basis.eigenvectors

@@ -272,10 +272,14 @@ BAD_EDGE_LISTS = {
     pytest.param([*SOLVE, "--matrix", "huge.csv", "--algo", "tikhonov",
                   "--gamma-r", "0.3", "--gamma-c", "0.5"], None, 3,
                  id="tikhonov-input-norm-overflows"),
-    # the filtered penalty 1e308 * tr(X g_b(L) X^T) overflows in the trace
+    # the filtered penalty 1e307 * tr(X g_b(L) X^T) overflows in the trace
     pytest.param([*SOLVE, "--algo", "gfrpcag", "--filter-b", "0.8",
-                  "--gamma-r", "0.3", "--gamma-c", "1e308"], None, 4,
+                  "--gamma-r", "0.3", "--gamma-c", "1e307"], None, 4,
                  id="gfrpcag-objective-overflows"),
+    # the filtered prox's weight 2 gamma_c / tau_2, tau_2 = 0.6, overflows
+    pytest.param([*SOLVE, "--algo", "gfrpcag", "--filter-b", "0.8",
+                  "--gamma-r", "0.3", "--gamma-c", "1e308"], None, 2,
+                 id="gfrpcag-filtered-weight-overflows"),
     pytest.param([*SOLVE, "--filter-b", "0.4"], None, 2,
                  id="frpcag-reads-no-filter-b"),
     pytest.param([*SOLVE, "--algo", "tikhonov", "--filter-b", "0.4"], None, 2,
@@ -533,6 +537,30 @@ def test_unread_flag_is_refused(capsys, command, table, row):
     argv += [cli._flag(name), choices[0] if choices else "1"]
     assert run(argv) == 2
     assert f"{cli._flag(name)} is not read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, name, choices", [
+    pytest.param(SOLVE, "loss", "l1, l2, l21", id="loss"),
+    pytest.param(SOLVE, "laplacian", "normalized, unnormalized",
+                 id="laplacian"),
+    pytest.param(SOLVE, "algo", "frpcag, gfrpcag, tikhonov", id="algo"),
+    pytest.param([*BUILD, "--k", "3"], "axis", "rows, columns", id="axis"),
+])
+def test_bad_choice_flag_and_config_share_one_refusal(tmp_path, monkeypatch,
+                                                       capsys, argv, name,
+                                                       choices):
+    # a flag and a config value outside the choices are refused by the same
+    # check, in the same words, which list the values allowed; the refusal
+    # comes before any file is read, so the paths need not exist
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps({name: "weird"}))
+    errors = []
+    for given in ([cli._flag(name), "weird"], ["--config", "config.json"]):
+        assert run([*argv, *given]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == (
+        f"usage error: unknown {cli._flag(name)} 'weird'; expected one of "
+        f"{choices}\n")
 
 
 @pytest.mark.parametrize("argv, out, unread", [

@@ -485,7 +485,9 @@ def reference_gfrpcag(Y, Lr, Lc, config):
         P = prox_loss(X - tau1 * (2.0 * gamma_tik * product + V), Y, tau1,
                       config.loss)
         T = V + tau2 * (2.0 * P - X)
-        Q = T - tau2 * prox_filtered(T / tau2, 1.0 / tau2)
+        # Moreau's identity with the prox of penalty / tau_2 under the
+        # (1/2) ||.||^2 fidelity: f_b at weight 2 gamma / tau_2
+        Q = T - tau2 * prox_filtered(T / tau2, 2.0 / tau2)
         X_next = X + tau3 * (P - X)
         V_next = V + tau3 * (Q - V)
         energy = 0.0
@@ -703,9 +705,10 @@ class TestSolveGfrpcag:
                 filter_spec=config.filter_spec, filtered_side=side))
 
     def test_l2_fixed_point_matches_spectral_filtering(self, rng):
-        # smooth term off: the minimizer applies the prox response to the
-        # input's column-graph spectrum (penalty weight enters halved
-        # because the quadratic fidelity carries no 1/2 factor)
+        # smooth term off: the minimizer of ||X - Y||^2 + gamma tr(X g_b X^T)
+        # scales each of the input's column-graph coefficients by
+        # 1 / (1 + gamma g_b), the prox response at gamma; neither term is
+        # halved
         Y = rng.standard_normal((10, 16))
         Lr, Lc = build_laplacians(Y, 3, 3)
         gamma_c, b = 3.0, 0.8
@@ -714,7 +717,7 @@ class TestSolveGfrpcag:
                               max_iters=5000, tol=1e-16)
         result = solve_gfrpcag(Y, Lr, Lc, config)
         basis = eigendecompose(Lc)
-        oracle = apply_filter_exact(basis, b, gamma_c / 2.0, Y, side="right")
+        oracle = apply_filter_exact(basis, b, gamma_c, Y, side="right")
         assert np.linalg.norm(result.X - oracle) <= 1e-6 * np.linalg.norm(oracle)
 
     def test_row_side_filtering(self, rng):
@@ -727,7 +730,7 @@ class TestSolveGfrpcag:
                               max_iters=5000, tol=1e-16)
         result = solve_gfrpcag(Y, Lr, Lc, config)
         basis = eigendecompose(Lr)
-        oracle = apply_filter_exact(basis, b, gamma_r / 2.0, Y, side="left")
+        oracle = apply_filter_exact(basis, b, gamma_r, Y, side="left")
         assert np.linalg.norm(result.X - oracle) <= 1e-6 * np.linalg.norm(oracle)
 
 
