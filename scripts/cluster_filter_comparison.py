@@ -8,6 +8,12 @@ inside the gap), with the plain solver's weight bisected until the data
 fidelities match. Reports how much out-of-band energy each solution keeps
 and how much in-band energy it retains; the step filter removes the high
 band without shrinking the band that carries the clusters.
+
+The filtered penalty's weight acts only on eigenvalues in [b/2, 3b/2):
+g_b is 0 below b/2 and infinite from 3b/2 on. The script prints how many
+fall there. With the default cloud none do, so the filtered solution is
+the projection onto the eigenvectors below b/2, whatever gamma_c is, and
+the comparison is of plain smoothing against that projection.
 """
 
 import argparse
@@ -42,6 +48,10 @@ def main():
     print(f"sample-graph eigenvalues: {np.round(lam[:5], 5)} "
           f"(gap ratio {lam[1] / lam[2]:.4f})")
     bandwidth = lam[2] / 2.0
+    weighted = np.count_nonzero((lam >= bandwidth / 2)
+                                & (lam < 1.5 * bandwidth))
+    print(f"eigenvalues in [b/2, 3b/2), where gamma_c weighs the filtered "
+          f"penalty: {weighted}")
 
     config = glr.SolverConfig(gamma_c=2.0, loss="l2",
                               filter_spec=FilterSpec("prox_fb", b=bandwidth),

@@ -6,6 +6,8 @@ bad input files are data errors, and everything that breaks inside the
 numerics is a numerical failure.
 """
 
+import numbers
+
 import numpy as np
 
 
@@ -31,14 +33,28 @@ def _check_choice(name, value, choices):
                              f"{', '.join(choices)}")
 
 
+def _is_real(value):
+    """An int, a float or a numpy one; a bool is not, nor is np.bool_ or a
+    string, which are not numbers.Real."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_real(name, value):
+    if not _is_real(value):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
+
+
 def _check_number(name, value, low=0.0, exclusive=False):
-    """Finite and >= low, or > low if exclusive: NaN fails either test."""
+    """A real number, finite and >= low, or > low if exclusive: NaN fails
+    either test."""
+    _check_real(name, value)
     if not (low < value < np.inf if exclusive else low <= value < np.inf):
         bound = "" if low == -np.inf else f" and {'>' if exclusive else '>='} {low:g}"
         raise ParameterError(f"{name} must be finite{bound}, got {value}")
 
 
 def _check_fraction(name, value):
+    _check_real(name, value)
     if not 0 <= value <= 1:
         raise ParameterError(f"{name} must lie in [0, 1], got {value}")
 

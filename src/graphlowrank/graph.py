@@ -196,8 +196,8 @@ def knn_graph(data: DataMatrix, axis: str, k: int, weighting: str = "gaussian",
             if sigma_sq == 0.0:
                 sigma_sq = 1.0  # all selected pairs coincide; exp(0) = 1
         else:
-            sigma = float(sigma)
             _check_number("sigma", sigma, exclusive=True)
+            sigma = float(sigma)
             sigma_sq = sigma * sigma
             if sigma_sq == 0.0:
                 raise ParameterError(f"sigma={sigma} is too small: its "

@@ -18,13 +18,15 @@ squared Frobenius norms without a 1/2 factor.
 
 from __future__ import annotations
 
+import functools
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (DataError, NumericalError, ParameterError, _check_choice,
-                     _check_number)
+                     _check_number, _is_real)
 from .graph import LaplacianMatrix, _row_blocks
 from .spectral import (FilterSpec, eigendecompose, prox_filter_curve,
                        step_penalty_curve)
@@ -70,9 +72,10 @@ class SolverConfig:
         _check_number("gamma_c", self.gamma_c)
         # a fraction, NaN or inf never equals an iteration count, and the
         # run would not stop
-        if not (self.max_iters >= 1 and self.max_iters % 1 == 0):
+        if not (_is_real(self.max_iters) and self.max_iters >= 1
+                and self.max_iters % 1 == 0):
             raise ParameterError(f"max_iters must be an integer of at least "
-                                 f"1, got {self.max_iters}")
+                                 f"1, got {self.max_iters!r}")
         _check_number("tol", self.tol, exclusive=True)
         _check_choice("filtered_side", self.filtered_side, FILTERED_SIDES)
         if self.filter_application != "exact":
@@ -146,14 +149,24 @@ def _prox_loss(X, Y, lam, loss, norms):
     return Y + R * scale
 
 
+def _block_sums(walk, task, blocks):
+    """The tuples ``task(rows)`` returns for the row blocks, added element
+    by element from 0.0 in block order: the one sum of every row-block pass.
+    ``walk`` is the builtin ``map`` or a pool's, which yields in task order,
+    so the sums have a serial walk's bits. An empty matrix walks one empty
+    block, whose parts are zeros."""
+    columns = zip(*walk(task, blocks or [slice(0, 0)]))
+    return [functools.reduce(operator.add, column, 0.0) for column in columns]
+
+
 def _column_norms(loss, blocks, block, walk=map):
     """For l21, the column norms of the matrix whose rows ``block(rows)``
-    returns as a fresh array for each row block, their squares summed in
-    block order; None for l1 and l2, whose prox needs none. ``walk`` maps
-    over the blocks, in order: the builtin ``map``, or the pool's."""
+    returns as a fresh array for each row block, their squares summed by
+    ``_block_sums``; None for l1 and l2, whose prox needs none."""
     if loss == "l21":
-        return np.sqrt(sum(walk(lambda rows: _loss_sums(block(rows), loss),
-                                blocks)))
+        squares, = _block_sums(
+            walk, lambda rows: (_loss_sums(block(rows), loss),), blocks)
+        return np.sqrt(squares)
 
 
 def _check_laplacians(X, Lr, Lc):
@@ -219,33 +232,6 @@ def lipschitz_bound(Lr: LaplacianMatrix, Lc: LaplacianMatrix,
 # FISTA
 # ---------------------------------------------------------------------------
 
-def _extrapolate(X, X_prev, G, G_prev, S, m, step):
-    """The post-prox pass of one FISTA iteration, in row blocks.
-
-    Overwrites X_prev with the extrapolated point S_next = X + m (X - X_prev)
-    and G_prev with the next prox input Z = S_next - step * grad f(S_next),
-    where the gradient comes from G = grad f(X) and G_prev = grad f(X_prev)
-    by linearity: grad f(S_next) = G + m (G - G_prev). Returns
-    ||S_next - S||_F^2, ||S||_F^2 and <X, G>.
-    """
-    diff = ref = inner = 0.0
-    for rows in _row_blocks(*X.shape):
-        x, g, s, z = X[rows], G[rows], X_prev[rows], G_prev[rows]
-        np.subtract(x, s, out=s)
-        s *= m
-        s += x
-        np.subtract(g, z, out=z)
-        z *= m
-        z += g
-        z *= step
-        np.subtract(s, z, out=z)
-        step_rows = s - S[rows]
-        diff += _dot(step_rows, step_rows)
-        ref += _dot(S[rows], S[rows])
-        inner += _dot(x, g)
-    return diff, ref, inner
-
-
 def _dot(a, b):
     # einsum sums in one thread without a temporary array, so the result
     # does not depend on the BLAS thread count
@@ -310,7 +296,7 @@ def solve_frpcag(Y: np.ndarray, Lr: LaplacianMatrix, Lc: LaplacianMatrix,
     2 (gamma_c X Lc + gamma_r Lr X), the smooth energy gamma_c tr(X Lc X^T)
     + gamma_r tr(X^T Lr X) equals <X, grad f(X)> / 2, which gives the
     objective trace without further products. The loss prox and the loss
-    value are computed per row block, with the helpers of solve_gfrpcag.
+    value run per row block, summed by ``_block_sums`` as in solve_gfrpcag.
     """
     Y = _checked_input(Y, Lr, Lc)
     if config.filter_spec is not None:
@@ -332,18 +318,38 @@ def _fista_steps(Y, Lr, Lc, config):
     G_prev = frpcag_gradient(Y, Lr, Lc, gamma_r, gamma_c)
     Z = Y - step * G_prev
     t, loss, blocks = 1.0, config.loss, _row_blocks(*Y.shape)
+
+    def prox(rows):
+        # X = the loss prox of Z, and its part of the loss
+        X[rows] = _prox_loss(Z[rows], Y[rows], step, loss, norms)
+        return (_loss_sums(X[rows] - Y[rows], loss),)
+
+    def extrapolate(rows):
+        # X_prev becomes S_next = X + m (X - X_prev) and G_prev the next Z =
+        # S_next - step grad f(S_next), as grad f(S_next) = G + m (G - G_prev);
+        # returns the parts of ||S_next - S||_F^2, ||S||_F^2 and <X, G>
+        x, g, s, z = X[rows], G[rows], X_prev[rows], G_prev[rows]
+        np.subtract(x, s, out=s)
+        s *= m
+        s += x
+        np.subtract(g, z, out=z)
+        z *= m
+        z += g
+        z *= step
+        np.subtract(s, z, out=z)
+        step_rows = s - S[rows]
+        return (_dot(step_rows, step_rows), _dot(S[rows], S[rows]),
+                _dot(x, g))
+
     while True:
         norms = _column_norms(loss, blocks, lambda rows: Z[rows] - Y[rows])
         X = np.empty_like(Y)
-        loss_sums = 0.0
-        for rows in blocks:
-            X[rows] = _prox_loss(Z[rows], Y[rows], step, loss, norms)
-            loss_sums = loss_sums + _loss_sums(X[rows] - Y[rows], loss)
+        loss_sums, = _block_sums(map, prox, blocks)
         del Z
         G = frpcag_gradient(X, Lr, Lc, gamma_r, gamma_c)
         t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        diff, ref, inner = _extrapolate(X, X_prev, G, G_prev, S,
-                                        (t - 1.0) / t_next, step)
+        m = (t - 1.0) / t_next
+        diff, ref, inner = _block_sums(map, extrapolate, blocks)
         S, Z, X_prev, G_prev, t = X_prev, G_prev, X, G, t_next
         yield (X, _loss_total(loss_sums, loss) + 0.5 * inner,
                diff / (ref + STOP_DELTA), diff <= config.tol * ref)
@@ -451,8 +457,8 @@ def _primal_dual_steps(Y, Lr, Lc, config, pool_map):
     only those norms; on the transpose each block takes its own row norms.
     With more than one block, the blocks of the pass and of the pre-sweep
     run as tasks through ``pool_map``, the map of the solve's two worker
-    threads; each task returns its block's parts, which are summed in block
-    order, so X and the traces have the same bits as in a serial walk. After
+    threads; each task returns its block's parts to ``_block_sums``, so X
+    and the traces have the same bits as in a serial walk. After
     the pass the smooth term's gradient 2 gamma_r Lr X_next, which serves
     the objective and the next iteration's step, is walked the same way:
     one task per worker, each the product of a range of Lr's rows, whose
@@ -534,14 +540,14 @@ def _primal_dual_steps(Y, Lr, Lc, config, pool_map):
         z *= tau1
         return np.subtract(X[rows], z, out=z)
 
-    def step(rows, norms):
+    def step(rows):
         # one block of the pass: writes X_next and V_next over its rows of
-        # X and V, and returns its parts of the energy and of the sums
+        # X and V; returns its parts of the energy, loss and change norms
         x, v, y = X[rows], V[rows], Y[rows]
         P = prox_input(rows)
-        if group_rows:
-            norms = np.sqrt(_loss_sums((P - y).T, loss))[:, None]
-        P = _prox_loss(P, y, tau1, loss, norms)
+        block_norms = (np.sqrt(_loss_sums((P - y).T, loss))[:, None]
+                       if group_rows else norms)
+        P = _prox_loss(P, y, tau1, loss, block_norms)
         # T = V + tau_2 (2P - X)
         T = 2.0 * P
         T -= x
@@ -562,25 +568,18 @@ def _primal_dual_steps(Y, Lr, Lc, config, pool_map):
         # on the transpose, a block's l21 groups are whole: its part is final
         loss_part = (_loss_total(_loss_sums(R.T, loss), loss) if group_rows
                      else _loss_sums(R, loss))
-        sums = (loss_part, _squared_change(P, x), float(np.sum(x * x)),
-                _squared_change(D, v), float(np.sum(v * v)))
-        energy = ((P @ Q) ** 2).sum(axis=0)
+        parts = (((P @ Q) ** 2).sum(axis=0), loss_part, _squared_change(P, x),
+                 float(np.sum(x * x)), _squared_change(D, v),
+                 float(np.sum(v * v)))
         x[...] = P
         v[...] = D
-        return energy, sums
+        return parts
 
     while True:
         norms = None if group_rows else _column_norms(
             loss, blocks, lambda rows: prox_input(rows) - Y[rows], walk)
-        loss_sums = dx = x_ref = dv = v_ref = 0.0
-        energy = np.zeros(Q.shape[1])  # the energy of each frequency
-        for part, sums in walk(lambda rows: step(rows, norms), blocks):
-            energy += part
-            loss_sums = loss_sums + sums[0]
-            dx += sums[1]
-            x_ref += sums[2]
-            dv += sums[3]
-            v_ref += sums[4]
+        energy, loss_sums, dx, x_ref, dv, v_ref = _block_sums(walk, step,
+                                                              blocks)
         update_gradient()
         loss_total = loss_sums if group_rows else _loss_total(loss_sums, loss)
         objective = (loss_total + 0.5 * _dot(X, G)

@@ -1,6 +1,7 @@
 """The parameter rules: every site that states one refuses NaN, +-inf and
 a value outside its range, or a name outside its choices, with a
-ParameterError that names the parameter and the value given."""
+ParameterError that names the parameter and the value given. A number
+site also refuses a bool and a string, which are not real numbers."""
 
 import numpy as np
 import pytest
@@ -41,6 +42,8 @@ SITES = [
      -1.0),
     ("SolverConfig.loss", "loss", lambda v: SolverConfig(loss=v), "l3"),
     ("SolverConfig.tol", "tol", lambda v: SolverConfig(tol=v), 0.0),
+    ("SolverConfig.max_iters", "max_iters",
+     lambda v: SolverConfig(max_iters=v), 0.5),
     ("SolverConfig.filtered_side", "filtered_side",
      lambda v: SolverConfig(filtered_side=v), "diagonal"),
     ("loss_value.loss", "loss", lambda v: loss_value(Y, Y, v), "l3"),
@@ -83,20 +86,28 @@ SITES = [
     ("spectra.x_max", "x_max", curve, -1.0),
 ]
 
-CASES = [pytest.param(name, call, value, id=f"{site}-{value}")
+# values that are not real numbers, though Python compares them with one
+# or float() takes them
+NOT_NUMBERS = (True, np.True_, "0.5")
+
+CASES = [pytest.param(name, call, value, isinstance(outside, str),
+                      id=f"{site}-{value}")
          for site, name, call, outside in SITES
          for value in (np.nan, np.inf, -np.inf, outside)
-         if value is not None]
+         if value is not None] + [
+    pytest.param(name, call, value, False, id=f"{site}-{value!r}")
+    for site, name, call, outside in SITES if not isinstance(outside, str)
+    for value in NOT_NUMBERS]
 
 
-@pytest.mark.parametrize("name, call, value", CASES)
-def test_refusal_names_parameter_and_value(name, call, value):
+@pytest.mark.parametrize("name, call, value, choices", CASES)
+def test_refusal_names_parameter_and_value(name, call, value, choices):
     given = repr(value) if isinstance(value, str) else str(value)
     with pytest.raises(ParameterError) as refused:
         call(value)
     message = str(refused.value)
     assert name in message and given in message, message
-    if isinstance(value, str):  # a name outside the choices lists them
+    if choices:  # a name outside the choices lists them
         assert "; expected one of " in message, message
 
 
@@ -110,6 +121,16 @@ def test_non_integer_size_is_parameter_error(call):
     # these used to end in a TypeError from numpy
     with pytest.raises(ParameterError, match="must be an integer"):
         call()
+
+
+def test_numpy_and_integral_numbers_are_accepted():
+    config = SolverConfig(gamma_r=np.float32(0.5), gamma_c=np.int64(2),
+                          tol=np.float64(1e-6), max_iters=3.0)
+    assert config.max_iters == 3
+    assert SolverConfig(max_iters=np.int64(5)).max_iters == 5
+    assert add_noise(Y, "sparse", 0, fraction=np.float64(0.5),
+                     amplitude=np.int32(-2)).shape == Y.shape
+    assert knn_graph(DATA, "rows", 2, sigma=np.float32(2.0)).num_vertices == 4
 
 
 def test_numpy_integer_size_is_accepted():

@@ -1039,6 +1039,57 @@ class TestGfrpcagPool:
                                            atol=0)
 
 
+class TestBlockSums:
+    """``_block_sums`` adds the parts of the row blocks in block order,
+    whichever map runs the tasks and in whatever order they finish."""
+
+    # 0.0 + 1 + 1e16 - 1e16 is 0.0 in block order and 1.0 in reverse; the
+    # array's second entry is 1.0 in block order and 0.0 in reverse
+    PARTS = [(1.0, np.array([1.0, -1e16])), (1e16, np.array([1e16, 1e16])),
+             (-1e16, np.array([-1e16, 1.0]))]
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_parts_are_added_in_block_order(self, pooled):
+        blocks = [slice(k, k + 1) for k in range(len(self.PARTS))]
+        done = [threading.Event() for _ in blocks]
+        finished = []
+
+        def task(rows):
+            k = rows.start
+            # on the pool, each block finishes after the next one
+            if pooled and k + 1 < len(blocks):
+                assert done[k + 1].wait(timeout=60)
+            finished.append(k)
+            done[k].set()
+            return self.PARTS[k]
+        if pooled:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                total, array = solvers._block_sums(pool.map, task, blocks)
+            assert finished == [2, 1, 0]
+        else:
+            total, array = solvers._block_sums(map, task, blocks)
+        assert total == 0.0
+        assert np.array_equal(array, [0.0, 1.0])
+
+    @pytest.mark.parametrize("loss", ["l1", "l2", "l21"])
+    def test_matrix_without_rows(self, loss):
+        # no row blocks: each pass walks one empty block, whose parts are
+        # the zero sums
+        Lr = laplacian(SparseGraph.from_weight_matrix(np.zeros((0, 0))),
+                       "normalized")
+        Lc = laplacian(SparseGraph.from_weight_matrix(1.0 - np.eye(5)),
+                       "normalized")
+        Y = np.zeros((0, 5))
+        config = SolverConfig(gamma_r=1.0, gamma_c=1.0, loss=loss)
+        filtered = SolverConfig(gamma_r=1.0, gamma_c=1.0, loss=loss,
+                                filter_spec=FilterSpec("prox_fb", b=0.6))
+        for result in (solve_frpcag(Y, Lr, Lc, config),
+                       solve_gfrpcag(Y, Lr, Lc, filtered)):
+            assert result.X.shape == (0, 5)
+            assert result.iterations == 1
+            assert result.objective_trace == [0.0]
+
+
 class TestGfrpcagPartialBasis:
     """The filtered side's eigenpairs below 3b/2 come from Lanczos on the
     sparse Laplacian: the solve matches the one on the cut dense basis to
